@@ -186,10 +186,13 @@ def _run_count(args, rng):
         return []
     rows = []
     for coeffs in _coeff_list(args, rng, args.p):
-        if w.kind == "sharp":
-            obs = census.count_sharp(coeffs, pp, int(args.N), workers=args.workers)
-        else:
-            obs = census.count_smoothed(coeffs, pp, args.N, w, workers=args.workers)
+        try:
+            if w.kind == "sharp":
+                obs = census.count_sharp(coeffs, pp, int(args.N), workers=args.workers)
+            else:
+                obs = census.count_smoothed(coeffs, pp, args.N, w, workers=args.workers)
+        except ValueError as exc:
+            raise ValidationError(str(exc))
         rows.append(
             dict(p=pp.p, n=pp.n, q=pp.q, a1=coeffs[0], a2=coeffs[1], a3=coeffs[2],
                  N=args.N, weight=w.kind, observed=obs)
@@ -432,15 +435,14 @@ HANDLERS = {
 }
 
 
-def _build_parser():
+def _build_parser(default_workers):
     top = argparse.ArgumentParser(prog="conic-lab")
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(sp):
         sp.add_argument("--config", help="JSON file with defaults for these flags")
         sp.add_argument("--seed", type=int, default=1)
-        sp.add_argument("--workers", type=int,
-                        default=int(os.environ.get("CONIC_LAB_THREADS", "1")))
+        sp.add_argument("--workers", type=int, default=default_workers)
         sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         sp.add_argument("--dry-run", action="store_true")
         sp.add_argument("--output", help="file path; default stdout")
@@ -522,7 +524,13 @@ def _apply_config(args):
 
 
 def run(argv) -> int:
-    parser = _build_parser()
+    threads = os.environ.get("CONIC_LAB_THREADS", "1")
+    try:
+        default_workers = int(threads)
+    except ValueError:
+        print(f"error: CONIC_LAB_THREADS must be an integer, got {threads!r}", file=sys.stderr)
+        return 2
+    parser = _build_parser(default_workers)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -67,7 +68,8 @@ def test_count_sharp_monotone_in_N():
 def test_count_smoothed_examples():
     pp71 = PrimePowerModulus(7, 1)
     v = count_smoothed((1, 1, -1), pp71, 3)
-    assert 0 < v < 24
+    assert type(v) is float and 0 < v < 24
+    assert type(count_sharp((1, 1, -1), pp71, 3)) is int
     # sharp kind delegates to count_sharp
     assert count_smoothed((1, 1, -1), pp71, 3, WeightSpec("sharp", 1.0)) == 24
     # truncation radius does not matter at double precision
@@ -86,6 +88,16 @@ def test_count_smoothed_vs_brute():
         got = count_smoothed(coeffs, pp, N)
         want = oracles.brute_smoothed_mesh(coeffs, p, pp.q, N)
         assert abs(got - want) <= 1e-12 * max(1.0, want)
+    # larger moduli: the box half-width floor(radius * N) stays below q, so
+    # the residue histograms do not wrap (the small-q cases above do)
+    for (p, n) in [(3, 5), (5, 3), (7, 3), (11, 2)]:
+        pp = PrimePowerModulus(p, n)
+        for radius in (6.0, 8.0):
+            coeffs = tuple(rng.choice([1, -1]) * rng.randrange(1, p) for _ in range(3))
+            N = rng.randint(5, 12)
+            got = count_smoothed(coeffs, pp, N, WeightSpec(truncation_radius=radius))
+            want = oracles.brute_smoothed_mesh(coeffs, p, pp.q, N, radius)
+            assert abs(got - want) <= 1e-12 * max(1.0, want), (p, n, coeffs, N, radius)
 
 
 def test_predict_examples():
@@ -210,4 +222,18 @@ def test_worker_determinism():
     sharp = {count_sharp((1, 1, -1), pp, 60, workers=k) for k in (1, 2, 4, 8)}
     assert len(sharp) == 1
     smooth = {count_smoothed((1, 2, 3), pp, 15, workers=k) for k in (1, 2, 4, 8)}
-    assert len(smooth) == 1  # bit-identical by exact row-ordered summation
+    assert len(smooth) == 1  # bit-identical: the kernels ignore the worker count
+
+
+def test_table_cap_checked_before_allocation():
+    pp = PrimePowerModulus(7, 9)  # q = 40353607 > TABLE_Q_MAX
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="table budget"):
+            count_smoothed((1, 2, 3), pp, 10)
+        with pytest.raises(ValueError, match="table budget"):
+            count_sharp((1, 2, 3), pp, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6  # a size-q table would be hundreds of MB

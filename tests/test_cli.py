@@ -53,6 +53,17 @@ def test_exit_codes(capsys):
     assert code == 2 and "budget" in err
     code, _, err = run_capture(["count", "--p", "7", "--n", "2", "--N", "2"], capsys)
     assert code == 2 and "coeffs" in err
+    code, _, err = run_capture(
+        ["count", "--p", "7", "--n", "9", "--coeffs", "1,2,3", "--N", "10"], capsys
+    )
+    assert code == 2 and "table budget" in err
+
+
+def test_bad_thread_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("CONIC_LAB_THREADS", "abc")
+    code, out, err = run_capture(["selftest"], capsys)
+    assert code == 2 and out == ""
+    assert "CONIC_LAB_THREADS" in err and "Traceback" not in err
 
 
 def test_dry_run(capsys):
