@@ -2,7 +2,7 @@
 
 Sharp and Gaussian-smoothed counts, the main-term predictor C_p N^3 / q,
 exact prime-level counts, unit-circle counts mod p^n, the smallest-solution
-shell search, and n-sweeps comparing observed counts to the prediction.
+box search, and n-sweeps comparing observed counts to the prediction.
 
 The Gaussian count is evaluated on the dual side, as in the paper's Poisson
 step: count = (1/q) sum_{h mod q} prod_i F_i(h), with F_i the discrete
@@ -250,13 +250,58 @@ def count_unit_circle(g1: int, g2: int, pp: PrimePowerModulus) -> int:
     return int(np.sum(counts[need]))
 
 
+# Cells (x1, x2) per row block of the box search: bounds its scratch arrays
+# to a few MB whatever the box size.
+BOX_BLOCK_CELLS = 1 << 16
+
+
+def _box_minimum(k1: int, k2: int, tab: np.ndarray, pp: PrimePowerModulus, M: int):
+    """Least (norm, (x1, x2, x3)) over unit solutions with 1 <= x1 <= M and
+    |x2|, |x3| <= M, or None; the solutions are x3^2 = k1 x1^2 + k2 x2^2 mod q.
+
+    Needs 2M + 1 <= q, so that each residue has at most one representative
+    in [-M, M]. int64 throughout: every factor is reduced below
+    q <= TABLE_Q_MAX = 1e7 before a product (x1, |x2| <= M < q and k1, k2,
+    roots < q), so no product reaches q^2 <= 1e14 < 2^63.
+    """
+    p, q = pp.p, pp.q
+    x1_all, sq = _unit_squares(p, q, M)
+    t1_all = k1 * sq % q
+    x2 = np.concatenate((-x1_all[::-1], x1_all))
+    t2 = k2 * np.concatenate((sq[::-1], sq)) % q
+    rows = max(1, BOX_BLOCK_CELLS // len(x2))
+    best = None
+    for start in range(0, len(x1_all), rows):
+        x1 = x1_all[start : start + rows]
+        cval = t1_all[start : start + rows, None] + t2
+        cval[cval >= q] -= q
+        r = tab[cval]
+        i1, i2 = np.nonzero((cval % p != 0) & (r * r % q == cval))
+        # x3 = +-r mod q, at the least representative >= -M
+        x3 = np.concatenate((r[i1, i2], q - r[i1, i2]))
+        x3 -= (M + x3) // q * q
+        keep = x3 <= M
+        if not keep.any():
+            continue
+        a, b, c = x1[np.tile(i1, 2)[keep]], x2[np.tile(i2, 2)[keep]], x3[keep]
+        norm = np.maximum(np.maximum(a, np.abs(b)), np.abs(c))
+        j = np.lexsort((c, b, a, norm))[0]
+        cand = (int(norm[j]), (int(a[j]), int(b[j]), int(c[j])))
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
 def smallest_solution(coeffs, pp: PrimePowerModulus):
     """Minimal max-norm unit solution of the congruence, or None.
 
     Returns (m, witness) with the witness normalized to x1 >= 0 (hence
     x1 >= 1, as 0 is not a unit) and lexicographically least among the
     max-norm-m solutions; None when p <= s_p, in which case no unit
-    solution exists mod p and hence none mod q.
+    solution exists mod p and hence none mod q. Searches the boxes
+    |x_i| <= M for M = 1, 2, 4, ...; the first box that holds a solution
+    holds the minimal one. The last box, M = (q-1)/2, holds a representative
+    of every residue triple.
     """
     p, q = pp.p, pp.q
     c = validate_coeffs(coeffs, p)
@@ -264,35 +309,37 @@ def smallest_solution(coeffs, pp: PrimePowerModulus):
         return None
     tab = _sqrt_table(pp)
     inv3 = mod_inverse(c.a3, q)
-    m = 0
+    k1, k2 = -c.a1 * inv3 % q, -c.a2 * inv3 % q
+    for M in _box_sizes(q, q):
+        found = _box_minimum(k1, k2, tab, pp, M)
+        if found is not None:
+            return found
+    raise AssertionError("box search overran the residue box")
+
+
+def _box_sizes(q: int, stop: int):
+    """Box sizes 1, 2, 4, ..., cut at (q-1)/2, until one reaches stop or (q-1)/2."""
+    cap = (q - 1) // 2
+    M = 1
     while True:
-        m += 1
-        if m > (q - 1) // 2 + 1:
-            raise AssertionError("shell search overran the residue box")
-        best = None
-        for x1 in range(1, m + 1):
-            if x1 % p == 0:
-                continue
-            sq1 = c.a1 * x1 * x1
-            for x2 in range(-m, m + 1):
-                if x2 % p == 0:
-                    continue
-                cval = (-(sq1 + c.a2 * x2 * x2) * inv3) % q
-                if cval % p == 0:
-                    continue
-                r = int(tab[cval])
-                if r * r % q != cval:
-                    continue
-                for root in (r, q - r):
-                    x3 = root - ((m + root) // q) * q  # least value >= -m
-                    while x3 <= m:
-                        if max(x1, abs(x2), abs(x3)) == m:
-                            cand = (x1, x2, x3)
-                            if best is None or cand < best:
-                                best = cand
-                        x3 += q
-        if best is not None:
-            return m, best
+        yield M
+        if M >= min(stop, cap):
+            return
+        M = min(2 * M, cap)
+
+
+def estimate_smallest_work(coeffs, pp: PrimePowerModulus) -> int:
+    """(x1, x2) pair visits of the box search up to the expected norm.
+
+    The expected norm m_est = ceil((q / C_p)^(1/3)) (C_p floored at 0.05) is
+    where the main term C_p m^3 / q reaches 1; box M visits M (2M + 1)
+    pairs. 0 when C_p <= 0, as no search runs then.
+    """
+    cp = float(main_constant(coeffs, pp.p))
+    if cp <= 0:
+        return 0
+    m_est = int(math.ceil((pp.q / max(cp, 0.05)) ** (1 / 3)))
+    return sum(M * (2 * M + 1) for M in _box_sizes(pp.q, m_est))
 
 
 def estimate_scan_work(p: int, n_values, theta: float, w: WeightSpec) -> int:

@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 validation failure, 1 internal assertion failure.
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -250,13 +249,19 @@ def _run_scan(args, rng):
 def _run_smallest(args, rng):
     _require(args, "p", "n")
     pp = _modulus(args.p, args.n)
+    triples = _coeff_list(args, rng, args.p)
+    try:
+        units = sum(census.estimate_smallest_work(coeffs, pp) for coeffs in triples)
+    except ValueError as exc:
+        raise ValidationError(str(exc))
+    if _budget_gate(args, units):
+        return []
     rows = []
-    for coeffs in _coeff_list(args, rng, args.p):
-        cp = float(modcore.main_constant(coeffs, pp.p))
-        m_est = int(math.ceil((pp.q / max(cp, 0.05)) ** (1 / 3))) if cp > 0 else 0
-        if _budget_gate(args, 4 * m_est**3):
-            return []
-        found = census.smallest_solution(coeffs, pp)
+    for coeffs in triples:
+        try:
+            found = census.smallest_solution(coeffs, pp)
+        except ValueError as exc:
+            raise ValidationError(str(exc))
         if found is None:
             # m = 0 encodes absence at this boundary only
             rows.append(dict(p=pp.p, n=pp.n, q=pp.q, a1=coeffs[0], a2=coeffs[1],

@@ -188,15 +188,27 @@ def _e_q(value: int, q: int) -> complex:
     return complex(np.exp(2j * np.pi * (value % q) / q))
 
 
-def _vec_inv_mod(d, q, phi):
-    e = phi - 1
+def _vec_inv_mod(d, pp: PrimePowerModulus):
+    """Inverses mod q of the units d (entries in [0, q)).
+
+    Fermat's d^(p-2) mod p, then Newton steps x <- x (2 - d x), each of which
+    doubles the p-adic precision: ceil(log2 n) steps reach q. int64 is safe:
+    every factor is reduced below q <= DIRECT_SUM_Q_MAX = 1e7, so products
+    stay below 1e14 < 2^63.
+    """
+    p, q = pp.p, pp.q
+    e = p - 2
     out = np.ones_like(d)
-    base = d % q
+    base = d % p
     while e:
         if e & 1:
-            out = out * base % q
-        base = base * base % q
+            out = out * base % p
+        base = base * base % p
         e >>= 1
+    mod = p
+    while mod < q:
+        mod = min(mod * mod, q)
+        out = out * ((2 - d % mod * out) % mod) % mod
     return out
 
 
@@ -209,12 +221,13 @@ def direct_S_alpha(f: IntRationalFunction, alpha: int, pp: PrimePowerModulus) ->
     if _poly_eval_mod(f.denom, alpha, p) == 0:
         raise NonUnitDenominatorError(f"denominator vanishes on the class {alpha} mod {p}")
     ts = alpha + p * np.arange(p ** (n - 1), dtype=np.int64)
-    num = _poly_eval_mod_vec(f.numer, ts, q)
-    den = _poly_eval_mod_vec(f.denom, ts, q)
-    phi = q - q // p
-    vals = num * _vec_inv_mod(den, q, phi) % q
+    vals = _poly_eval_mod_vec(f.numer, ts, q)
+    if len(f.denom) == 1:
+        vals = vals * pow(f.denom[0], -1, q) % q
+    else:
+        vals = vals * _vec_inv_mod(_poly_eval_mod_vec(f.denom, ts, q), pp) % q
     ang = vals * (2.0 * np.pi / q)
-    return complex(math.fsum(np.cos(ang)), math.fsum(np.sin(ang)))
+    return complex(math.fsum(np.cos(ang).tolist()), math.fsum(np.sin(ang).tolist()))
 
 
 def direct_full_sum(f: IntRationalFunction, pp: PrimePowerModulus, alphas=None) -> complex:

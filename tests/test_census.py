@@ -3,6 +3,7 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conic_lab.modcore import PrimePowerModulus, s_p
 from conic_lab.census import (
@@ -186,6 +187,39 @@ def test_smallest_solution_vs_brute():
         else:
             assert got == want
         done += 1
+
+
+def test_smallest_solution_large_moduli():
+    pp = PrimePowerModulus(7, 6)
+    want = (150, (131, -150, -136))
+    assert oracles.brute_smallest((1, 2, 3), 7, pp.q) == want
+    assert smallest_solution((1, 2, 3), pp) == want
+    pp = PrimePowerModulus(101, 3)
+    want = (421, (384, -419, -421))
+    assert oracles.brute_smallest((1, 2, 3), 101, pp.q) == want
+    tracemalloc.start()
+    try:
+        got = smallest_solution((1, 2, 3), pp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    # the q-entry root table alone is 8.2 MB; the box search adds row blocks
+    assert peak < 24 * 10**6
+
+
+_SMALL_MODULI = [(p, n) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+                 for n in range(1, 8) if p**n <= 2500]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_SMALL_MODULI), st.data())
+def test_smallest_solution_property(pn, data):
+    p, n = pn
+    unit = st.integers(-3 * p, 3 * p).filter(lambda a: a % p != 0)
+    coeffs = (data.draw(unit), data.draw(unit), data.draw(unit))
+    got = smallest_solution(coeffs, PrimePowerModulus(p, n))
+    assert got == oracles.brute_smallest(coeffs, p, p**n)
 
 
 def test_asymptotic_scan_shapes_and_budget():

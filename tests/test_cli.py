@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from conic_lab import census
 from conic_lab.cli import FIELDS, Splitmix64, emit, run
 
 
@@ -57,6 +58,10 @@ def test_exit_codes(capsys):
         ["count", "--p", "7", "--n", "9", "--coeffs", "1,2,3", "--N", "10"], capsys
     )
     assert code == 2 and "table budget" in err
+    code, _, err = run_capture(["smallest", "--p", "7", "--n", "9", "--coeffs", "1,2,3"], capsys)
+    assert code == 2 and "table budget" in err
+    code, _, err = run_capture(["smallest", "--p", "7", "--n", "2", "--coeffs", "7,2,3"], capsys)
+    assert code == 2 and "shares a factor" in err
 
 
 def test_bad_thread_env_exits_2(capsys, monkeypatch):
@@ -72,6 +77,26 @@ def test_dry_run(capsys):
     )
     assert code == 0
     assert out.startswith("dry-run: estimated work units")
+
+
+def test_smallest_budget_summed_before_search(capsys, monkeypatch):
+    # (1,2,3) mod 7^4: C_p = 24/49 gives m_est = ceil((2401 * 49/24)^(1/3)) = 17,
+    # so boxes M = 1, 2, ..., 32 visit sum M(2M+1) = 2793 (x1, x2) pairs
+    code, out, _ = run_capture(
+        ["smallest", "--p", "7", "--n", "4", "--coeffs", "1,2,3", "--dry-run"], capsys
+    )
+    assert code == 0 and out == "dry-run: estimated work units = 2793 (budget 1000000000)\n"
+    # three sampled triples mod 7^6 need 11049 pairs each (boxes up to 64)
+    argv = ["smallest", "--p", "7", "--n", "6", "--sample", "3"]
+    code, out, _ = run_capture(argv + ["--dry-run"], capsys)
+    assert code == 0 and out == "dry-run: estimated work units = 33147 (budget 1000000000)\n"
+
+    def no_search(*args):
+        raise AssertionError("searched before the budget check")
+
+    monkeypatch.setattr(census, "smallest_solution", no_search)
+    code, out, err = run_capture(argv + ["--budget", "20000"], capsys)
+    assert code == 2 and out == "" and "33147" in err
 
 
 def test_selftest(capsys):

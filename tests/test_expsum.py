@@ -107,6 +107,36 @@ def test_direct_S_alpha_partition_identity():
         assert abs(total - want) < 1e-9
 
 
+def _ref_eval(poly, t):
+    return sum(c * t**i for i, c in enumerate(poly))
+
+
+def _ref_values(f, q, ts):
+    """f(t) mod q for each t by Python integer arithmetic."""
+    return [_ref_eval(f.numer, t) * pow(_ref_eval(f.denom, t), -1, q) % q for t in ts]
+
+
+def test_direct_sums_rational_denominator():
+    # a non-constant unit denominator is inverted mod p, then Newton-lifted;
+    # n = 1 takes no Newton step
+    rng = random.Random(3)
+    for p in (3, 5, 7, 11):
+        for n in range(1, 5):
+            pp = PrimePowerModulus(p, n)
+            f = IntRationalFunction(
+                tuple(rng.randint(-9, 9) for _ in range(3)),
+                (rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9)),
+            )
+            alphas = [a for a in range(p) if _ref_eval(f.denom, a) % p]
+            assert alphas
+            for a in alphas:
+                want = oracles.direct_exp_sum(_ref_values(f, pp.q, range(a, pp.q, p)), pp.q)
+                assert abs(direct_S_alpha(f, a, pp) - want) < 1e-9
+            ts = [t for t in range(pp.q) if t % p in alphas]
+            want = oracles.direct_exp_sum(_ref_values(f, pp.q, ts), pp.q)
+            assert abs(direct_full_sum(f, pp, alphas) - want) < 1e-9
+
+
 def test_cochrane_examples():
     pp72 = PrimePowerModulus(7, 2)
     pp73 = PrimePowerModulus(7, 3)
