@@ -23,6 +23,7 @@ import numpy as np
 from .modcore import (
     CoefficientTriple,
     PrimePowerModulus,
+    legendre_table,
     main_constant,
     mod_inverse,
     s_p,
@@ -101,14 +102,6 @@ def _sqrt_table(pp: PrimePowerModulus) -> np.ndarray:
     x = np.arange(1, (q - 1) // 2 + 1, dtype=np.int64)
     tab[x * x % q] = x
     return tab
-
-
-def _legendre_table(p: int) -> np.ndarray:
-    leg = np.full(p, -1, dtype=np.int64)
-    leg[0] = 0
-    x = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
-    leg[x * x % p] = 1
-    return leg
 
 
 def _unit_squares(p: int, q: int, half: int):
@@ -202,7 +195,7 @@ def count_mod_p(coeffs, p: int) -> int:
     if p > 10**4:
         raise ValueError("exhaustive prime-level scan capped at p <= 10^4")
     c = validate_coeffs(coeffs, p)
-    leg = _legendre_table(p)
+    leg = legendre_table(p)
     inv3 = mod_inverse(c.a3, p)
     xs = np.arange(1, p, dtype=np.int64)
     c1 = (-c.a1 * inv3 % p) * (xs * xs % p) % p
@@ -223,7 +216,7 @@ def sqrt_count_table(pp: PrimePowerModulus) -> np.ndarray:
     """
     p, n, q = pp.p, pp.n, pp.q
     _check_table_q(q)
-    leg = _legendre_table(p)
+    leg = legendre_table(p)
     counts = np.zeros(q, dtype=np.int64)
     counts[0] = p ** (n // 2)
     for e in range(0, n, 2):

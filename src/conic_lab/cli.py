@@ -1,11 +1,18 @@
 """Batch experiment driver.
 
 Subcommands: count | predict | scan | smallest | param-check | expsum-check
-| dioph | selftest. Parameters come from flags, optionally seeded from a
-JSON config file (flags override file values). Results are emitted as CSV
-or JSONL with a fixed column set per subcommand and a schema_version
-column; floats are printed with 12 significant digits. Work is estimated
-up front in (x1, x2)-pair-visit units and runs over the budget are refused.
+| dioph | selftest. One argparse parser, built at import, knows every flag,
+type and default. A JSON config object (--config) is turned into argv: each
+key names a flag ("truncation_radius" is --truncation-radius), true is the
+bare flag, false is dropped, and any other value is passed as --key=value.
+These tokens go before the explicit flags and the whole line is parsed
+again, so explicit flags win and config values are type-checked like flags.
+--workers and $CONIC_LAB_THREADS must be integers and have no effect.
+
+Results are emitted as CSV or JSONL with a fixed column set per subcommand
+and a schema_version column; floats are printed with 12 significant digits.
+Work is estimated up front in (x1, x2)-pair-visit units and runs over the
+budget are refused.
 
 Exit codes: 0 success, 2 validation failure, 1 internal assertion failure.
 """
@@ -166,6 +173,11 @@ def _coeff_list(args, rng, need_p):
 
 # ----------------------------------------------------------------- handlers
 
+def _row(pp, coeffs, **rest):
+    """An output record led by the modulus and the coefficient triple."""
+    return dict(p=pp.p, n=pp.n, q=pp.q, a1=coeffs[0], a2=coeffs[1], a3=coeffs[2], **rest)
+
+
 def _require(args, *names):
     missing = [n for n in names if getattr(args, n, None) is None]
     if missing:
@@ -177,7 +189,7 @@ def _run_count(args, rng):
     _require(args, "p", "n", "N")
     pp = _modulus(args.p, args.n)
     w = _weight(args)
-    if args.N is None or args.N < 0:
+    if args.N < 0:
         raise ValidationError("count requires --N >= 0")
     radius = w.truncation_radius if w.kind == "gaussian" else 1.0
     units = int(radius * args.N) ** 2
@@ -187,15 +199,12 @@ def _run_count(args, rng):
     for coeffs in _coeff_list(args, rng, args.p):
         try:
             if w.kind == "sharp":
-                obs = census.count_sharp(coeffs, pp, int(args.N), workers=args.workers)
+                obs = census.count_sharp(coeffs, pp, int(args.N))
             else:
-                obs = census.count_smoothed(coeffs, pp, args.N, w, workers=args.workers)
+                obs = census.count_smoothed(coeffs, pp, args.N, w)
         except ValueError as exc:
             raise ValidationError(str(exc))
-        rows.append(
-            dict(p=pp.p, n=pp.n, q=pp.q, a1=coeffs[0], a2=coeffs[1], a3=coeffs[2],
-                 N=args.N, weight=w.kind, observed=obs)
-        )
+        rows.append(_row(pp, coeffs, N=args.N, weight=w.kind, observed=obs))
     return rows
 
 
@@ -203,26 +212,19 @@ def _run_predict(args, rng):
     _require(args, "p", "n", "N")
     pp = _modulus(args.p, args.n)
     w = _weight(args)
-    if args.N is None:
-        raise ValidationError("predict requires --N")
     if _budget_gate(args, 0):
         return []
     rows = []
     for coeffs in _coeff_list(args, rng, args.p):
         pred = census.predict_main_term(coeffs, pp, args.N, w)
-        rows.append(
-            dict(p=pp.p, n=pp.n, q=pp.q, a1=coeffs[0], a2=coeffs[1], a3=coeffs[2],
-                 N=args.N, weight=w.kind, predicted=pred,
-                 vacuous=census.prediction_is_vacuous(coeffs, pp.p))
-        )
+        rows.append(_row(pp, coeffs, N=args.N, weight=w.kind, predicted=pred,
+                         vacuous=census.prediction_is_vacuous(coeffs, pp.p)))
     return rows
 
 
 def _run_scan(args, rng):
-    _require(args, "p")
-    if args.n_range is None:
-        raise ValidationError("scan requires --n like 3..6")
-    n_values = _parse_n_range(args.n_range)
+    _require(args, "p", "n")
+    n_values = _parse_n_range(args.n)
     w = _weight(args)
     units = census.estimate_scan_work(args.p, n_values, args.theta, w)
     triples = _coeff_list(args, rng, args.p)
@@ -232,8 +234,7 @@ def _run_scan(args, rng):
     for coeffs in triples:
         try:
             reports = census.asymptotic_scan(
-                coeffs, args.p, n_values, args.theta, w,
-                workers=args.workers, budget=args.budget,
+                coeffs, args.p, n_values, args.theta, w, budget=args.budget
             )
         except ValueError as exc:
             raise ValidationError(str(exc))
@@ -264,12 +265,10 @@ def _run_smallest(args, rng):
             raise ValidationError(str(exc))
         if found is None:
             # m = 0 encodes absence at this boundary only
-            rows.append(dict(p=pp.p, n=pp.n, q=pp.q, a1=coeffs[0], a2=coeffs[1],
-                             a3=coeffs[2], m=0, x1=None, x2=None, x3=None))
+            rows.append(_row(pp, coeffs, m=0, x1=None, x2=None, x3=None))
         else:
             m, (x1, x2, x3) = found
-            rows.append(dict(p=pp.p, n=pp.n, q=pp.q, a1=coeffs[0], a2=coeffs[1],
-                             a3=coeffs[2], m=m, x1=x1, x2=x2, x3=x3))
+            rows.append(_row(pp, coeffs, m=m, x1=x1, x2=x2, x3=x3))
     return rows
 
 
@@ -294,11 +293,9 @@ def _run_param_check(args, rng):
             fam = conic.build_case2_family(coeffs, pp)
             reference = conic.enumerate_pair_solutions(coeffs, pp, units_only=False)
             expected = pp.q + pp.q // pp.p
-        rows.append(
-            dict(p=pp.p, n=pp.n, q=pp.q, a1=coeffs[0], a2=coeffs[1], a3=coeffs[2],
-                 case=tag, family_size=len(fam.pairs), expected_size=expected,
-                 matches_enumeration=fam.pairs == frozenset(reference))
-        )
+        rows.append(_row(pp, coeffs, case=tag, family_size=len(fam.pairs),
+                         expected_size=expected,
+                         matches_enumeration=fam.pairs == frozenset(reference)))
     return rows
 
 
@@ -342,8 +339,7 @@ def _run_expsum_check(args, rng):
             status = "ok"
             rel = abs(got - want) / max(1.0, abs(want))
         except expsum.UnsupportedCaseError:
-            status = "fallback-direct" if args.fallback_direct else "unsupported"
-            rel = None
+            status, rel = "unsupported", None
         except ValueError:
             status, rel = "invalid", None
         made += 1
@@ -440,14 +436,14 @@ HANDLERS = {
 }
 
 
-def _build_parser(default_workers):
+def _build_parser():
     top = argparse.ArgumentParser(prog="conic-lab")
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(sp):
         sp.add_argument("--config", help="JSON file with defaults for these flags")
         sp.add_argument("--seed", type=int, default=1)
-        sp.add_argument("--workers", type=int, default=default_workers)
+        sp.add_argument("--workers", type=int)
         sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         sp.add_argument("--dry-run", action="store_true")
         sp.add_argument("--output", help="file path; default stdout")
@@ -464,7 +460,7 @@ def _build_parser(default_workers):
     coeffy(sp)
     sp.add_argument("--N", type=float)
     sp.add_argument("--sharp", action="store_true")
-    sp.add_argument("--truncation-radius", type=float, dest="truncation_radius")
+    sp.add_argument("--truncation-radius", type=float)
     common(sp)
 
     sp = sub.add_parser("predict", help="main-term prediction")
@@ -474,13 +470,11 @@ def _build_parser(default_workers):
     common(sp)
 
     sp = sub.add_parser("scan", help="observed/predicted ratios over an n range")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--n", dest="n_range", help="e.g. 3..6")
+    coeffy(sp, with_n=False)
+    sp.add_argument("--n", help="e.g. 3..6")
     sp.add_argument("--theta", type=float, default=0.62)
-    sp.add_argument("--coeffs")
-    sp.add_argument("--sample", type=int)
     sp.add_argument("--sharp", action="store_true")
-    sp.add_argument("--truncation-radius", type=float, dest="truncation_radius")
+    sp.add_argument("--truncation-radius", type=float)
     common(sp)
 
     sp = sub.add_parser("smallest", help="minimal max-norm solution")
@@ -495,7 +489,6 @@ def _build_parser(default_workers):
     sp.add_argument("--p", type=int)
     sp.add_argument("--n", type=int)
     sp.add_argument("--count", type=int, default=20)
-    sp.add_argument("--fallback-direct", action="store_true", dest="fallback_direct")
     common(sp)
 
     sp = sub.add_parser("dioph", help="Diophantine toolkit")
@@ -510,43 +503,46 @@ def _build_parser(default_workers):
     return top
 
 
-def _apply_config(args):
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"config {args.config}: {exc}")
-        for key, value in doc.items():
-            attr = key.replace("-", "_")
-            if not hasattr(args, attr):
-                raise ValidationError(f"config {args.config}: unknown field {key!r}")
-            # flags explicitly given on the command line win
-            if attr in args._explicit:
-                continue
-            setattr(args, attr, value)
-    return args
+PARSER = _build_parser()
+
+
+def _parse(argv):
+    """Parse argv, then again with the --config file's keys as leading flags."""
+    args = PARSER.parse_args(argv)
+    if args.config is None:
+        return args
+    try:
+        with open(args.config) as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"config {args.config}: {exc}")
+    if not isinstance(doc, dict):
+        raise ValidationError(f"config {args.config}: expected a JSON object")
+    tokens = []
+    for key, value in doc.items():
+        # every subcommand flag --a-b stores to dest a_b
+        if key == "command" or key.replace("-", "_") not in vars(args):
+            raise ValidationError(f"config {args.config}: unknown field {key!r}")
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            tokens.append(flag)
+        elif value is not False:
+            tokens.append(f"{flag}={value}")
+    return PARSER.parse_args([args.command, *tokens, *argv[1:]])
 
 
 def run(argv) -> int:
     threads = os.environ.get("CONIC_LAB_THREADS", "1")
     try:
-        default_workers = int(threads)
+        int(threads)
     except ValueError:
         print(f"error: CONIC_LAB_THREADS must be an integer, got {threads!r}", file=sys.stderr)
         return 2
-    parser = _build_parser(default_workers)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
+        records = HANDLERS[args.command](args, Splitmix64(args.seed))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    args._explicit = {
-        a.lstrip("-").split("=")[0].replace("-", "_") for a in argv if a.startswith("--")
-    }
-    try:
-        args = _apply_config(args)
-        rng = Splitmix64(args.seed)
-        records = HANDLERS[args.command](args, rng)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

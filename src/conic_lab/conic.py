@@ -69,7 +69,7 @@ def normalize_to_case1(coeffs, p: int):
     (x[perm[0]], x[perm[1]], x[perm[2]]) for the permuted one. Raises if no
     -ai*aj is a residue (Case II).
     """
-    c = as_tuple = tuple(validate_coeffs(coeffs, p))
+    c = validate_coeffs(coeffs, p)
     s12, s13, s23 = residue_pattern(coeffs, p)
     if s23 == 1:
         perm = (0, 1, 2)
@@ -159,16 +159,20 @@ def param_case1(t: int, b: int, coeffs, pp: PrimePowerModulus) -> SolutionPair:
     return SolutionPair(y1, y2)
 
 
+def case1_admissible_alphas(coeffs, p: int):
+    """Classes alpha mod p with alpha(a1 - a2 alpha^2)(a1 + a2 alpha^2) a unit."""
+    c = validate_coeffs(coeffs, p)
+    return [
+        a
+        for a in range(1, p)
+        if (c.a1 - c.a2 * a * a) % p and (c.a1 + c.a2 * a * a) % p
+    ]
+
+
 def case1_admissible_t(coeffs, pp: PrimePowerModulus):
     """Generator of all t mod q passing the Case I unit conditions."""
-    c = validate_coeffs(coeffs, pp.p)
-    p, q = pp.p, pp.q
-    good = [
-        alpha
-        for alpha in range(1, p)
-        if (c.a1 - c.a2 * alpha * alpha) % p and (c.a1 + c.a2 * alpha * alpha) % p
-    ]
-    for base in range(0, q, p):
+    good = case1_admissible_alphas(coeffs, pp.p)
+    for base in range(0, pp.q, pp.p):
         for alpha in good:
             yield base + alpha
 

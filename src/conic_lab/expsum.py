@@ -26,7 +26,15 @@ from .modcore import (
     sqrt_mod_prime_power,
     validate_coeffs,
 )
-from .conic import BasePoint, case1_slope_base, case_tag, CASE_I, CASE_II
+from .conic import (
+    BasePoint,
+    case1_admissible_alphas,
+    case1_slope_base,
+    case_tag,
+    find_base_point,
+    CASE_I,
+    CASE_II,
+)
 
 DIRECT_SUM_Q_MAX = 10**7
 
@@ -272,17 +280,32 @@ def analyze_critical_points(f: IntRationalFunction, pp: PrimePowerModulus) -> Cr
             continue
         if _poly_eval_mod(gnum_p, alpha, p) != 0:
             continue
-        mult = 0
-        cur = gnum_p
-        while cur != (0,) and _poly_eval_mod(cur, alpha, p) == 0:
-            cur = _synth_div(cur, alpha, p)
-            mult += 1
+        mult = _root_multiplicity(gnum_p, alpha, p)
         roots.append((alpha, mult))
         if mult == 1:
             astar = _lift_root(g.numer, alpha, p, lift_mod)
             lifted[alpha] = astar
             second[alpha] = 2 * dg.eval_mod(alpha, p) % p
     return CriticalPointReport(r, tuple(roots), lifted, second, lift_mod)
+
+
+def _root_multiplicity(poly_p, alpha, p):
+    """Multiplicity of alpha as a root of poly_p, whose coefficients are reduced mod p."""
+    mult = 0
+    while poly_p != (0,) and _poly_eval_mod(poly_p, alpha, p) == 0:
+        poly_p = _synth_div(poly_p, alpha, p)
+        mult += 1
+    return mult
+
+
+def _check_evaluable(p, n, r):
+    """Raise UnsupportedCaseError where the stationary-phase evaluation at level r fails."""
+    if r > n - 2:
+        raise UnsupportedCaseError(f"r = {r} > n-2 = {n - 2}")
+    if p == 3 and n - r == 3 and r >= 1:
+        # The cubic Taylor term survives mod 3^n here (3 | 3!), so the
+        # quadratic stationary-phase value is wrong in general.
+        raise UnsupportedCaseError("p=3 with n-r=3 and r>=1 is outside the evaluation")
 
 
 def _lift_root(poly, alpha, p, target):
@@ -311,21 +334,10 @@ def cochrane_evaluate(f: IntRationalFunction, alpha: int, pp: PrimePowerModulus)
     if _poly_eval_mod(f.denom, alpha, p) == 0:
         raise NonUnitDenominatorError(f"denominator vanishes at alpha={alpha} mod {p}")
     g, r = f.derivative().stripped(p)
-    if r > n - 2:
-        raise UnsupportedCaseError(f"ord_p(f') = {r} > n-2 = {n-2}")
-    if p == 3 and n - r == 3 and r >= 1:
-        # The cubic Taylor term survives mod 3^n here (3 | 3!), so the
-        # quadratic stationary-phase value below is wrong in general.
-        raise UnsupportedCaseError("p=3 with n-r=3 and r>=1 is outside the evaluation")
+    _check_evaluable(p, n, r)
     if g.eval_mod(alpha, p) != 0:
         return 0j
-    gnum_p = tuple(c % p for c in g.numer)
-    mult = 0
-    cur = gnum_p
-    while cur != (0,) and _poly_eval_mod(cur, alpha, p) == 0:
-        cur = _synth_div(cur, alpha, p)
-        mult += 1
-    if mult != 1:
+    if _root_multiplicity(tuple(c % p for c in g.numer), alpha, p) != 1:
         raise UnsupportedCaseError(f"alpha={alpha} is a multiple critical point")
     astar = _lift_root(g.numer, alpha, p, p ** ((n - r + 1) // 2))
     phase = _e_q(f.eval_mod(astar, q), q)
@@ -372,16 +384,6 @@ def family_case2(s, k1, k2, x3, coeffs, base: BasePoint, pp: PrimePowerModulus) 
     d2 = a * k1 + b * k2
     numer = (x3 * c.a1 * ps * ps * d2, 2 * x3 * ps * (b * c.a2 * k1 - a * c.a1 * k2), -x3 * c.a2 * d2)
     return IntRationalFunction(numer, (c.a1 * ps * ps, 0, c.a2))
-
-
-def case1_admissible_alphas(coeffs, p: int):
-    """Classes alpha mod p with alpha(a1 - a2 alpha^2)(a1 + a2 alpha^2) a unit."""
-    c = validate_coeffs(coeffs, p)
-    return [
-        a
-        for a in range(1, p)
-        if (c.a1 - c.a2 * a * a) % p and (c.a1 + c.a2 * a * a) % p
-    ]
 
 
 def direct_E_case1(k1, k2, x3, coeffs, b, pp: PrimePowerModulus) -> complex:
@@ -444,10 +446,7 @@ def closed_form_E(k1, k2, x3, coeffs, pp: PrimePowerModulus, tag: str, base: Bas
     l1, l2, r = _split_common_power(k1, k2, p, n)
     if l1 % p == 0 or l2 % p == 0:
         raise ValueError("k1 and k2 must share the same exact power of p")
-    if r > n - 2:
-        raise UnsupportedCaseError(f"r = {r} > n-2 = {n-2}")
-    if p == 3 and n - r == 3 and r >= 1:
-        raise UnsupportedCaseError("p=3 with n-r=3 and r>=1 is outside the evaluation")
+    _check_evaluable(p, n, r)
     nr = n - r
     mod_nr = p**nr
     ppnr = PrimePowerModulus(p, nr)
@@ -462,8 +461,6 @@ def closed_form_E(k1, k2, x3, coeffs, pp: PrimePowerModulus, tag: str, base: Bas
         if case_tag(coeffs, p) != CASE_II:
             raise ValueError("coefficients do not match the Case II pattern")
         if base is None:
-            from .conic import find_base_point
-
             base = find_base_point(coeffs, pp)
         if (l2 * c.a1 * base.a - l1 * c.a2 * base.b) % p == 0:
             raise UnsupportedCaseError("critical quadratic degenerates mod p")

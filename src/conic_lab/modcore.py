@@ -73,9 +73,6 @@ class CoefficientTriple(NamedTuple):
     a2: int
     a3: int
 
-    def reduced(self, q: int) -> "CoefficientTriple":
-        return CoefficientTriple(self.a1 % q, self.a2 % q, self.a3 % q)
-
 
 def as_coeffs(coeffs) -> CoefficientTriple:
     a1, a2, a3 = coeffs
@@ -206,11 +203,6 @@ def sqrt_all_roots(a: int, pp: PrimePowerModulus) -> list:
     return roots
 
 
-def _kahan_complex_sum(re: np.ndarray, im: np.ndarray) -> complex:
-    # math.fsum is exactly rounded, strictly stronger than Kahan compensation.
-    return complex(math.fsum(re), math.fsum(im))
-
-
 def gauss_sum(q: int) -> complex:
     """Quadratic Gauss sum G_q = sum_{x=1..q} exp(2 pi i x^2 / q), q odd."""
     if q <= 0 or q % 2 == 0:
@@ -219,7 +211,7 @@ def gauss_sum(q: int) -> complex:
         raise ValueError(f"q={q} exceeds the direct summation budget")
     x = np.arange(1, q + 1, dtype=np.int64)
     ang = (x * x % q) * (2.0 * np.pi / q)
-    return _kahan_complex_sum(np.cos(ang), np.sin(ang))
+    return complex(math.fsum(np.cos(ang)), math.fsum(np.sin(ang)))
 
 
 def _factorize(m: int) -> list:
@@ -238,23 +230,23 @@ def _factorize(m: int) -> list:
     return out
 
 
-def jacobi_table(q: int) -> np.ndarray:
-    """(y/q) for y = 0..q-1 as an int8 array, built multiplicatively.
+def legendre_table(p: int) -> np.ndarray:
+    """(y/p) for y = 0..p-1 as an int8 array, filled by marking the squares mod p."""
+    leg = np.full(p, -1, dtype=np.int8)
+    leg[0] = 0
+    r = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
+    leg[r * r % p] = 1
+    return leg
 
-    (y/q) = prod_p (y/p)^e over the factorization of q; each Legendre table
-    is filled by marking the squares mod p, which avoids a per-entry symbol
-    computation.
-    """
+
+def jacobi_table(q: int) -> np.ndarray:
+    """(y/q) for y = 0..q-1 as an int8 array: prod_p (y/p)^e over q's factorization."""
     if q % 2 == 0 or q <= 0:
         raise ValueError("jacobi_table needs odd positive q")
     tab = np.ones(q, dtype=np.int8)
     y = np.arange(q, dtype=np.int64)
     for p, e in _factorize(q):
-        leg = np.full(p, -1, dtype=np.int8)
-        leg[0] = 0
-        r = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
-        leg[r * r % p] = 1
-        vals = leg[y % p]
+        vals = legendre_table(p)[y % p]
         tab *= vals if e % 2 else np.abs(vals)
     return tab
 
@@ -267,7 +259,7 @@ def gauss_sum_character(q: int) -> complex:
         raise ValueError(f"q={q} exceeds the direct summation budget")
     chi = jacobi_table(q).astype(np.float64)
     ang = np.arange(q, dtype=np.float64) * (2.0 * np.pi / q)
-    return _kahan_complex_sum(chi * np.cos(ang), chi * np.sin(ang))
+    return complex(math.fsum(chi * np.cos(ang)), math.fsum(chi * np.sin(ang)))
 
 
 def gauss_sum_unit(q: int) -> complex:

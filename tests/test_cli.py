@@ -62,9 +62,13 @@ def test_exit_codes(capsys):
     assert code == 2 and "table budget" in err
     code, _, err = run_capture(["smallest", "--p", "7", "--n", "2", "--coeffs", "7,2,3"], capsys)
     assert code == 2 and "shares a factor" in err
+    code, out, _ = run_capture(["expsum-check", "--p", "7", "--n", "3", "--fallback-direct"], capsys)
+    assert code == 2 and out == ""
 
 
 def test_bad_thread_env_exits_2(capsys, monkeypatch):
+    # the shared parser from a good call must not bypass the env check
+    assert run_capture(["selftest"], capsys)[0] == 0
     monkeypatch.setenv("CONIC_LAB_THREADS", "abc")
     code, out, err = run_capture(["selftest"], capsys)
     assert code == 2 and out == ""
@@ -136,6 +140,27 @@ def test_config_flag_precedence(capsys, tmp_path):
     code, _, err = run_capture(["count", "--config", str(cfg), "--p", "7", "--n", "1",
                                 "--coeffs", "1,1,-1", "--N", "1"], capsys)
     assert code == 2 and "unknown field" in err
+    # config values are converted and type-checked like the flags they name
+    explicit = run_capture(["count", "--p", "7", "--n", "1", "--coeffs", "1,1,-1",
+                            "--N", "3", "--sharp"], capsys)
+    cfg.write_text(json.dumps({"p": "7", "n": 1, "coeffs": "1,1,-1", "N": 3, "sharp": True}))
+    assert run_capture(["count", "--config", str(cfg)], capsys) == explicit
+    for doc in ({"p": 7.5}, {"seed": None}, [{"p": 7}], {"command": "nope"}):
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_capture(["count", "--config", str(cfg), "--p", "7", "--n", "1",
+                                      "--coeffs", "1,1,-1", "--N", "1"], capsys)
+        assert code == 2 and out == "" and "Traceback" not in err, doc
+    # scan's config key is its flag name, n
+    cfg.write_text(json.dumps({"n": "3..4"}))
+    code, out, _ = run_capture(["scan", "--config", str(cfg), "--p", "7", "--coeffs", "1,1,-1",
+                                "--dry-run"], capsys)
+    assert code == 0 and out.startswith("dry-run: estimated work units")
+    # an explicit flag, even abbreviated, beats the config: int(7 * 5)^2 = 1225, not 45^2
+    cfg.write_text(json.dumps({"truncation_radius": 9}))
+    code, out, _ = run_capture(["count", "--config", str(cfg), "--p", "7", "--n", "4",
+                                "--coeffs", "1,1,-1", "--N", "5", "--trunc", "7", "--dry-run"],
+                               capsys)
+    assert code == 0 and out == "dry-run: estimated work units = 1225 (budget 1000000000)\n"
 
 
 def test_identical_seed_identical_bytes(capsys):
