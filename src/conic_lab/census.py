@@ -100,7 +100,9 @@ def _sqrt_table(pp: PrimePowerModulus) -> np.ndarray:
     _check_table_q(q)
     tab = np.zeros(q, dtype=np.int64)
     x = np.arange(1, (q - 1) // 2 + 1, dtype=np.int64)
-    tab[x * x % q] = x
+    sq = x * x  # < q^2 <= 1e14 < 2^63; reduced in place, so the peak is 2x the table
+    sq %= q
+    tab[sq] = x
     return tab
 
 
@@ -190,7 +192,8 @@ def count_mod_p(coeffs, p: int) -> int:
     """Exact count of unit-coordinate solutions mod a prime p.
 
     Scans (x1, x2) and counts admissible x3 from the Legendre symbol;
-    always equals (p-1)(p - s_p).
+    always equals (p-1)(p - s_p). int64 throughout: every product has both
+    factors below p <= 1e4, so it stays under p^2 <= 1e8 < 2^63.
     """
     if p > 10**4:
         raise ValueError("exhaustive prime-level scan capped at p <= 10^4")
@@ -211,20 +214,15 @@ def count_mod_p(coeffs, p: int) -> int:
 def sqrt_count_table(pp: PrimePowerModulus) -> np.ndarray:
     """counts[c] = #{x mod q : x^2 = c mod q} for every residue c.
 
-    0 unless c = p^e u with e even and (u/p) = 1, in which case 2 p^(e/2);
-    c = 0 has p^floor(n/2) roots.
+    The histogram of x^2 mod q over x in [0, q), squared and reduced in
+    place (x^2 < q^2 <= 1e14 < 2^63), so the peak is 2x the table.
     """
-    p, n, q = pp.p, pp.n, pp.q
+    q = pp.q
     _check_table_q(q)
-    leg = legendre_table(p)
-    counts = np.zeros(q, dtype=np.int64)
-    counts[0] = p ** (n // 2)
-    for e in range(0, n, 2):
-        pe = p**e
-        us = np.arange(1, (q - 1) // pe + 1, dtype=np.int64)
-        us = us[us % p != 0]
-        counts[pe * us] = np.where(leg[us % p] == 1, 2 * p ** (e // 2), 0)
-    return counts
+    x = np.arange(q, dtype=np.int64)
+    x *= x
+    x %= q
+    return np.bincount(x, minlength=q)
 
 
 def count_unit_circle(g1: int, g2: int, pp: PrimePowerModulus) -> int:

@@ -19,6 +19,7 @@ Exit codes: 0 success, 2 validation failure, 1 internal assertion failure.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -189,8 +190,8 @@ def _run_count(args, rng):
     _require(args, "p", "n", "N")
     pp = _modulus(args.p, args.n)
     w = _weight(args)
-    if args.N < 0:
-        raise ValidationError("count requires --N >= 0")
+    if not 0 <= args.N < math.inf:
+        raise ValidationError("count requires a finite --N >= 0")
     radius = w.truncation_radius if w.kind == "gaussian" else 1.0
     units = int(radius * args.N) ** 2
     if _budget_gate(args, units):
@@ -212,6 +213,8 @@ def _run_predict(args, rng):
     _require(args, "p", "n", "N")
     pp = _modulus(args.p, args.n)
     w = _weight(args)
+    if not math.isfinite(args.N):
+        raise ValidationError("predict requires a finite --N")
     if _budget_gate(args, 0):
         return []
     rows = []
@@ -302,7 +305,9 @@ def _run_param_check(args, rng):
 def _run_expsum_check(args, rng):
     _require(args, "p", "n")
     pp = _modulus(args.p, args.n)
-    count = args.count or 20
+    count = args.count
+    if count < 1:
+        raise ValidationError("expsum-check requires --count >= 1")
     if _budget_gate(args, count * pp.q):
         return []
     rows = []

@@ -14,12 +14,13 @@ Also: base-point search and Hensel lifting of full solution triples.
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from .modcore import (
     CoefficientTriple,
     PrimePowerModulus,
     jacobi,
     mod_inverse,
-    sqrt_all_roots,
     sqrt_mod_prime_power,
     validate_coeffs,
 )
@@ -289,29 +290,27 @@ def lift_triple(x, coeffs, pp: PrimePowerModulus) -> list:
 def enumerate_pair_solutions(coeffs, pp: PrimePowerModulus, units_only: bool = True):
     """Exhaustive solution set of a1*y1^2 + a2*y2^2 + a3 = 0 mod q.
 
-    Walks y1 and extracts the admissible y2 by modular square roots; with
-    units_only=False, powers of p are stripped so non-unit pairs are found
-    too. O(q log q).
+    A sort-join over y in [0, q) (only the units when units_only is set):
+    y1 pairs with y2 exactly when a1*y1^2 = -(a2*y2^2 + a3) mod q, so the
+    keys of both sides are sorted and matched with searchsorted.
+    O(q log q); int64 throughout, as y^2 < q^2 <= 1e14 < 2^63 and every
+    other product has both factors reduced below q.
     """
     c = validate_coeffs(coeffs, pp.p)
     p, q = pp.p, pp.q
     if q > FAMILY_Q_MAX:
         raise ValueError(f"q={q} exceeds the enumeration cap")
-    inv2 = mod_inverse(c.a2, q)
-    out = set()
-    for y1 in range(q):
-        if units_only and y1 % p == 0:
-            continue
-        need = (-(c.a1 * y1 * y1 + c.a3) * inv2) % q
-        if units_only:
-            if need % p == 0:
-                continue
-            r = sqrt_mod_prime_power(need, pp)
-            if r is None:
-                continue
-            out.add(SolutionPair(y1, r))
-            out.add(SolutionPair(y1, q - r))
-        else:
-            for y2 in sqrt_all_roots(need, pp):
-                out.add(SolutionPair(y1, y2))
-    return out
+    ys = np.arange(q, dtype=np.int64)
+    if units_only:
+        ys = ys[ys % p != 0]
+    sq = ys * ys % q
+    key1 = c.a1 % q * sq % q
+    key2 = (-c.a3 % q - c.a2 % q * sq) % q
+    order = np.argsort(key2)
+    key2 = key2[order]
+    lo = np.searchsorted(key2, key1, "left")
+    cnt = np.searchsorted(key2, key1, "right") - lo
+    # match k of y1 = ys[i] is the sorted position lo[i] + k
+    i1 = np.repeat(np.arange(len(ys)), cnt)
+    pos = np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(len(i1))
+    return set(map(SolutionPair._make, zip(ys[i1].tolist(), ys[order[pos]].tolist())))

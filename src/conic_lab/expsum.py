@@ -144,6 +144,7 @@ class IntRationalFunction:
         return self.numer == (0,)
 
     def eval_mod(self, t, q):
+        """numer(t) * inverse(denom(t)) mod q; denominator must be a unit."""
         dv = _poly_eval_mod(self.denom, t, q)
         if math.gcd(dv, q) != 1:
             raise NonUnitDenominatorError(f"denominator not a unit at t={t} mod {q}")
@@ -176,11 +177,6 @@ class IntRationalFunction:
             IntRationalFunction(_poly_strip(self.numer, p, vn), _poly_strip(self.denom, p, vd)),
             vn - vd,
         )
-
-
-def eval_mod(f: IntRationalFunction, t: int, q: int) -> int:
-    """numer(t) * inverse(denom(t)) mod q; denominator must be a unit."""
-    return f.eval_mod(t, q)
 
 
 def ord_p_derivative(f: IntRationalFunction, p: int) -> int:

@@ -157,9 +157,9 @@ def sqrt_mod_prime_power(a: int, pp: PrimePowerModulus) -> Optional[int]:
 
     The prime-level root is lifted by Newton steps that double the working
     precision each round. Rejects a divisible by p: callers must strip even
-    powers of p themselves (see sqrt_all_roots for the general case).
+    powers of p themselves.
     """
-    p, n, q = pp.p, pp.n, pp.q
+    p, q = pp.p, pp.q
     a %= q
     if a % p == 0:
         raise ValueError("sqrt_mod_prime_power requires gcd(a, p) = 1")
@@ -171,36 +171,6 @@ def sqrt_mod_prime_power(a: int, pp: PrimePowerModulus) -> Optional[int]:
         mod = min(mod * mod, q)
         x = (x + (a - x * x) * pow(2 * x, -1, mod)) % mod
     return min(x, q - x)
-
-
-def sqrt_all_roots(a: int, pp: PrimePowerModulus) -> list:
-    """All x mod q with x^2 = a mod q, p-power stripping included.
-
-    For a = 0 mod q the roots are the multiples of p^ceil(n/2); for
-    a = p^e * u with u a unit there are none unless e is even and u is a
-    residue, in which case there are 2*p^(e//2) roots.
-    """
-    p, n, q = pp.p, pp.n, pp.q
-    a %= q
-    if a == 0:
-        step = p ** ((n + 1) // 2)
-        return list(range(0, q, step))
-    e = 0
-    while a % p == 0:
-        a //= p
-        e += 1
-    if e % 2:
-        return []
-    sub = PrimePowerModulus(p, n - e)
-    r = sqrt_mod_prime_power(a % sub.q, sub)
-    if r is None:
-        return []
-    h = p ** (e // 2)
-    zbound = p ** (n - e // 2)  # roots are h*z with z = +-r mod p^(n-e)
-    roots = []
-    for z0 in (r, sub.q - r):
-        roots.extend(h * z for z in range(z0, zbound, sub.q))
-    return roots
 
 
 def gauss_sum(q: int) -> complex:

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conic_lab import census
 from conic_lab.modcore import PrimePowerModulus, s_p
 from conic_lab.census import (
     CountReport,
@@ -129,6 +130,20 @@ def test_sqrt_count_table():
         tab = sqrt_count_table(pp)
         for c in range(pp.q):
             assert tab[c] == len(oracles.brute_sqrt_roots(c, pp.q)), (p, n, c)
+
+
+def test_table_builders_peak_memory():
+    # each builder holds one q-entry temporary beside its q-entry table
+    pp = PrimePowerModulus(101, 3)
+    for build in (census._sqrt_table, census.sqrt_count_table):
+        tracemalloc.start()
+        try:
+            tab = build(pp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tab) == pp.q
+        assert peak <= 2.2 * tab.nbytes, (build.__name__, peak / tab.nbytes)
 
 
 def test_count_unit_circle():

@@ -64,6 +64,14 @@ def test_exit_codes(capsys):
     assert code == 2 and "shares a factor" in err
     code, out, _ = run_capture(["expsum-check", "--p", "7", "--n", "3", "--fallback-direct"], capsys)
     assert code == 2 and out == ""
+    for command in ("count", "predict"):
+        for box in ("nan", "inf"):
+            argv = [command, "--p", "7", "--n", "2", "--coeffs", "1,1,-1", "--N", box]
+            code, out, err = run_capture(argv, capsys)
+            assert code == 2 and out == "" and "finite" in err and "Traceback" not in err
+    for count in ("0", "-3"):
+        code, out, err = run_capture(["expsum-check", "--p", "7", "--n", "3", "--count", count], capsys)
+        assert code == 2 and out == "" and "--count" in err and "Traceback" not in err
 
 
 def test_bad_thread_env_exits_2(capsys, monkeypatch):

@@ -163,9 +163,9 @@ def test_enumerate_examples():
 
 def test_enumerate_vs_brute():
     rng = random.Random(6)
-    for _ in range(30):
-        p = rng.choice([3, 5, 7])
-        n = rng.randint(1, 3)
+    moduli = [(rng.choice([3, 5, 7]), rng.randint(1, 3)) for _ in range(30)]
+    moduli += [(p, n) for p in (11, 13) for n in (1, 2) for _ in range(2)]
+    for p, n in moduli:
         pp = PrimePowerModulus(p, n)
         coeffs = tuple(rng.randrange(1, p) for _ in range(3))
         for flag in (True, False):

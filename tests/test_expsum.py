@@ -24,7 +24,6 @@ from conic_lab.expsum import (
     direct_E_case2,
     direct_S_alpha,
     direct_full_sum,
-    eval_mod,
     family_case1,
     family_case2,
     layer_sum,
@@ -40,10 +39,10 @@ INV_T = IntRationalFunction((1,), (0, 1))  # 1/t
 
 
 def test_eval_mod_examples():
-    assert eval_mod(T2, 3, 49) == 9
-    assert eval_mod(INV_T, 3, 49) == 33
+    assert T2.eval_mod(3, 49) == 9
+    assert INV_T.eval_mod(3, 49) == 33
     with pytest.raises(NonUnitDenominatorError):
-        eval_mod(INV_T, 7, 49)
+        INV_T.eval_mod(7, 49)
 
 
 def test_ord_p_derivative_examples():
@@ -73,13 +72,13 @@ def test_derivative_quotient_rule():
         # (N/D)' * D^2 == N'D - ND'
         for _ in range(4):
             t = rng.randrange(big)
-            dv = eval_mod(IntRationalFunction(f.denom), t, big)
+            dv = IntRationalFunction(f.denom).eval_mod(t, big)
             if dv == 0:
                 continue
             lhs = df.eval_mod(t, big) * pow(dv, 2, big) % big
-            n_val = eval_mod(IntRationalFunction(f.numer), t, big)
-            ndash = eval_mod(IntRationalFunction(_poly_deriv_ref(f.numer)), t, big)
-            ddash = eval_mod(IntRationalFunction(_poly_deriv_ref(f.denom)), t, big)
+            n_val = IntRationalFunction(f.numer).eval_mod(t, big)
+            ndash = IntRationalFunction(_poly_deriv_ref(f.numer)).eval_mod(t, big)
+            ddash = IntRationalFunction(_poly_deriv_ref(f.denom)).eval_mod(t, big)
             assert lhs == (ndash * dv - n_val * ddash) % big
 
 

@@ -14,13 +14,10 @@ from conic_lab.modcore import (
     main_constant,
     mod_inverse,
     s_p,
-    sqrt_all_roots,
     sqrt_mod_prime_power,
     validate_coeffs,
 )
 from fractions import Fraction
-
-import oracles
 
 
 def test_modulus_validation():
@@ -117,16 +114,6 @@ def test_sqrt_root_set_property():
             continue
         assert r * r % pp.q == a % pp.q
         assert r == min(r, pp.q - r)  # smaller representative
-
-
-def test_sqrt_all_roots_vs_brute():
-    rng = random.Random(3)
-    for _ in range(60):
-        p = rng.choice([3, 5, 7])
-        n = rng.randint(1, 4)
-        pp = PrimePowerModulus(p, n)
-        a = rng.randrange(pp.q)
-        assert sorted(sqrt_all_roots(a, pp)) == oracles.brute_sqrt_roots(a, pp.q)
 
 
 def test_gauss_sum_examples():
