@@ -23,7 +23,6 @@ import numpy as np
 from .modcore import (
     CoefficientTriple,
     PrimePowerModulus,
-    legendre_table,
     main_constant,
     mod_inverse,
     s_p,
@@ -191,24 +190,12 @@ def prediction_is_vacuous(coeffs, p: int) -> bool:
 def count_mod_p(coeffs, p: int) -> int:
     """Exact count of unit-coordinate solutions mod a prime p.
 
-    Scans (x1, x2) and counts admissible x3 from the Legendre symbol;
-    always equals (p-1)(p - s_p). int64 throughout: every product has both
-    factors below p <= 1e4, so it stays under p^2 <= 1e8 < 2^63.
+    count_sharp at q = p over the box +-(p-1)/2, which holds each unit
+    residue mod p exactly once; always equals (p-1)(p - s_p).
     """
     if p > 10**4:
         raise ValueError("exhaustive prime-level scan capped at p <= 10^4")
-    c = validate_coeffs(coeffs, p)
-    leg = legendre_table(p)
-    inv3 = mod_inverse(c.a3, p)
-    xs = np.arange(1, p, dtype=np.int64)
-    c1 = (-c.a1 * inv3 % p) * (xs * xs % p) % p
-    c2 = (-c.a2 * inv3 % p) * (xs * xs % p) % p
-    total = 0
-    for k1 in c1:
-        need = k1 + c2
-        need -= (need >= p) * p
-        total += int(np.sum(np.where(need % p != 0, 1 + leg[need], 0)))
-    return total
+    return count_sharp(coeffs, PrimePowerModulus(p, 1), (p - 1) // 2)
 
 
 def sqrt_count_table(pp: PrimePowerModulus) -> np.ndarray:

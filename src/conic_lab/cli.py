@@ -213,8 +213,8 @@ def _run_predict(args, rng):
     _require(args, "p", "n", "N")
     pp = _modulus(args.p, args.n)
     w = _weight(args)
-    if not math.isfinite(args.N):
-        raise ValidationError("predict requires a finite --N")
+    if not 0 <= args.N < math.inf:
+        raise ValidationError("predict requires a finite --N >= 0")
     if _budget_gate(args, 0):
         return []
     rows = []
@@ -283,15 +283,12 @@ def _run_param_check(args, rng):
     rows = []
     for coeffs in _coeff_list(args, rng, args.p):
         tag = conic.case_tag(coeffs, pp.p)
-        if tag == "mixed":
-            coeffs_n, _ = conic.normalize_to_case1(coeffs, pp.p)
-            fam = conic.build_case1_family(coeffs_n, pp)
-            reference = conic.enumerate_pair_solutions(coeffs_n, pp, units_only=True)
-            expected = pp.q // pp.p * (pp.p - modcore.s_p(coeffs_n, pp.p))
-        elif tag == conic.CASE_I:
-            fam = conic.build_case1_family(coeffs, pp)
-            reference = conic.enumerate_pair_solutions(coeffs, pp, units_only=True)
-            expected = pp.q // pp.p * (pp.p - modcore.s_p(coeffs, pp.p))
+        if tag != conic.CASE_II:
+            # a mixed triple is permuted into Case I; its row keeps the given order
+            case1, _ = conic.normalize_to_case1(coeffs, pp.p)
+            fam = conic.build_case1_family(case1, pp)
+            reference = conic.enumerate_pair_solutions(case1, pp, units_only=True)
+            expected = pp.q // pp.p * (pp.p - modcore.s_p(case1, pp.p))
         else:
             fam = conic.build_case2_family(coeffs, pp)
             reference = conic.enumerate_pair_solutions(coeffs, pp, units_only=False)

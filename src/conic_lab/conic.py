@@ -8,6 +8,9 @@ Two regimes, decided by the residue pattern of the -ai*aj mod p:
 * Case II (no -ai*aj is a residue): the slope line is layered into sets M_s,
   s = 0..n, which together cover all p^n + p^(n-1) solutions exactly.
 
+Each slope map is written once, as the form k1*y1 + k2*y2 (case1_form, case2_form):
+the family builders evaluate it on t-arrays, expsum's amplitudes scale it by x3.
+
 Also: base-point search and Hensel lifting of full solution triples.
 """
 
@@ -19,8 +22,10 @@ import numpy as np
 from .modcore import (
     CoefficientTriple,
     PrimePowerModulus,
+    inv_mod_array,
     jacobi,
     mod_inverse,
+    poly_eval_mod_array,
     sqrt_mod_prime_power,
     validate_coeffs,
 )
@@ -134,14 +139,47 @@ def case1_slope_base(coeffs, pp: PrimePowerModulus) -> int:
     return b
 
 
-def param_case1(t: int, b: int, coeffs, pp: PrimePowerModulus) -> SolutionPair:
-    """Chord-slope parametrization: t -> (y1, y2) in the Case I regime.
+def case1_form(k1, k2, b, coeffs):
+    """k1*y1 + k2*y2 of the Case I slope map, as ascending integer (numer, denom).
 
-    y1 = -2 b a2 t / (a1 + a2 t^2),  y2 = -b(a1 - a2 t^2) / (a1 + a2 t^2),
-    computed mod q; this is the slope map through the conic point (0, -b)
-    and the only component pairing for which a1*y1^2 + a2*y2^2 = -a3 holds
-    when a1 != a2. Requires b^2 = -a3/a2 mod q and
-    gcd(t (a1 - a2 t^2)(a1 + a2 t^2), p) = 1.
+    The chord of slope t through (0, -b) meets the conic again at
+    y1 = -2 b a2 t / (a1 + a2 t^2), y2 = -b (a1 - a2 t^2) / (a1 + a2 t^2).
+    """
+    a1, a2, _ = coeffs
+    return (-b * k2 * a1, -2 * b * k1 * a2, b * k2 * a2), (a1, 0, a2)
+
+
+def case2_form(k1, k2, s, base, coeffs, p: int):
+    """k1*y1 + k2*y2 of the Case II slope map at t / p^s, denominators cleared.
+
+    Through the base point (a, b):
+      y1 = a - 2 a2 (a t^2 - b t p^s) / (a1 p^(2s) + a2 t^2)
+      y2 = -b - 2 a1 p^s (a t - b p^s) / (a1 p^(2s) + a2 t^2).
+    """
+    a, b = base
+    a1, a2, _ = coeffs
+    ps = p**s
+    d = a * k1 + b * k2
+    return (a1 * ps * ps * d, 2 * ps * (b * a2 * k1 - a * a1 * k2), -a2 * d), (a1 * ps * ps, 0, a2)
+
+
+def _map_pairs(form, ts, pp: PrimePowerModulus) -> list:
+    """The pairs (y1, y2) = (form(1, 0), form(0, 1)) mod q at each t of ts.
+
+    Their common denominator must be a unit; it is inverted once. int64 ts
+    need q <= FAMILY_Q_MAX; an object array of Python ints is exact for any q.
+    """
+    q = pp.q
+    (num1, den), (num2, _) = form(1, 0), form(0, 1)
+    dinv = inv_mod_array(poly_eval_mod_array(den, ts, q), pp)
+    y1, y2 = (poly_eval_mod_array(num, ts, q) * dinv % q for num in (num1, num2))
+    return list(map(SolutionPair._make, zip(y1.tolist(), y2.tolist())))
+
+
+def param_case1(t: int, b: int, coeffs, pp: PrimePowerModulus) -> SolutionPair:
+    """Chord-slope parametrization t -> (y1, y2) mod q of case1_form.
+
+    Requires b^2 = -a3/a2 mod q and gcd(t (a1 - a2 t^2)(a1 + a2 t^2), p) = 1.
     """
     c = validate_coeffs(coeffs, pp.p)
     p, q = pp.p, pp.q
@@ -150,32 +188,15 @@ def param_case1(t: int, b: int, coeffs, pp: PrimePowerModulus) -> SolutionPair:
     if (c.a2 * b * b + c.a3) % q != 0:
         raise ValueError("b does not satisfy a2*b^2 = -a3 mod q")
     t %= q
-    minus = (c.a1 - c.a2 * t * t) % q
-    plus = (c.a1 + c.a2 * t * t) % q
-    if t % p == 0 or minus % p == 0 or plus % p == 0:
+    if t % p == 0 or (c.a1 - c.a2 * t * t) % p == 0 or (c.a1 + c.a2 * t * t) % p == 0:
         raise ValueError(f"t={t} violates the unit conditions")
-    dinv = mod_inverse(plus, q)
-    y1 = (-2 * b * c.a2 * t * dinv) % q
-    y2 = (-b * minus * dinv) % q
-    return SolutionPair(y1, y2)
+    return _map_pairs(lambda k1, k2: case1_form(k1, k2, b, c), np.array([t], dtype=object), pp)[0]
 
 
 def case1_admissible_alphas(coeffs, p: int):
     """Classes alpha mod p with alpha(a1 - a2 alpha^2)(a1 + a2 alpha^2) a unit."""
     c = validate_coeffs(coeffs, p)
-    return [
-        a
-        for a in range(1, p)
-        if (c.a1 - c.a2 * a * a) % p and (c.a1 + c.a2 * a * a) % p
-    ]
-
-
-def case1_admissible_t(coeffs, pp: PrimePowerModulus):
-    """Generator of all t mod q passing the Case I unit conditions."""
-    good = case1_admissible_alphas(coeffs, pp.p)
-    for base in range(0, pp.q, pp.p):
-        for alpha in good:
-            yield base + alpha
+    return [a for a in range(1, p) if (c.a1 - c.a2 * a * a) % p and (c.a1 + c.a2 * a * a) % p]
 
 
 @dataclass(frozen=True)
@@ -201,12 +222,13 @@ def build_case1_family(coeffs, pp: PrimePowerModulus) -> ParamFamily:
     if pp.q > FAMILY_Q_MAX:
         raise ValueError(f"q={pp.q} exceeds the family materialization cap")
     b = case1_slope_base(coeffs, pp)
-    ts = list(case1_admissible_t(coeffs, pp))
-    pairs = {param_case1(t, b, coeffs, pp) for t in ts}
+    alphas = np.array(case1_admissible_alphas(coeffs, pp.p), dtype=np.int64)
+    ts = (np.arange(0, pp.q, pp.p, dtype=np.int64)[:, None] + alphas).ravel()
+    pairs = frozenset(_map_pairs(lambda k1, k2: case1_form(k1, k2, b, c), ts, pp))
     if len(pairs) != len(ts):
         raise AssertionError("Case I parametrization failed injectivity")
     return ParamFamily(
-        CASE_I, BasePoint(0, (-b) % pp.q), {0: frozenset(ts)}, frozenset(pairs), c, pp
+        CASE_I, BasePoint(0, (-b) % pp.q), {0: frozenset(ts.tolist())}, pairs, c, pp
     )
 
 
@@ -215,10 +237,9 @@ def build_case2_family(
 ) -> ParamFamily:
     """Materialize the layered sets M_s covering all solutions in Case II.
 
-    Layer s evaluates the slope map at t / p^s with denominators cleared:
-      y1 = a - 2 a2 (a t^2 - b t p^s) / (a1 p^(2s) + a2 t^2)
-      y2 = -b - 2 a1 p^s (a t - b p^s) / (a1 p^(2s) + a2 t^2),
-    all inverses taken of units mod q. Layer sizes |M_0| = p^n, |M_n| = 1,
+    Layer s evaluates case2_form's slope map at t / p^s, for t = 1..p^n at
+    s = 0 and the units t in 1..p^(n-s) otherwise (t = 1 alone at s = n);
+    the denominators are units mod q. Layer sizes |M_0| = p^n, |M_n| = 1,
     |M_s| = p^(n-s) - p^(n-s-1) otherwise are enforced, as is pairwise
     disjointness; the union has exactly p^n + p^(n-1) distinct pairs.
     """
@@ -233,20 +254,12 @@ def build_case2_family(
     a, b = base.a % q, base.b % q
     if (c.a1 * a * a + c.a2 * b * b + c.a3) % q != 0:
         raise ValueError("base point does not lie on the conic mod q")
-    layers = {}
-    seen = set()
+    layers, seen = {}, set()
     for s in range(n + 1):
-        ps = pow(p, s, q)
-        p2s = ps * ps % q
-        span = q if s == 0 else p ** (n - s)
-        pairs = set()
-        for t in range(1, span + 1):
-            if s > 0 and t % p == 0:
-                continue
-            dinv = mod_inverse((c.a1 * p2s + c.a2 * t * t) % q, q)
-            y1 = (a - 2 * c.a2 * (a * t * t - b * t * ps) * dinv) % q
-            y2 = (-b - 2 * c.a1 * ps * (a * t - b * ps) * dinv) % q
-            pairs.add(SolutionPair(y1, y2))
+        ts = np.arange(1, p ** (n - s) + 1, dtype=np.int64)
+        if s > 0:
+            ts = ts[ts % p != 0]
+        pairs = set(_map_pairs(lambda k1, k2: case2_form(k1, k2, s, (a, b), c, p), ts, pp))
         expected = q if s == 0 else (1 if s == n else p ** (n - s) - p ** (n - s - 1))
         if len(pairs) != expected:
             raise AssertionError(f"layer {s} has {len(pairs)} pairs, expected {expected}")

@@ -7,7 +7,8 @@ played against each other:
 * cochrane_evaluate: the critical-point evaluation (zero away from critical
   points of p^(-r) f', a single Gauss-sum-normalized term at simple ones);
 * closed_form_E: the two-critical-point closed form for the chord-slope
-  amplitude families, phrased through sqrt(D) for the key discriminant D.
+  amplitude families (x3 times conic.case1_form / conic.case2_form),
+  phrased through sqrt(D) for the key discriminant D.
 
 Polynomial arithmetic is exact over Python integers; reduction mod q happens
 only at evaluation time.
@@ -21,15 +22,19 @@ import numpy as np
 from .modcore import (
     PrimePowerModulus,
     gauss_sum_unit,
+    inv_mod_array,
     jacobi,
     mod_inverse,
+    poly_eval_mod_array,
     sqrt_mod_prime_power,
     validate_coeffs,
 )
 from .conic import (
     BasePoint,
     case1_admissible_alphas,
+    case1_form,
     case1_slope_base,
+    case2_form,
     case_tag,
     find_base_point,
     CASE_I,
@@ -86,13 +91,6 @@ def _poly_eval_mod(a, x, m):
     acc = 0
     for c in reversed(a):
         acc = (acc * x + c) % m
-    return acc
-
-
-def _poly_eval_mod_vec(a, xs, m):
-    acc = np.zeros_like(xs)
-    for c in reversed(a):
-        acc = (acc * xs + c % m) % m
     return acc
 
 
@@ -192,30 +190,6 @@ def _e_q(value: int, q: int) -> complex:
     return complex(np.exp(2j * np.pi * (value % q) / q))
 
 
-def _vec_inv_mod(d, pp: PrimePowerModulus):
-    """Inverses mod q of the units d (entries in [0, q)).
-
-    Fermat's d^(p-2) mod p, then Newton steps x <- x (2 - d x), each of which
-    doubles the p-adic precision: ceil(log2 n) steps reach q. int64 is safe:
-    every factor is reduced below q <= DIRECT_SUM_Q_MAX = 1e7, so products
-    stay below 1e14 < 2^63.
-    """
-    p, q = pp.p, pp.q
-    e = p - 2
-    out = np.ones_like(d)
-    base = d % p
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    mod = p
-    while mod < q:
-        mod = min(mod * mod, q)
-        out = out * ((2 - d % mod * out) % mod) % mod
-    return out
-
-
 def direct_S_alpha(f: IntRationalFunction, alpha: int, pp: PrimePowerModulus) -> complex:
     """S_alpha(f; p^n) = sum over t = alpha mod p, t in [1, p^n] of e_q(f(t))."""
     p, n, q = pp.p, pp.n, pp.q
@@ -225,11 +199,11 @@ def direct_S_alpha(f: IntRationalFunction, alpha: int, pp: PrimePowerModulus) ->
     if _poly_eval_mod(f.denom, alpha, p) == 0:
         raise NonUnitDenominatorError(f"denominator vanishes on the class {alpha} mod {p}")
     ts = alpha + p * np.arange(p ** (n - 1), dtype=np.int64)
-    vals = _poly_eval_mod_vec(f.numer, ts, q)
+    vals = poly_eval_mod_array(f.numer, ts, q)
     if len(f.denom) == 1:
         vals = vals * pow(f.denom[0], -1, q) % q
     else:
-        vals = vals * _vec_inv_mod(_poly_eval_mod_vec(f.denom, ts, q), pp) % q
+        vals = vals * inv_mod_array(poly_eval_mod_array(f.denom, ts, q), pp) % q
     ang = vals * (2.0 * np.pi / q)
     return complex(math.fsum(np.cos(ang).tolist()), math.fsum(np.sin(ang).tolist()))
 
@@ -262,25 +236,25 @@ class CriticalPointReport:
 
 
 def analyze_critical_points(f: IntRationalFunction, pp: PrimePowerModulus) -> CriticalPointReport:
+    """The roots mod p of g = p^(-r) f' where f is defined, with lifts and A(alpha)."""
+    return _critical_points(f, pp, range(pp.p))
+
+
+def _critical_points(f, pp, alphas) -> CriticalPointReport:
+    """analyze_critical_points over the classes alphas only (a full scan costs O(p))."""
     p, n = pp.p, pp.n
     g, r = f.derivative().stripped(p)
-    m = (n - r + 1) // 2
-    lift_mod = p**m
-    roots = []
-    lifted = {}
-    second = {}
+    lift_mod = p ** ((n - r + 1) // 2)
+    roots, lifted, second = [], {}, {}
     gnum_p = tuple(c % p for c in g.numer)
     dg = g.derivative()
-    for alpha in range(p):
-        if _poly_eval_mod(g.denom, alpha, p) == 0:
-            continue
-        if _poly_eval_mod(gnum_p, alpha, p) != 0:
+    for alpha in alphas:
+        if _poly_eval_mod(g.denom, alpha, p) == 0 or _poly_eval_mod(gnum_p, alpha, p) != 0:
             continue
         mult = _root_multiplicity(gnum_p, alpha, p)
         roots.append((alpha, mult))
         if mult == 1:
-            astar = _lift_root(g.numer, alpha, p, lift_mod)
-            lifted[alpha] = astar
+            lifted[alpha] = _lift_root(g.numer, alpha, p, lift_mod)
             second[alpha] = 2 * dg.eval_mod(alpha, p) % p
     return CriticalPointReport(r, tuple(roots), lifted, second, lift_mod)
 
@@ -329,19 +303,19 @@ def cochrane_evaluate(f: IntRationalFunction, alpha: int, pp: PrimePowerModulus)
     alpha %= p
     if _poly_eval_mod(f.denom, alpha, p) == 0:
         raise NonUnitDenominatorError(f"denominator vanishes at alpha={alpha} mod {p}")
-    g, r = f.derivative().stripped(p)
+    crit = _critical_points(f, pp, (alpha,))
+    r = crit.r
     _check_evaluable(p, n, r)
-    if g.eval_mod(alpha, p) != 0:
+    mult = dict(crit.roots).get(alpha)
+    if mult is None:
         return 0j
-    if _root_multiplicity(tuple(c % p for c in g.numer), alpha, p) != 1:
+    if mult != 1:
         raise UnsupportedCaseError(f"alpha={alpha} is a multiple critical point")
-    astar = _lift_root(g.numer, alpha, p, p ** ((n - r + 1) // 2))
-    phase = _e_q(f.eval_mod(astar, q), q)
+    phase = _e_q(f.eval_mod(crit.lifted[alpha], q), q)
     if (n - r) % 2 == 0:
         return phase * p ** ((n + r) // 2)
-    a_unit = 2 * g.derivative().eval_mod(alpha, p) % p
     mag = p ** ((n + r - 1) // 2) * math.sqrt(p)
-    return phase * mag * jacobi(a_unit, p) * gauss_sum_unit(p)
+    return phase * mag * jacobi(crit.second_deriv_unit[alpha], p) * gauss_sum_unit(p)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +323,7 @@ def cochrane_evaluate(f: IntRationalFunction, alpha: int, pp: PrimePowerModulus)
 
 
 def family_case1(k1, k2, x3, coeffs, b, pp: PrimePowerModulus) -> IntRationalFunction:
-    """Amplitude x3*(2 k1 b a2 t + k2 b (a1 - a2 t^2)) / (a1 + a2 t^2).
+    """Amplitude -x3*(k1 y1(t) + k2 y2(t)) of the Case I map, conic.case1_form.
 
     This is the phase produced by the Case I parametrization after Poisson
     summation in the first two coordinates.
@@ -357,29 +331,22 @@ def family_case1(k1, k2, x3, coeffs, b, pp: PrimePowerModulus) -> IntRationalFun
     c = validate_coeffs(coeffs, pp.p)
     if (c.a2 * b * b + c.a3) % pp.q != 0:
         raise ValueError("b does not satisfy a2*b^2 = -a3 mod q")
-    numer = (x3 * b * k2 * c.a1, 2 * x3 * b * k1 * c.a2, -x3 * b * k2 * c.a2)
-    return IntRationalFunction(numer, (c.a1, 0, c.a2))
+    return IntRationalFunction(*case1_form(-x3 * k1, -x3 * k2, b, c))
 
 
 def family_case2(s, k1, k2, x3, coeffs, base: BasePoint, pp: PrimePowerModulus) -> IntRationalFunction:
     """Amplitude x3*(k1 y1(t/p^s) + k2 y2(t/p^s)) with denominators cleared.
 
-    Layer s of the Case II family; the cleared form is
-      x3 * [a1 p^(2s) (a k1 + b k2) + 2 p^s (b a2 k1 - a a1 k2) t
-            - a2 (a k1 + b k2) t^2] / (a1 p^(2s) + a2 t^2)
-    with exact integer coefficients.
+    Layer s of the Case II family: conic.case2_form at (x3 k1, x3 k2), with
+    exact integer coefficients.
     """
     c = validate_coeffs(coeffs, pp.p)
-    p, q = pp.p, pp.q
     if not 0 <= s <= pp.n:
         raise ValueError(f"layer index s={s} out of range 0..{pp.n}")
     a, b = base
-    if (c.a1 * a * a + c.a2 * b * b + c.a3) % q != 0:
+    if (c.a1 * a * a + c.a2 * b * b + c.a3) % pp.q != 0:
         raise ValueError("base point does not lie on the conic mod q")
-    ps = p**s
-    d2 = a * k1 + b * k2
-    numer = (x3 * c.a1 * ps * ps * d2, 2 * x3 * ps * (b * c.a2 * k1 - a * c.a1 * k2), -x3 * c.a2 * d2)
-    return IntRationalFunction(numer, (c.a1 * ps * ps, 0, c.a2))
+    return IntRationalFunction(*case2_form(x3 * k1, x3 * k2, s, base, c, pp.p))
 
 
 def direct_E_case1(k1, k2, x3, coeffs, b, pp: PrimePowerModulus) -> complex:
@@ -390,8 +357,7 @@ def direct_E_case1(k1, k2, x3, coeffs, b, pp: PrimePowerModulus) -> complex:
 
 def direct_E_case2(k1, k2, x3, coeffs, base: BasePoint, pp: PrimePowerModulus) -> complex:
     """The full t-sum of the s=0 Case II amplitude, directly."""
-    f = family_case2(0, k1, k2, x3, coeffs, base, pp)
-    return direct_full_sum(f, pp)
+    return layer_sum(0, k1, k2, x3, coeffs, base, pp)
 
 
 def layer_sum(s, k1, k2, x3, coeffs, base: BasePoint, pp: PrimePowerModulus) -> complex:

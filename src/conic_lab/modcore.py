@@ -1,8 +1,8 @@
 """Exact modular arithmetic over odd prime powers.
 
-Jacobi symbols, inverses, square roots with Hensel lifting, quadratic Gauss
-sums, and the structural constants s_p / C_p attached to a coefficient triple.
-All functions are pure and safe for concurrent use.
+Jacobi symbols, inverses (also of int64 arrays), square roots with Hensel
+lifting, integer polynomials on arrays mod q, quadratic Gauss sums, and the
+structural constants s_p / C_p. All functions are pure and thread-safe.
 """
 
 import math
@@ -171,6 +171,42 @@ def sqrt_mod_prime_power(a: int, pp: PrimePowerModulus) -> Optional[int]:
         mod = min(mod * mod, q)
         x = (x + (a - x * x) * pow(2 * x, -1, mod)) % mod
     return min(x, q - x)
+
+
+def poly_eval_mod_array(coeffs, xs: np.ndarray, m: int) -> np.ndarray:
+    """Horner values mod m of the ascending integer polynomial coeffs at each of xs.
+
+    int64 is safe for m <= 1e7: xs (t = q in a Case II layer 0 included) and
+    every coefficient are reduced below m, so products stay under 1e14 < 2^63.
+    """
+    xs = xs % m
+    acc = np.zeros_like(xs)
+    for c in reversed(coeffs):
+        acc = (acc * xs + c % m) % m
+    return acc
+
+
+def inv_mod_array(d: np.ndarray, pp: PrimePowerModulus) -> np.ndarray:
+    """Inverses mod q of the units d (entries in [0, q)).
+
+    Fermat's d^(p-2) mod p, then Newton steps x <- x (2 - d x), each of which
+    doubles the p-adic precision: ceil(log2 n) steps reach q. int64 is safe
+    for q <= 1e7: every factor is reduced below q, so products stay < 1e14.
+    """
+    p, q = pp.p, pp.q
+    e = p - 2
+    out = np.ones_like(d)
+    base = d % p
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    mod = p
+    while mod < q:
+        mod = min(mod * mod, q)
+        out = out * ((2 - d % mod * out) % mod) % mod
+    return out
 
 
 def gauss_sum(q: int) -> complex:

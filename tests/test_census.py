@@ -122,6 +122,8 @@ def test_count_mod_p_examples_and_law():
         p = rng.choice([3, 5, 7, 11, 13, 17])
         coeffs = tuple(rng.randrange(1, p) for _ in range(3))
         assert count_mod_p(coeffs, p) == (p - 1) * (p - s_p(coeffs, p))
+    with pytest.raises(ValueError):
+        count_mod_p((1, 1, 1), 9)  # composite moduli are not prime levels
 
 
 def test_sqrt_count_table():

@@ -69,6 +69,10 @@ def test_exit_codes(capsys):
             argv = [command, "--p", "7", "--n", "2", "--coeffs", "1,1,-1", "--N", box]
             code, out, err = run_capture(argv, capsys)
             assert code == 2 and out == "" and "finite" in err and "Traceback" not in err
+    code, out, err = run_capture(
+        ["predict", "--p", "7", "--n", "2", "--coeffs", "1,1,-1", "--N", "-5"], capsys
+    )
+    assert code == 2 and out == "" and "--N >= 0" in err and "Traceback" not in err
     for count in ("0", "-3"):
         code, out, err = run_capture(["expsum-check", "--p", "7", "--n", "3", "--count", count], capsys)
         assert code == 2 and out == "" and "--count" in err and "Traceback" not in err

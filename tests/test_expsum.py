@@ -9,9 +9,12 @@ from conic_lab.conic import (
     CASE_I,
     CASE_II,
     BasePoint,
+    build_case2_family,
+    case1_admissible_alphas,
     case1_slope_base,
     case_tag,
     find_base_point,
+    param_case1,
 )
 from conic_lab.expsum import (
     IntRationalFunction,
@@ -286,6 +289,38 @@ def test_family_case2_s0_discriminant_obstruction():
             continue
         assert abs(direct_E_case2(3 * l1, l2, 1, coeffs, base, pp)) < 1e-9
         assert abs(direct_E_case2(l1, 3 * l2, 1, coeffs, base, pp)) < 1e-9
+
+
+def test_families_are_the_conic_maps():
+    # family_case1 at x3 = -1 and family_case2 at x3 = 1, with (k1, k2) a unit
+    # vector, are the coordinates y1, y2 of conic's pairs
+    rng = random.Random(8)
+    for p, n in [(3, 2), (5, 2), (7, 1), (7, 2), (11, 1), (13, 2)]:
+        pp = PrimePowerModulus(p, n)
+        q = pp.q
+        coeffs = _sample_case_coeffs(rng, p, CASE_I)
+        coeffs = (coeffs[0] - 2 * q, coeffs[1] + q, coeffs[2] + 3 * q)
+        b = case1_slope_base(coeffs, pp)
+        f1 = family_case1(1, 0, -1, coeffs, b, pp)
+        f2 = family_case1(0, 1, -1, coeffs, b, pp)
+        for alpha in case1_admissible_alphas(coeffs, p):
+            for t in range(alpha, q, p):
+                assert (f1.eval_mod(t, q), f2.eval_mod(t, q)) == param_case1(t, b, coeffs, pp)
+        if p % 4 == 1:
+            continue  # no Case II triple: -1 is a square, so one -ai*aj is too
+        coeffs = _sample_case_coeffs(rng, p, CASE_II)
+        coeffs = (coeffs[0] + q, coeffs[1] - q, coeffs[2])
+        base = find_base_point(coeffs, pp)
+        fam = build_case2_family(coeffs, pp, base)
+        for s in range(n + 1):
+            # layer 0 runs over t = 1..q, layer s >= 1 over the units in 1..p^(n-s),
+            # which is t = 1 alone at s = n
+            ts = range(1, q + 1) if s == 0 else [t for t in range(1, p ** (n - s) + 1) if t % p]
+            f1 = family_case2(s, 1, 0, 1, coeffs, base, pp)
+            f2 = family_case2(s, 0, 1, 1, coeffs, base, pp)
+            pairs = {(f1.eval_mod(t, q), f2.eval_mod(t, q)) for t in ts}
+            assert pairs == fam.layers[s]
+        assert len(fam.layers[n]) == 1
 
 
 def _sample_case_coeffs(rng, p, tag):

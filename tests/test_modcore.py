@@ -8,16 +8,20 @@ from conic_lab.modcore import (
     gauss_sum,
     gauss_sum_character,
     gauss_sum_unit,
+    inv_mod_array,
     is_prime,
     jacobi,
     jacobi_table,
     main_constant,
     mod_inverse,
+    poly_eval_mod_array,
     s_p,
     sqrt_mod_prime_power,
     validate_coeffs,
 )
 from fractions import Fraction
+
+import numpy as np
 
 
 def test_modulus_validation():
@@ -164,3 +168,25 @@ def test_validate_coeffs():
     assert tuple(validate_coeffs((1, 2, -3), 7)) == (1, 2, -3)
     with pytest.raises(ValueError):
         validate_coeffs((1, 14, 3), 7)
+
+
+def test_array_inverse_and_horner_vs_scalar():
+    # q near the 1e7 cap (3^14, 7^8, 13^6) is where the int64 bound is tightest
+    rng = random.Random(21)
+    for p, n in [(3, 1), (3, 4), (3, 14), (5, 3), (5, 9), (7, 2), (7, 8), (11, 3), (13, 2), (13, 6)]:
+        pp = PrimePowerModulus(p, n)
+        q = pp.q
+        xs = [0, 1, q - 1, q] + [rng.randrange(q + 1) for _ in range(300)]
+        units = [x % q for x in xs if x % p]
+        assert inv_mod_array(np.array(units, dtype=np.int64), pp).tolist() == [
+            pow(d, -1, q) for d in units
+        ]
+        for _ in range(5):
+            coeffs = [rng.randrange(-3 * q, 3 * q) for _ in range(rng.randint(1, 5))]
+            want = []
+            for x in xs:
+                acc = 0
+                for c in reversed(coeffs):
+                    acc = (acc * x + c) % q
+                want.append(acc)
+            assert poly_eval_mod_array(coeffs, np.array(xs, dtype=np.int64), q).tolist() == want
