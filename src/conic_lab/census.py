@@ -51,7 +51,7 @@ class WeightSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "sharp"):
             raise ValueError(f"unknown weight kind {self.kind!r}")
-        if self.kind == "gaussian" and self.truncation_radius < GAUSSIAN_TAIL_RADIUS:
+        if self.kind == "gaussian" and not self.truncation_radius >= GAUSSIAN_TAIL_RADIUS:
             raise ValueError("gaussian truncation radius must be >= 6")
 
     def phi(self, x):
@@ -180,7 +180,11 @@ def predict_main_term(coeffs, pp: PrimePowerModulus, N: float, w: WeightSpec = W
     is returned as-is and report builders flag the ratio as invalid.
     """
     cp = main_constant(coeffs, pp.p)
-    return w.hat_zero**3 * float(cp) * float(N) ** 3 / pp.q
+    try:
+        cube = float(N) ** 3
+    except OverflowError:
+        raise ValueError(f"N={N} is too large: N^3 overflows a float") from None
+    return w.hat_zero**3 * float(cp) * cube / pp.q
 
 
 def prediction_is_vacuous(coeffs, p: int) -> bool:
@@ -321,13 +325,19 @@ def estimate_smallest_work(coeffs, pp: PrimePowerModulus) -> int:
 
 
 def estimate_scan_work(p: int, n_values, theta: float, w: WeightSpec) -> int:
-    """Pair visits the scan will perform (the unit of the work budget)."""
+    """Pair visits the scan will perform (the unit of the work budget).
+
+    Checks theta and each modulus first, so a bad scan is refused before any work.
+    """
+    if not 0.5 < theta <= 1.0:
+        raise ValueError("theta must lie in (0.5, 1]")
     total = 0
     radius = w.truncation_radius if w.kind == "gaussian" else 1.0
     for n in n_values:
-        q = p**n
-        N = math.ceil(q**theta)
-        total += int(radius * N) ** 2
+        box = radius * math.ceil(PrimePowerModulus(p, n).q ** theta)
+        if box == math.inf:
+            raise ValueError("the scan box truncation_radius * N overflows a float")
+        total += int(box) ** 2
     return total
 
 
@@ -341,8 +351,6 @@ def asymptotic_scan(
     budget: int = 10**9,
 ) -> list:
     """CountReports with N = ceil(q^theta) at each n; refuses oversized scans."""
-    if not 0.5 < theta <= 1.0:
-        raise ValueError("theta must lie in (0.5, 1]")
     n_values = list(n_values)
     work = estimate_scan_work(p, n_values, theta, w)
     if work > budget:

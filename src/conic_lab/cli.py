@@ -12,9 +12,13 @@ again, so explicit flags win and config values are type-checked like flags.
 Results are emitted as CSV or JSONL with a fixed column set per subcommand
 and a schema_version column; floats are printed with 12 significant digits.
 Work is estimated up front in (x1, x2)-pair-visit units and runs over the
-budget are refused.
+budget are refused; `dioph --mode equation` is charged its 2x+1 loop steps,
+the other dioph modes a flat 10^6, and predict and selftest nothing.
 
-Exit codes: 0 success, 2 validation failure, 1 internal assertion failure.
+Exit codes: 0 success, 2 invalid input, 1 internal assertion failure. The
+handlers do not translate errors: every ValueError, from the library's own
+checks or from this module's ValidationError, reaches run, which prints one
+"error: <message>" line to stderr, nothing to stdout, and returns 2.
 """
 
 import argparse
@@ -47,8 +51,8 @@ FIELDS = {
 }
 
 
-class ValidationError(Exception):
-    """Bad configuration: reported with exit code 2."""
+class ValidationError(ValueError):
+    """Bad configuration found by the CLI itself: reported with exit code 2."""
 
 
 class Splitmix64:
@@ -125,29 +129,19 @@ def _parse_n_range(text: str):
             raise ValidationError(f"bad n range {text!r}")
         if lo > hi:
             raise ValidationError(f"empty n range {text!r}")
-        return list(range(lo, hi + 1))
+        # lazy: the q cap refuses n > 62 before a long range is walked
+        return range(lo, hi + 1)
     try:
         return [int(text)]
     except ValueError:
         raise ValidationError(f"bad n value {text!r}")
 
 
-def _modulus(p: int, n: int) -> PrimePowerModulus:
-    try:
-        return PrimePowerModulus(p, n)
-    except ValueError as exc:
-        raise ValidationError(str(exc))
-
-
 def _weight(args) -> WeightSpec:
-    kind = "sharp" if getattr(args, "sharp", False) else "gaussian"
+    if getattr(args, "sharp", False):
+        return WeightSpec("sharp", 1.0)
     radius = getattr(args, "truncation_radius", None)
-    try:
-        if kind == "sharp":
-            return WeightSpec("sharp", 1.0)
-        return WeightSpec("gaussian", radius if radius is not None else 6.0)
-    except ValueError as exc:
-        raise ValidationError(str(exc))
+    return WeightSpec("gaussian", radius if radius is not None else 6.0)
 
 
 def _budget_gate(args, units: int):
@@ -174,6 +168,21 @@ def _coeff_list(args, rng, need_p):
 
 # ----------------------------------------------------------------- handlers
 
+# dioph mode -> (its flags, in the order the inputs column prints them; its result).
+# Each result looks its dioph function up when called, so a wrapped or patched one runs.
+DIOPH_MODES = {
+    "equation": (("A", "B", "C", "x"),
+                 lambda *v: dioph.count_equation_solutions(dioph.BinaryQuadraticInstance(*v))),
+    "approx": (("beta", "q", "Q"),
+               lambda *v: "a={0.a};r={0.r}".format(dioph.dirichlet_approx(*v))),
+    "countf": (("b1", "b2", "X", "q"), lambda *v: dioph.count_F(*v)),
+    "reduce": (("b1", "b2", "b3", "q", "Q"),
+               lambda *v: "g1={0.g1};g2={0.g2};r1={0.r1};r2={0.r2};a1={0.a1};a2={0.a2}".format(
+                   dioph.reduce_coefficients(*v))),
+    "params": (("q", "M"), lambda *v: "R={};Q={}".format(*dioph.choose_parameters(*v))),
+}
+
+
 def _row(pp, coeffs, **rest):
     """An output record led by the modulus and the coefficient triple."""
     return dict(p=pp.p, n=pp.n, q=pp.q, a1=coeffs[0], a2=coeffs[1], a3=coeffs[2], **rest)
@@ -188,30 +197,29 @@ def _require(args, *names):
 
 def _run_count(args, rng):
     _require(args, "p", "n", "N")
-    pp = _modulus(args.p, args.n)
+    pp = PrimePowerModulus(args.p, args.n)
     w = _weight(args)
     if not 0 <= args.N < math.inf:
         raise ValidationError("count requires a finite --N >= 0")
-    radius = w.truncation_radius if w.kind == "gaussian" else 1.0
-    units = int(radius * args.N) ** 2
-    if _budget_gate(args, units):
+    box = (w.truncation_radius if w.kind == "gaussian" else 1.0) * args.N
+    if box == math.inf:
+        raise ValidationError("count box --truncation-radius * --N overflows a float")
+    triples = _coeff_list(args, rng, args.p)
+    if _budget_gate(args, int(box) ** 2 * len(triples)):
         return []
     rows = []
-    for coeffs in _coeff_list(args, rng, args.p):
-        try:
-            if w.kind == "sharp":
-                obs = census.count_sharp(coeffs, pp, int(args.N))
-            else:
-                obs = census.count_smoothed(coeffs, pp, args.N, w)
-        except ValueError as exc:
-            raise ValidationError(str(exc))
+    for coeffs in triples:
+        if w.kind == "sharp":
+            obs = census.count_sharp(coeffs, pp, int(args.N))
+        else:
+            obs = census.count_smoothed(coeffs, pp, args.N, w)
         rows.append(_row(pp, coeffs, N=args.N, weight=w.kind, observed=obs))
     return rows
 
 
 def _run_predict(args, rng):
     _require(args, "p", "n", "N")
-    pp = _modulus(args.p, args.n)
+    pp = PrimePowerModulus(args.p, args.n)
     w = _weight(args)
     if not 0 <= args.N < math.inf:
         raise ValidationError("predict requires a finite --N >= 0")
@@ -235,12 +243,7 @@ def _run_scan(args, rng):
         return []
     rows = []
     for coeffs in triples:
-        try:
-            reports = census.asymptotic_scan(
-                coeffs, args.p, n_values, args.theta, w, budget=args.budget
-            )
-        except ValueError as exc:
-            raise ValidationError(str(exc))
+        reports = census.asymptotic_scan(coeffs, args.p, n_values, args.theta, w, budget=args.budget)
         for rep in reports:
             rows.append(
                 dict(p=rep.modulus.p, n=rep.modulus.n, q=rep.modulus.q,
@@ -252,20 +255,14 @@ def _run_scan(args, rng):
 
 def _run_smallest(args, rng):
     _require(args, "p", "n")
-    pp = _modulus(args.p, args.n)
+    pp = PrimePowerModulus(args.p, args.n)
     triples = _coeff_list(args, rng, args.p)
-    try:
-        units = sum(census.estimate_smallest_work(coeffs, pp) for coeffs in triples)
-    except ValueError as exc:
-        raise ValidationError(str(exc))
+    units = sum(census.estimate_smallest_work(coeffs, pp) for coeffs in triples)
     if _budget_gate(args, units):
         return []
     rows = []
     for coeffs in triples:
-        try:
-            found = census.smallest_solution(coeffs, pp)
-        except ValueError as exc:
-            raise ValidationError(str(exc))
+        found = census.smallest_solution(coeffs, pp)
         if found is None:
             # m = 0 encodes absence at this boundary only
             rows.append(_row(pp, coeffs, m=0, x1=None, x2=None, x3=None))
@@ -277,7 +274,7 @@ def _run_smallest(args, rng):
 
 def _run_param_check(args, rng):
     _require(args, "p", "n")
-    pp = _modulus(args.p, args.n)
+    pp = PrimePowerModulus(args.p, args.n)
     if _budget_gate(args, pp.q * pp.p):
         return []
     rows = []
@@ -301,7 +298,7 @@ def _run_param_check(args, rng):
 
 def _run_expsum_check(args, rng):
     _require(args, "p", "n")
-    pp = _modulus(args.p, args.n)
+    pp = PrimePowerModulus(args.p, args.n)
     count = args.count
     if count < 1:
         raise ValidationError("expsum-check requires --count >= 1")
@@ -354,44 +351,18 @@ def _run_expsum_check(args, rng):
 
 def _run_dioph(args, rng):
     _require(args, "mode")
-    mode = args.mode
-    if _budget_gate(args, 10**6):
+    flags, solve = DIOPH_MODES[args.mode]
+    _require(args, *flags)
+    values = [getattr(args, flag) for flag in flags]
+    if _budget_gate(args, 2 * args.x + 1 if args.mode == "equation" else 10**6):
         return []
-    if mode == "equation":
-        _require(args, "A", "B", "C", "x")
-        try:
-            inst = dioph.BinaryQuadraticInstance(args.A, args.B, args.C, args.x)
-        except ValueError as exc:
-            raise ValidationError(str(exc))
-        return [dict(mode=mode, inputs=f"A={args.A};B={args.B};C={args.C};x={args.x}",
-                     result=dioph.count_equation_solutions(inst))]
-    if mode == "approx":
-        _require(args, "beta", "q", "Q")
-        ap = dioph.dirichlet_approx(args.beta, args.q, args.Q)
-        return [dict(mode=mode, inputs=f"beta={args.beta};q={args.q};Q={args.Q}",
-                     result=f"a={ap.a};r={ap.r}")]
-    if mode == "countf":
-        _require(args, "b1", "b2", "X", "q")
-        val = dioph.count_F(args.b1, args.b2, args.X, args.q)
-        return [dict(mode=mode, inputs=f"b1={args.b1};b2={args.b2};X={args.X};q={args.q}",
-                     result=val)]
-    if mode == "reduce":
-        _require(args, "b1", "b2", "b3", "q", "Q")
-        rc = dioph.reduce_coefficients(args.b1, args.b2, args.b3, args.q, args.Q)
-        return [dict(mode=mode,
-                     inputs=f"b1={args.b1};b2={args.b2};b3={args.b3};q={args.q};Q={args.Q}",
-                     result=f"g1={rc.g1};g2={rc.g2};r1={rc.r1};r2={rc.r2};a1={rc.a1};a2={rc.a2}")]
-    if mode == "params":
-        _require(args, "q", "M")
-        try:
-            R, Q = dioph.choose_parameters(args.q, args.M)
-        except ValueError as exc:
-            raise ValidationError(str(exc))
-        return [dict(mode=mode, inputs=f"q={args.q};M={args.M}", result=f"R={R};Q={Q}")]
-    raise ValidationError(f"unknown dioph mode {mode!r}")
+    inputs = ";".join(f"{flag}={value}" for flag, value in zip(flags, values))
+    return [dict(mode=args.mode, inputs=inputs, result=solve(*values))]
 
 
 def _run_selftest(args, rng):
+    if _budget_gate(args, 0):  # a few fixed checks at q <= 7^3
+        return []
     rows = []
 
     def check(name, fn):
@@ -494,8 +465,7 @@ def _build_parser():
     common(sp)
 
     sp = sub.add_parser("dioph", help="Diophantine toolkit")
-    sp.add_argument("--mode",
-                    choices=["equation", "approx", "countf", "reduce", "params"])
+    sp.add_argument("--mode", choices=list(DIOPH_MODES))
     for flag in ("A", "B", "C", "x", "beta", "q", "Q", "b1", "b2", "b3", "X", "M"):
         sp.add_argument(f"--{flag}", type=int)
     common(sp)
@@ -545,7 +515,7 @@ def run(argv) -> int:
         records = HANDLERS[args.command](args, Splitmix64(args.seed))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    except ValidationError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

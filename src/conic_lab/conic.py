@@ -24,8 +24,10 @@ from .modcore import (
     PrimePowerModulus,
     inv_mod_array,
     jacobi,
+    lift_root,
     mod_inverse,
     poly_eval_mod_array,
+    sqrt_mod_prime,
     sqrt_mod_prime_power,
     validate_coeffs,
 )
@@ -91,42 +93,33 @@ def normalize_to_case1(coeffs, p: int):
 def find_base_point(coeffs, pp: PrimePowerModulus) -> BasePoint:
     """A pair (a, b) mod q with a1*a^2 + a2*b^2 = -a3 mod q.
 
-    Scans (a, b) lexicographically mod p preferring pairs with both
-    coordinates units (falling back to any solution), then Hensel-lifts one
-    unit coordinate level by level. Deterministic.
+    Tries a = 0, 1, ... mod p, taking b as the smaller square root of
+    (-a3 - a1*a^2)/a2 mod p: the first pair with both coordinates units wins,
+    else the first pair found. These are the lexicographically least such
+    pairs mod p. One unit coordinate is then Newton-lifted to mod q.
+    Deterministic.
     """
     c = validate_coeffs(coeffs, pp.p)
     p, q = pp.p, pp.q
-    target = (-c.a3) % p
-    pt = fallback = None
+    inv2 = mod_inverse(c.a2, p)
+    pt = None
     for a in range(p):
-        for b in range(p):
-            if (c.a1 * a * a + c.a2 * b * b) % p == target:
-                if a % p and b % p:
-                    pt = (a, b)
-                    break
-                if fallback is None:
-                    fallback = (a, b)
-        if pt is not None:
+        b = sqrt_mod_prime((-c.a3 - c.a1 * a * a) * inv2, p)
+        if b is None:
+            continue
+        b = min(b, p - b)
+        if a and b:
+            pt = (a, b)
             break
-    if pt is None:
-        pt = fallback
-    if pt is None:
-        raise ArithmeticError(f"no base point mod {p}; cannot happen for odd p")
+        if pt is None:
+            pt = (a, b)
+    assert pt is not None, "a1*a^2 and -a3 - a2*b^2 each take (p+1)/2 values mod p, so they meet"
     a, b = pt
-    mod = p
-    while mod < q:
-        nxt = mod * p
-        g = (c.a1 * a * a + c.a2 * b * b + c.a3) % nxt
-        carry = (g // mod) % p
-        if a % p:
-            k = (-carry * mod_inverse(2 * c.a1 * a % p, p)) % p
-            a += k * mod
-        else:
-            k = (-carry * mod_inverse(2 * c.a2 * b % p, p)) % p
-            b += k * mod
-        mod = nxt
-    return BasePoint(a % q, b % q)
+    if a:
+        a = lift_root((c.a2 * b * b + c.a3, 0, c.a1), a, p, q)
+    else:
+        b = lift_root((c.a3, 0, c.a2), b, p, q)
+    return BasePoint(a, b)
 
 
 def case1_slope_base(coeffs, pp: PrimePowerModulus) -> int:

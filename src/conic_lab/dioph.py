@@ -99,8 +99,8 @@ def dirichlet_approx(beta: int, q: int, Q: int) -> Approximant:
     |beta/q - a/r| <= 1/(r(Q+1)) < 1/(rQ); when beta/q itself has
     denominator <= Q the error is 0.
     """
-    if Q < 1:
-        raise ValueError("Q must be >= 1")
+    if q < 1 or Q < 1:
+        raise ValueError("q and Q must be >= 1")
     beta %= q
     best = (0, 1)
     for a, r in convergents(beta, q):
@@ -132,6 +132,8 @@ def count_F(b1: int, b2: int, X: int, q: int) -> int:
     """
     if X > 10**6:
         raise ValueError("direct pair count capped at X <= 10^6")
+    if q < 1:
+        raise ValueError("q must be >= 1")
     ratio = b2 * mod_inverse(b1, q) % q
     total = 0
     for a2 in range(1, X + 1):
@@ -191,12 +193,14 @@ def integer_nth_root(x: int, k: int) -> int:
         raise ValueError("x must be >= 0 and k >= 1")
     if x in (0, 1):
         return x
-    r = int(round(x ** (1.0 / k)))
-    while r**k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r
+    # integer Newton steps from 2^ceil(bits/k) > x^(1/k) fall monotonically to
+    # the floor in O(log log x) steps; no float, so any size of x works
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def _ceil_fifth_root(num: int, den: int) -> int:

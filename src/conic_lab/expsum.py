@@ -24,7 +24,9 @@ from .modcore import (
     gauss_sum_unit,
     inv_mod_array,
     jacobi,
+    lift_root,
     mod_inverse,
+    poly_eval_mod,
     poly_eval_mod_array,
     sqrt_mod_prime_power,
     validate_coeffs,
@@ -87,13 +89,6 @@ def _poly_deriv(a):
     return _trim([i * ai for i, ai in enumerate(a)][1:])
 
 
-def _poly_eval_mod(a, x, m):
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % m
-    return acc
-
-
 def _poly_valuation(a, p):
     """Largest e with p^e dividing every coefficient; None for the zero poly."""
     v = None
@@ -143,10 +138,10 @@ class IntRationalFunction:
 
     def eval_mod(self, t, q):
         """numer(t) * inverse(denom(t)) mod q; denominator must be a unit."""
-        dv = _poly_eval_mod(self.denom, t, q)
+        dv = poly_eval_mod(self.denom, t, q)
         if math.gcd(dv, q) != 1:
             raise NonUnitDenominatorError(f"denominator not a unit at t={t} mod {q}")
-        return _poly_eval_mod(self.numer, t, q) * pow(dv, -1, q) % q
+        return poly_eval_mod(self.numer, t, q) * pow(dv, -1, q) % q
 
     def derivative(self):
         num = _poly_sub(
@@ -196,7 +191,7 @@ def direct_S_alpha(f: IntRationalFunction, alpha: int, pp: PrimePowerModulus) ->
     if q > DIRECT_SUM_Q_MAX:
         raise ValueError(f"q={q} exceeds the direct summation budget")
     alpha %= p
-    if _poly_eval_mod(f.denom, alpha, p) == 0:
+    if poly_eval_mod(f.denom, alpha, p) == 0:
         raise NonUnitDenominatorError(f"denominator vanishes on the class {alpha} mod {p}")
     ts = alpha + p * np.arange(p ** (n - 1), dtype=np.int64)
     vals = poly_eval_mod_array(f.numer, ts, q)
@@ -249,12 +244,12 @@ def _critical_points(f, pp, alphas) -> CriticalPointReport:
     gnum_p = tuple(c % p for c in g.numer)
     dg = g.derivative()
     for alpha in alphas:
-        if _poly_eval_mod(g.denom, alpha, p) == 0 or _poly_eval_mod(gnum_p, alpha, p) != 0:
+        if poly_eval_mod(g.denom, alpha, p) == 0 or poly_eval_mod(gnum_p, alpha, p) != 0:
             continue
         mult = _root_multiplicity(gnum_p, alpha, p)
         roots.append((alpha, mult))
         if mult == 1:
-            lifted[alpha] = _lift_root(g.numer, alpha, p, lift_mod)
+            lifted[alpha] = lift_root(g.numer, alpha, p, lift_mod)
             second[alpha] = 2 * dg.eval_mod(alpha, p) % p
     return CriticalPointReport(r, tuple(roots), lifted, second, lift_mod)
 
@@ -262,7 +257,7 @@ def _critical_points(f, pp, alphas) -> CriticalPointReport:
 def _root_multiplicity(poly_p, alpha, p):
     """Multiplicity of alpha as a root of poly_p, whose coefficients are reduced mod p."""
     mult = 0
-    while poly_p != (0,) and _poly_eval_mod(poly_p, alpha, p) == 0:
+    while poly_p != (0,) and poly_eval_mod(poly_p, alpha, p) == 0:
         poly_p = _synth_div(poly_p, alpha, p)
         mult += 1
     return mult
@@ -278,17 +273,6 @@ def _check_evaluable(p, n, r):
         raise UnsupportedCaseError("p=3 with n-r=3 and r>=1 is outside the evaluation")
 
 
-def _lift_root(poly, alpha, p, target):
-    """Newton-lift a simple root of poly from mod p to mod target = p^m."""
-    dpoly = _poly_deriv(poly)
-    x, mod = alpha % p, p
-    while mod < target:
-        mod = min(mod * mod, target)
-        fx = _poly_eval_mod(poly, x, mod)
-        x = (x - fx * pow(_poly_eval_mod(dpoly, x, mod), -1, mod)) % mod
-    return x
-
-
 def cochrane_evaluate(f: IntRationalFunction, alpha: int, pp: PrimePowerModulus) -> complex:
     """Closed-form S_alpha(f; p^n) from the critical points of p^(-r) f'.
 
@@ -301,7 +285,7 @@ def cochrane_evaluate(f: IntRationalFunction, alpha: int, pp: PrimePowerModulus)
     """
     p, n, q = pp.p, pp.n, pp.q
     alpha %= p
-    if _poly_eval_mod(f.denom, alpha, p) == 0:
+    if poly_eval_mod(f.denom, alpha, p) == 0:
         raise NonUnitDenominatorError(f"denominator vanishes at alpha={alpha} mod {p}")
     crit = _critical_points(f, pp, (alpha,))
     r = crit.r

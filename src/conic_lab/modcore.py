@@ -1,8 +1,9 @@
 """Exact modular arithmetic over odd prime powers.
 
-Jacobi symbols, inverses (also of int64 arrays), square roots with Hensel
-lifting, integer polynomials on arrays mod q, quadratic Gauss sums, and the
-structural constants s_p / C_p. All functions are pure and thread-safe.
+Jacobi symbols, inverses (also of int64 arrays), square roots, the Newton
+lift of a simple polynomial root, integer polynomials mod q (at a point and
+on int64 arrays), quadratic Gauss sums, and the structural constants
+s_p / C_p. All functions are pure and thread-safe.
 """
 
 import math
@@ -60,8 +61,8 @@ class PrimePowerModulus:
             raise ValueError(f"p={self.p} is not an odd prime")
         if self.n < 1:
             raise ValueError(f"exponent n={self.n} must be >= 1")
-        q = self.p**self.n
-        if q > Q_MAX:
+        # p >= 3, so n > 62 is over the cap whatever p is: refuse it before p**n
+        if self.n > 62 or (q := self.p**self.n) > Q_MAX:
             raise ValueError(f"q = {self.p}^{self.n} exceeds the 2^62 cap")
         object.__setattr__(self, "q", q)
 
@@ -114,7 +115,7 @@ def mod_inverse(a: int, q: int) -> int:
         raise ValueError(f"{a} is not invertible mod {q}") from None
 
 
-def _sqrt_mod_prime(a: int, p: int) -> Optional[int]:
+def sqrt_mod_prime(a: int, p: int) -> Optional[int]:
     """Tonelli-Shanks square root mod an odd prime; None for non-residues.
 
     The quadratic non-residue used internally is the smallest positive one,
@@ -155,22 +156,40 @@ def _sqrt_mod_prime(a: int, p: int) -> Optional[int]:
 def sqrt_mod_prime_power(a: int, pp: PrimePowerModulus) -> Optional[int]:
     """Smaller root x in [0, q) of x^2 = a mod q for a unit a, or None.
 
-    The prime-level root is lifted by Newton steps that double the working
-    precision each round. Rejects a divisible by p: callers must strip even
-    powers of p themselves.
+    The prime-level root is Newton-lifted (lift_root). Rejects a divisible
+    by p: callers must strip even powers of p themselves.
     """
     p, q = pp.p, pp.q
     a %= q
     if a % p == 0:
         raise ValueError("sqrt_mod_prime_power requires gcd(a, p) = 1")
-    x = _sqrt_mod_prime(a, p)
+    x = sqrt_mod_prime(a, p)
     if x is None:
         return None
-    mod = p
-    while mod < q:
-        mod = min(mod * mod, q)
-        x = (x + (a - x * x) * pow(2 * x, -1, mod)) % mod
+    x = lift_root((-a, 0, 1), x, p, q)
     return min(x, q - x)
+
+
+def poly_eval_mod(coeffs, x: int, m: int) -> int:
+    """Horner value mod m of the ascending integer polynomial coeffs at x."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def lift_root(coeffs, alpha: int, p: int, target: int) -> int:
+    """Newton-lift a simple root alpha mod p of the polynomial coeffs to mod target = p^m.
+
+    Each step doubles the p-adic precision; the lift is the unique root mod
+    target that is congruent to alpha mod p.
+    """
+    deriv = [i * c for i, c in enumerate(coeffs)][1:]
+    x, mod = alpha % p, p
+    while mod < target:
+        mod = min(mod * mod, target)
+        x = (x - poly_eval_mod(coeffs, x, mod) * pow(poly_eval_mod(deriv, x, mod), -1, mod)) % mod
+    return x
 
 
 def poly_eval_mod_array(coeffs, xs: np.ndarray, m: int) -> np.ndarray:

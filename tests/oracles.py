@@ -88,6 +88,14 @@ def brute_sqrt_roots(a, q):
     return sorted(x for x in range(q) if (x * x - a) % q == 0)
 
 
+def brute_base_point(coeffs, p):
+    """Lexicographically least (a, b) mod p with a1 a^2 + a2 b^2 + a3 = 0 mod p
+    and both coordinates units; the least solution at all when none is."""
+    a1, a2, a3 = coeffs
+    sols = [(a, b) for a in range(p) for b in range(p) if (a1 * a * a + a2 * b * b + a3) % p == 0]
+    return ([s for s in sols if s[0] and s[1]] or sols)[0]
+
+
 def brute_smallest(coeffs, p, q, cap=512):
     """Exhaustive minimal max-norm unit solution by growing mesh boxes.
 

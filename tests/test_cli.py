@@ -1,10 +1,12 @@
+import contextlib
 import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conic_lab import census
-from conic_lab.cli import FIELDS, Splitmix64, emit, run
+from conic_lab.cli import DIOPH_MODES, FIELDS, Splitmix64, emit, run
 
 
 def run_capture(argv, capsys):
@@ -76,6 +78,131 @@ def test_exit_codes(capsys):
     for count in ("0", "-3"):
         code, out, err = run_capture(["expsum-check", "--p", "7", "--n", "3", "--count", count], capsys)
         assert code == 2 and out == "" and "--count" in err and "Traceback" not in err
+    for argv in BAD_INPUTS:
+        code, out, err = run_capture(argv, capsys)
+        assert code == 2 and out == "" and "Traceback" not in err, argv
+        assert err.count("error:") == 1, argv
+
+
+# Each of these once ended in a traceback, a hang or a silent wrong row.
+BAD_INPUTS = [
+    ["dioph", "--mode", "approx", "--beta", "3", "--q", "10", "--Q", "0"],
+    ["dioph", "--mode", "countf", "--b1", "7", "--b2", "1", "--X", "10", "--q", "49"],
+    ["dioph", "--mode", "countf", "--b1", "1", "--b2", "1", "--X", "2000000", "--q", "49"],
+    ["dioph", "--mode", "reduce", "--b1", "1", "--b2", "1", "--b3", "7", "--q", "49", "--Q", "3"],
+    ["param-check", "--p", "7", "--n", "9", "--coeffs", "1,2,3"],
+    ["param-check", "--p", "7", "--n", "2", "--coeffs", "7,2,3"],
+    ["predict", "--p", "7", "--n", "2", "--coeffs", "7,2,3", "--N", "5"],
+    ["dioph", "--mode", "approx", "--beta", "3", "--q", "0", "--Q", "3"],
+    ["count", "--p", "7", "--n", "2", "--coeffs", "1,1,-1", "--N", "1e308"],
+    ["scan", "--p", "7", "--n", "2..3", "--coeffs", "1,2,3", "--theta", "1e6"],
+    ["scan", "--p", "7", "--n", "2..3", "--coeffs", "1,2,3", "--theta", "nan"],
+    ["scan", "--p", "-1", "--n", "3", "--coeffs", "1,2,3"],
+    ["scan", "--p", "0", "--n", "3", "--coeffs", "1,2,3"],
+    ["count", "--p", "7", "--n", "10000000000", "--coeffs", "1,2,3", "--N", "5"],
+    ["predict", "--p", "7", "--n", "10000000000", "--coeffs", "1,2,3", "--N", "5"],
+    ["scan", "--p", "7", "--n", "10000000000", "--coeffs", "1,2,3"],
+    ["scan", "--p", "7", "--n", "1..10000000000", "--coeffs", "1,2,3"],
+    ["smallest", "--p", "7", "--n", "10000000000", "--coeffs", "1,2,3"],
+    ["param-check", "--p", "7", "--n", "10000000000", "--coeffs", "1,2,3"],
+    ["expsum-check", "--p", "7", "--n", "10000000000"],
+    ["dioph", "--mode", "equation", "--A", "1", "--B", "1", "--C", "1", "--x", "100000000000"],
+    ["dioph", "--mode", "approx", "--beta", "3", "--q", "-5", "--Q", "3"],
+    ["dioph", "--mode", "countf", "--b1", "1", "--b2", "1", "--X", "10", "--q", "-1"],
+    ["predict", "--p", "7", "--n", "2", "--coeffs", "1,2,3", "--N", "1e200"],
+    ["scan", "--p", "7", "--n", "2..3", "--coeffs", "1,2,3", "--truncation-radius", "1e308"],
+    ["scan", "--p", "7", "--n", "2..3", "--coeffs", "1,2,3", "--truncation-radius", "nan"],
+]
+
+
+def test_budget_charges(capsys):
+    # count charges its per-triple units once per triple: 1000 * int(2)^2
+    argv = ["count", "--p", "7", "--n", "2", "--sample", "1000", "--N", "2", "--sharp"]
+    code, out, err = run_capture(argv + ["--budget", "4"], capsys)
+    assert code == 2 and out == "" and "4000" in err
+    # dioph --mode equation walks X over [-x, x]: 2x + 1 steps
+    argv = ["dioph", "--mode", "equation", "--A", "1", "--B", "1", "--C", "2", "--x", "50"]
+    code, out, _ = run_capture(argv + ["--dry-run"], capsys)
+    assert code == 0 and out == "dry-run: estimated work units = 101 (budget 1000000000)\n"
+    code, out, _ = run_capture(argv + ["--budget", "100"], capsys)
+    assert code == 2 and out == ""
+
+
+def test_selftest_dry_run_runs_no_check(capsys, monkeypatch):
+    def no_check(*args):
+        raise AssertionError("ran a check on a dry run")
+
+    monkeypatch.setattr(census, "count_mod_p", no_check)
+    code, out, _ = run_capture(["selftest", "--dry-run"], capsys)
+    assert code == 0 and out == "dry-run: estimated work units = 0 (budget 1000000000)\n"
+    code, out, _ = run_capture(["selftest", "--budget", "-1"], capsys)
+    assert code == 2 and out == ""
+
+
+DIOPH_FLAGS = ["--A", "--B", "--C", "--x", "--beta", "--q", "--Q", "--b1", "--b2", "--b3", "--X", "--M"]
+HOSTILE = [
+    "0", "-1", "nan", "inf", "-inf", "1e308", "1e10", "10000000000", "",
+    "1,2", "1,,3", "a,b,c", "1,2,3,4", "7,2,3", "3..2", "1..x", "..", "2..10000000000", "-1..2",
+    *DIOPH_MODES,
+]
+FLAG_VALUES = {
+    "--p": ["3", "5", "7"],
+    "--n": ["1", "2", "3", "1..3", "2..3"],
+    "--coeffs": ["1,2,3", "1,1,-1", "3,5,6", "1,1,1"],
+    "--N": ["1", "5", "2.5"],
+    "--sharp": None,
+    "--truncation-radius": ["6", "7.5"],
+    "--theta": ["0.62", "1"],
+    "--count": ["1", "3"],
+    "--mode": list(DIOPH_MODES),
+    "--seed": ["1", "2"],
+    "--workers": ["1", "8"],
+    "--dry-run": None,
+    "--format": ["csv", "jsonl"],
+    **{flag: ["1", "2", "3", "7", "10", "49"] for flag in DIOPH_FLAGS},
+}
+COMMON = ["--seed", "--workers", "--dry-run", "--format"]
+# subcommand -> (the flags it needs to get past its required-flag check, its other flags)
+SUBCOMMAND_FLAGS = {
+    "count": (["--p", "--n", "--coeffs", "--N"], ["--sharp", "--truncation-radius", *COMMON]),
+    "predict": (["--p", "--n", "--coeffs", "--N"], ["--sharp", *COMMON]),
+    "scan": (["--p", "--n", "--coeffs"], ["--theta", "--sharp", "--truncation-radius", *COMMON]),
+    "smallest": (["--p", "--n", "--coeffs"], COMMON),
+    "param-check": (["--p", "--n", "--coeffs"], COMMON),
+    "expsum-check": (["--p", "--n"], ["--count", *COMMON]),
+    "dioph": (["--mode", *DIOPH_FLAGS], COMMON),
+    "selftest": ([], COMMON),
+}
+
+
+@st.composite
+def hostile_argv(draw):
+    command = draw(st.sampled_from(sorted(SUBCOMMAND_FLAGS)))
+    required, optional = SUBCOMMAND_FLAGS[command]
+    flags = draw(st.lists(st.sampled_from(required + optional), max_size=7))
+    if draw(st.booleans()):  # half the runs carry every required flag and get past that check
+        flags = required + flags
+    argv = [command]
+    for flag in dict.fromkeys(flags):
+        argv.append(flag)
+        if FLAG_VALUES[flag] is not None:
+            # hostile one time in four, so that most runs get past the first bad value
+            pool = FLAG_VALUES[flag] if draw(st.integers(0, 3)) else HOSTILE
+            argv.append(draw(st.sampled_from(pool)))
+    # 10^6 admits the flat charge of the non-equation dioph modes, so they run
+    return argv + ["--budget", "1000000"]
+
+
+@settings(max_examples=2000, derandomize=True, deadline=None)
+@given(hostile_argv())
+def test_hostile_flags_exit_0_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "", argv
 
 
 def test_bad_thread_env_exits_2(capsys, monkeypatch):

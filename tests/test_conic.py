@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -70,6 +71,24 @@ def test_find_base_point_contract():
         )
         if both_unit:
             assert bp.a % p and bp.b % p
+
+
+def test_find_base_point_matches_brute_force():
+    fallbacks = 0
+    for p in (3, 5, 7, 11, 13):
+        pp = PrimePowerModulus(p, 3)
+        for coeffs in itertools.product(range(1, p), repeat=3):
+            bp = find_base_point(coeffs, pp)
+            a1, a2, a3 = coeffs
+            assert (a1 * bp.a**2 + a2 * bp.b**2 + a3) % pp.q == 0
+            want = oracles.brute_base_point(coeffs, p)
+            assert (bp.a % p, bp.b % p) == want, (coeffs, p)
+            fallbacks += not (want[0] and want[1])
+    assert fallbacks > 0  # the no-unit-pair branch was reached
+    # one square root per trial a, not a scan of all pairs mod p
+    pp = PrimePowerModulus(1_000_003, 2)
+    bp = find_base_point((1, 1, 1), pp)
+    assert (bp.a**2 + bp.b**2 + 1) % pp.q == 0
 
 
 def test_param_case1_examples():

@@ -155,6 +155,12 @@ def test_integer_nth_root():
         k = rng.randint(1, 7)
         r = integer_nth_root(x, k)
         assert r**k <= x < (r + 1) ** k
+    for _ in range(200):  # beyond float range, where a float first guess is far off
+        x = rng.randrange(10**400)
+        k = rng.randint(1, 7)
+        r = integer_nth_root(x, k)
+        assert r**k <= x < (r + 1) ** k
+    assert integer_nth_root(10**220, 5) == 10**44
 
 
 def test_choose_parameters():

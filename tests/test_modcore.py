@@ -35,6 +35,8 @@ def test_modulus_validation():
         PrimePowerModulus(7, 0)
     with pytest.raises(ValueError):
         PrimePowerModulus(3, 41)  # 3^41 > 2^62
+    with pytest.raises(ValueError):
+        PrimePowerModulus(3, 10**10)  # refused before 3^(10^10) is computed
 
 
 def test_is_prime_small():
