@@ -23,14 +23,12 @@ import numpy as np
 from .modcore import (
     CoefficientTriple,
     PrimePowerModulus,
+    check_table_q,
     main_constant,
     mod_inverse,
     s_p,
     validate_coeffs,
 )
-
-# Counting kernels build per-residue tables of size q.
-TABLE_Q_MAX = 10**7
 
 GAUSSIAN_TAIL_RADIUS = 6.0
 
@@ -85,18 +83,13 @@ class CountReport:
         return self.ratio is not None
 
 
-def _check_table_q(q: int) -> None:
-    if q > TABLE_Q_MAX:
-        raise ValueError(f"q={q} exceeds the table budget")
-
-
 def _sqrt_table(pp: PrimePowerModulus) -> np.ndarray:
     """tab[c] = the root of x^2 = c mod q in [1, (q-1)/2], 0 when none.
 
     Canonical for unit c; a lookup r is genuine iff r*r = c mod q.
     """
     q = pp.q
-    _check_table_q(q)
+    check_table_q(q)
     tab = np.zeros(q, dtype=np.int64)
     x = np.arange(1, (q - 1) // 2 + 1, dtype=np.int64)
     sq = x * x  # < q^2 <= 1e14 < 2^63; reduced in place, so the peak is 2x the table
@@ -123,7 +116,7 @@ def count_sharp(coeffs, pp: PrimePowerModulus, N: int, workers: Optional[int] = 
         raise ValueError("box half-width must be >= 0")
     p, q = pp.p, pp.q
     c = validate_coeffs(coeffs, p)
-    _check_table_q(q)
+    check_table_q(q)
     _, sq = _unit_squares(p, q, int(N))
     # int64 throughout: a%q * sq < q^2 <= 1e14 < 2^63; hist holds the
     # histogram twice (2q entries, 16q B) so t1 + t2 < 2q needs no reduction.
@@ -154,7 +147,7 @@ def count_smoothed(
         return float(count_sharp(coeffs, pp, int(N)))
     p, q = pp.p, pp.q
     c = validate_coeffs(coeffs, p)
-    _check_table_q(q)
+    check_table_q(q)
     xs, sq = _unit_squares(p, q, int(math.floor(w.truncation_radius * N)))
     phi = w.phi(xs / N)
 
@@ -209,7 +202,7 @@ def sqrt_count_table(pp: PrimePowerModulus) -> np.ndarray:
     place (x^2 < q^2 <= 1e14 < 2^63), so the peak is 2x the table.
     """
     q = pp.q
-    _check_table_q(q)
+    check_table_q(q)
     x = np.arange(q, dtype=np.int64)
     x *= x
     x %= q

@@ -33,6 +33,7 @@ from .modcore import PrimePowerModulus
 
 SCHEMA_VERSION = 1
 DEFAULT_BUDGET = 10**9
+SAMPLE_MAX = 10**6
 
 FIELDS = {
     "count": ["p", "n", "q", "a1", "a2", "a3", "N", "weight", "observed"],
@@ -158,7 +159,9 @@ def _budget_gate(args, units: int):
 
 
 def _coeff_list(args, rng, need_p):
-    """Coefficient triples from --coeffs or --sample."""
+    """Coefficient triples from --coeffs or --sample; a given --sample must lie in 1..SAMPLE_MAX."""
+    if args.sample is not None and not 1 <= args.sample <= SAMPLE_MAX:
+        raise ValidationError(f"--sample must lie in 1..{SAMPLE_MAX}, got {args.sample}")
     if args.coeffs:
         return [_parse_coeffs(args.coeffs)]
     if args.sample:
@@ -223,10 +226,11 @@ def _run_predict(args, rng):
     w = _weight(args)
     if not 0 <= args.N < math.inf:
         raise ValidationError("predict requires a finite --N >= 0")
+    triples = _coeff_list(args, rng, args.p)
     if _budget_gate(args, 0):
         return []
     rows = []
-    for coeffs in _coeff_list(args, rng, args.p):
+    for coeffs in triples:
         pred = census.predict_main_term(coeffs, pp, args.N, w)
         rows.append(_row(pp, coeffs, N=args.N, weight=w.kind, predicted=pred,
                          vacuous=census.prediction_is_vacuous(coeffs, pp.p)))
@@ -275,10 +279,11 @@ def _run_smallest(args, rng):
 def _run_param_check(args, rng):
     _require(args, "p", "n")
     pp = PrimePowerModulus(args.p, args.n)
+    triples = _coeff_list(args, rng, args.p)
     if _budget_gate(args, pp.q * pp.p):
         return []
     rows = []
-    for coeffs in _coeff_list(args, rng, args.p):
+    for coeffs in triples:
         tag = conic.case_tag(coeffs, pp.p)
         if tag != conic.CASE_II:
             # a mixed triple is permuted into Case I; its row keeps the given order
@@ -427,7 +432,7 @@ def _build_parser():
         if with_n:
             sp.add_argument("--n", type=int)
         sp.add_argument("--coeffs", help="a1,a2,a3")
-        sp.add_argument("--sample", type=int, help="number of sampled coefficient triples")
+        sp.add_argument("--sample", type=int, help="number of sampled coefficient triples, 1..10^6")
 
     sp = sub.add_parser("count", help="sharp or smoothed box count")
     coeffy(sp)

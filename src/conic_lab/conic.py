@@ -8,8 +8,10 @@ Two regimes, decided by the residue pattern of the -ai*aj mod p:
 * Case II (no -ai*aj is a residue): the slope line is layered into sets M_s,
   s = 0..n, which together cover all p^n + p^(n-1) solutions exactly.
 
-Each slope map is written once, as the form k1*y1 + k2*y2 (case1_form, case2_form):
-the family builders evaluate it on t-arrays, expsum's amplitudes scale it by x3.
+Both regimes use one chord-slope map, written once as the form k1*y1 + k2*y2
+(slope_form): Case II is its layers s through a base point, Case I its layer 0
+through (0, -b). The family builders evaluate it on t-arrays, expsum's
+amplitudes scale it by x3.
 
 Also: base-point search and Hensel lifting of full solution triples.
 """
@@ -22,6 +24,7 @@ import numpy as np
 from .modcore import (
     CoefficientTriple,
     PrimePowerModulus,
+    check_table_q,
     inv_mod_array,
     jacobi,
     lift_root,
@@ -34,9 +37,6 @@ from .modcore import (
 
 CASE_I = "CaseI"
 CASE_II = "CaseII"
-
-# Families are materialized eagerly as pair sets.
-FAMILY_Q_MAX = 10**7
 
 
 class BasePoint(NamedTuple):
@@ -132,22 +132,13 @@ def case1_slope_base(coeffs, pp: PrimePowerModulus) -> int:
     return b
 
 
-def case1_form(k1, k2, b, coeffs):
-    """k1*y1 + k2*y2 of the Case I slope map, as ascending integer (numer, denom).
+def slope_form(k1, k2, s, base, coeffs, p: int):
+    """k1*y1 + k2*y2 of the chord-slope map at t / p^s, as ascending integer (numer, denom).
 
-    The chord of slope t through (0, -b) meets the conic again at
-    y1 = -2 b a2 t / (a1 + a2 t^2), y2 = -b (a1 - a2 t^2) / (a1 + a2 t^2).
-    """
-    a1, a2, _ = coeffs
-    return (-b * k2 * a1, -2 * b * k1 * a2, b * k2 * a2), (a1, 0, a2)
-
-
-def case2_form(k1, k2, s, base, coeffs, p: int):
-    """k1*y1 + k2*y2 of the Case II slope map at t / p^s, denominators cleared.
-
-    Through the base point (a, b):
+    The chord of slope t / p^s through the base point (a, b) meets the conic again at
       y1 = a - 2 a2 (a t^2 - b t p^s) / (a1 p^(2s) + a2 t^2)
       y2 = -b - 2 a1 p^s (a t - b p^s) / (a1 p^(2s) + a2 t^2).
+    Case II uses layers s = 0..n; Case I is layer 0 through (0, -b) with b^2 = -a3/a2.
     """
     a, b = base
     a1, a2, _ = coeffs
@@ -156,21 +147,22 @@ def case2_form(k1, k2, s, base, coeffs, p: int):
     return (a1 * ps * ps * d, 2 * ps * (b * a2 * k1 - a * a1 * k2), -a2 * d), (a1 * ps * ps, 0, a2)
 
 
-def _map_pairs(form, ts, pp: PrimePowerModulus) -> list:
-    """The pairs (y1, y2) = (form(1, 0), form(0, 1)) mod q at each t of ts.
+def _map_pairs(coeffs, s, base, ts, pp: PrimePowerModulus) -> list:
+    """The pairs (y1, y2) of slope_form's map at t / p^s, mod q, for each t of ts.
 
     Their common denominator must be a unit; it is inverted once. int64 ts
-    need q <= FAMILY_Q_MAX; an object array of Python ints is exact for any q.
+    need q <= TABLE_Q_MAX; an object array of Python ints is exact for any q.
     """
     q = pp.q
-    (num1, den), (num2, _) = form(1, 0), form(0, 1)
+    num1, den = slope_form(1, 0, s, base, coeffs, pp.p)
+    num2, _ = slope_form(0, 1, s, base, coeffs, pp.p)
     dinv = inv_mod_array(poly_eval_mod_array(den, ts, q), pp)
     y1, y2 = (poly_eval_mod_array(num, ts, q) * dinv % q for num in (num1, num2))
     return list(map(SolutionPair._make, zip(y1.tolist(), y2.tolist())))
 
 
 def param_case1(t: int, b: int, coeffs, pp: PrimePowerModulus) -> SolutionPair:
-    """Chord-slope parametrization t -> (y1, y2) mod q of case1_form.
+    """Case I chord-slope parametrization t -> (y1, y2) mod q: slope_form through (0, -b).
 
     Requires b^2 = -a3/a2 mod q and gcd(t (a1 - a2 t^2)(a1 + a2 t^2), p) = 1.
     """
@@ -183,7 +175,7 @@ def param_case1(t: int, b: int, coeffs, pp: PrimePowerModulus) -> SolutionPair:
     t %= q
     if t % p == 0 or (c.a1 - c.a2 * t * t) % p == 0 or (c.a1 + c.a2 * t * t) % p == 0:
         raise ValueError(f"t={t} violates the unit conditions")
-    return _map_pairs(lambda k1, k2: case1_form(k1, k2, b, c), np.array([t], dtype=object), pp)[0]
+    return _map_pairs(c, 0, (0, -b), np.array([t], dtype=object), pp)[0]
 
 
 def case1_admissible_alphas(coeffs, p: int):
@@ -212,17 +204,15 @@ class ParamFamily:
 def build_case1_family(coeffs, pp: PrimePowerModulus) -> ParamFamily:
     """Materialize the Case I image together with its parameter set."""
     c = validate_coeffs(coeffs, pp.p)
-    if pp.q > FAMILY_Q_MAX:
-        raise ValueError(f"q={pp.q} exceeds the family materialization cap")
+    check_table_q(pp.q)
     b = case1_slope_base(coeffs, pp)
     alphas = np.array(case1_admissible_alphas(coeffs, pp.p), dtype=np.int64)
     ts = (np.arange(0, pp.q, pp.p, dtype=np.int64)[:, None] + alphas).ravel()
-    pairs = frozenset(_map_pairs(lambda k1, k2: case1_form(k1, k2, b, c), ts, pp))
+    base = BasePoint(0, -b % pp.q)
+    pairs = frozenset(_map_pairs(c, 0, base, ts, pp))
     if len(pairs) != len(ts):
         raise AssertionError("Case I parametrization failed injectivity")
-    return ParamFamily(
-        CASE_I, BasePoint(0, (-b) % pp.q), {0: frozenset(ts.tolist())}, pairs, c, pp
-    )
+    return ParamFamily(CASE_I, base, {0: frozenset(ts.tolist())}, pairs, c, pp)
 
 
 def build_case2_family(
@@ -230,7 +220,7 @@ def build_case2_family(
 ) -> ParamFamily:
     """Materialize the layered sets M_s covering all solutions in Case II.
 
-    Layer s evaluates case2_form's slope map at t / p^s, for t = 1..p^n at
+    Layer s evaluates slope_form's map at t / p^s, for t = 1..p^n at
     s = 0 and the units t in 1..p^(n-s) otherwise (t = 1 alone at s = n);
     the denominators are units mod q. Layer sizes |M_0| = p^n, |M_n| = 1,
     |M_s| = p^(n-s) - p^(n-s-1) otherwise are enforced, as is pairwise
@@ -240,8 +230,7 @@ def build_case2_family(
     p, n, q = pp.p, pp.n, pp.q
     if case_tag(coeffs, p) != CASE_II:
         raise ValueError("residue pattern is not Case II")
-    if q > FAMILY_Q_MAX:
-        raise ValueError(f"q={q} exceeds the family materialization cap")
+    check_table_q(q)
     if base is None:
         base = find_base_point(coeffs, pp)
     a, b = base.a % q, base.b % q
@@ -252,7 +241,7 @@ def build_case2_family(
         ts = np.arange(1, p ** (n - s) + 1, dtype=np.int64)
         if s > 0:
             ts = ts[ts % p != 0]
-        pairs = set(_map_pairs(lambda k1, k2: case2_form(k1, k2, s, (a, b), c, p), ts, pp))
+        pairs = set(_map_pairs(c, s, (a, b), ts, pp))
         expected = q if s == 0 else (1 if s == n else p ** (n - s) - p ** (n - s - 1))
         if len(pairs) != expected:
             raise AssertionError(f"layer {s} has {len(pairs)} pairs, expected {expected}")
@@ -304,8 +293,7 @@ def enumerate_pair_solutions(coeffs, pp: PrimePowerModulus, units_only: bool = T
     """
     c = validate_coeffs(coeffs, pp.p)
     p, q = pp.p, pp.q
-    if q > FAMILY_Q_MAX:
-        raise ValueError(f"q={q} exceeds the enumeration cap")
+    check_table_q(q)
     ys = np.arange(q, dtype=np.int64)
     if units_only:
         ys = ys[ys % p != 0]

@@ -7,8 +7,8 @@ played against each other:
 * cochrane_evaluate: the critical-point evaluation (zero away from critical
   points of p^(-r) f', a single Gauss-sum-normalized term at simple ones);
 * closed_form_E: the two-critical-point closed form for the chord-slope
-  amplitude families (x3 times conic.case1_form / conic.case2_form),
-  phrased through sqrt(D) for the key discriminant D.
+  amplitude families (x3 times conic.slope_form; Case I is the Case II
+  layer 0 through (0, -b)), one sqrt(D) expression for both cases.
 
 Polynomial arithmetic is exact over Python integers; reduction mod q happens
 only at evaluation time.
@@ -21,6 +21,7 @@ import numpy as np
 
 from .modcore import (
     PrimePowerModulus,
+    check_table_q,
     gauss_sum_unit,
     inv_mod_array,
     jacobi,
@@ -34,16 +35,12 @@ from .modcore import (
 from .conic import (
     BasePoint,
     case1_admissible_alphas,
-    case1_form,
-    case1_slope_base,
-    case2_form,
     case_tag,
     find_base_point,
+    slope_form,
     CASE_I,
     CASE_II,
 )
-
-DIRECT_SUM_Q_MAX = 10**7
 
 
 class NonUnitDenominatorError(ValueError):
@@ -188,8 +185,7 @@ def _e_q(value: int, q: int) -> complex:
 def direct_S_alpha(f: IntRationalFunction, alpha: int, pp: PrimePowerModulus) -> complex:
     """S_alpha(f; p^n) = sum over t = alpha mod p, t in [1, p^n] of e_q(f(t))."""
     p, n, q = pp.p, pp.n, pp.q
-    if q > DIRECT_SUM_Q_MAX:
-        raise ValueError(f"q={q} exceeds the direct summation budget")
+    check_table_q(q)
     alpha %= p
     if poly_eval_mod(f.denom, alpha, p) == 0:
         raise NonUnitDenominatorError(f"denominator vanishes on the class {alpha} mod {p}")
@@ -307,21 +303,19 @@ def cochrane_evaluate(f: IntRationalFunction, alpha: int, pp: PrimePowerModulus)
 
 
 def family_case1(k1, k2, x3, coeffs, b, pp: PrimePowerModulus) -> IntRationalFunction:
-    """Amplitude -x3*(k1 y1(t) + k2 y2(t)) of the Case I map, conic.case1_form.
+    """Amplitude -x3*(k1 y1(t) + k2 y2(t)) of the Case I map: layer 0 through (0, -b).
 
     This is the phase produced by the Case I parametrization after Poisson
-    summation in the first two coordinates.
+    summation in the first two coordinates; (0, -b) is on the conic exactly
+    when b^2 = -a3/a2 mod q.
     """
-    c = validate_coeffs(coeffs, pp.p)
-    if (c.a2 * b * b + c.a3) % pp.q != 0:
-        raise ValueError("b does not satisfy a2*b^2 = -a3 mod q")
-    return IntRationalFunction(*case1_form(-x3 * k1, -x3 * k2, b, c))
+    return family_case2(0, k1, k2, -x3, coeffs, BasePoint(0, -b), pp)
 
 
 def family_case2(s, k1, k2, x3, coeffs, base: BasePoint, pp: PrimePowerModulus) -> IntRationalFunction:
     """Amplitude x3*(k1 y1(t/p^s) + k2 y2(t/p^s)) with denominators cleared.
 
-    Layer s of the Case II family: conic.case2_form at (x3 k1, x3 k2), with
+    Layer s of the Case II family: conic.slope_form at (x3 k1, x3 k2), with
     exact integer coefficients.
     """
     c = validate_coeffs(coeffs, pp.p)
@@ -330,7 +324,7 @@ def family_case2(s, k1, k2, x3, coeffs, base: BasePoint, pp: PrimePowerModulus) 
     a, b = base
     if (c.a1 * a * a + c.a2 * b * b + c.a3) % pp.q != 0:
         raise ValueError("base point does not lie on the conic mod q")
-    return IntRationalFunction(*case2_form(x3 * k1, x3 * k2, s, base, c, pp.p))
+    return IntRationalFunction(*slope_form(x3 * k1, x3 * k2, s, base, c, pp.p))
 
 
 def direct_E_case1(k1, k2, x3, coeffs, b, pp: PrimePowerModulus) -> complex:
@@ -371,17 +365,19 @@ def closed_form_E(k1, k2, x3, coeffs, pp: PrimePowerModulus, tag: str, base: Bas
     """The sqrt(D) closed form of the family sum E(k1,k2,x3;p^n).
 
     Writing (k1,k2) = p^r (l1,l2) with l1, l2 units and
-    D = a1 a2 l1^2 + a1^2 l2^2 (Case I) or -a3/a2 times that (Case II):
-    the sum vanishes when D is a non-residue mod p, and otherwise equals
+    D = -(a3/a2) (a1 a2 l1^2 + a1^2 l2^2): the sum vanishes when D is a
+    non-residue mod p, and otherwise equals
 
-        p^((n+r)/2) * sum_{eps = +-1} e(eps * c * sqrt(D) / p^(n-r)) * K(eps)
+        p^((n+r)/2) * sum_{eps = +-1} e(eps * (x3/a1) * sqrt(D) / p^(n-r)) * K(eps)
 
-    with c = b*x3/a1 resp. x3/a1, K(eps) = 1 for n-r even and
-    (-2*w*a2*eps*sqrt(D) / p) * G_p/sqrt(p) for n-r odd (w = b*x3 resp. x3).
-    The Legendre factor is attached per critical point, which makes the
-    expression independent of the sqrt(D) branch. Unsupported: r > n-2,
-    D = 0 mod p, and Case II instances whose critical quadratic degenerates
-    mod p (leading coefficient l2*a1*a - l1*a2*b = 0 at the base point).
+    with K(eps) = 1 for n-r even and (-2*x3*a2*eps*sqrt(D) / p) * G_p/sqrt(p)
+    for n-r odd. Both tags share it: the Case I family is the Case II layer 0
+    through (0, -b), b^2 = -a3/a2, whose (eps, sqrt(D)) run over the same two
+    critical points. The Legendre factor is attached per critical point, which
+    makes the expression independent of the sqrt(D) branch. Unsupported:
+    r > n-2, D = 0 mod p, and Case II instances whose critical quadratic
+    degenerates mod p (leading coefficient l2*a1*a - l1*a2*b = 0 at the base
+    point; through (0, -b) it is l1*a2*b, a unit).
     """
     c = validate_coeffs(coeffs, pp.p)
     p, n = pp.p, pp.n
@@ -393,16 +389,9 @@ def closed_form_E(k1, k2, x3, coeffs, pp: PrimePowerModulus, tag: str, base: Bas
     if l1 % p == 0 or l2 % p == 0:
         raise ValueError("k1 and k2 must share the same exact power of p")
     _check_evaluable(p, n, r)
-    nr = n - r
-    mod_nr = p**nr
-    ppnr = PrimePowerModulus(p, nr)
-    core = c.a1 * c.a2 * l1 * l1 + c.a1 * c.a1 * l2 * l2
     if tag == CASE_I:
         if jacobi(-c.a2 * c.a3, p) != 1:
             raise ValueError("coefficients do not match the Case I pattern")
-        b = case1_slope_base(coeffs, pp)
-        d_val = core % mod_nr
-        w = b * x3
     else:
         if case_tag(coeffs, p) != CASE_II:
             raise ValueError("coefficients do not match the Case II pattern")
@@ -410,19 +399,21 @@ def closed_form_E(k1, k2, x3, coeffs, pp: PrimePowerModulus, tag: str, base: Bas
             base = find_base_point(coeffs, pp)
         if (l2 * c.a1 * base.a - l1 * c.a2 * base.b) % p == 0:
             raise UnsupportedCaseError("critical quadratic degenerates mod p")
-        d_val = (-c.a3 * mod_inverse(c.a2, mod_nr) * core) % mod_nr
-        w = x3
+    nr = n - r
+    mod_nr = p**nr
+    core = c.a1 * c.a2 * l1 * l1 + c.a1 * c.a1 * l2 * l2
+    d_val = -c.a3 * mod_inverse(c.a2, mod_nr) * core % mod_nr
     if d_val % p == 0:
         raise UnsupportedCaseError("D = 0 mod p is excluded by the admissible classes")
     if jacobi(d_val, p) == -1:
         return 0j
-    sq = sqrt_mod_prime_power(d_val, ppnr)
-    cphase = w * mod_inverse(c.a1, mod_nr) % mod_nr
+    sq = sqrt_mod_prime_power(d_val, PrimePowerModulus(p, nr))
+    cphase = x3 * mod_inverse(c.a1, mod_nr) % mod_nr
     total = 0j
     for eps in (1, -1):
         term = _e_q(eps * cphase * sq, mod_nr)
         if nr % 2:
-            term *= jacobi(-2 * w * c.a2 * eps * sq, p) * gauss_sum_unit(p)
+            term *= jacobi(-2 * x3 * c.a2 * eps * sq, p) * gauss_sum_unit(p)
         total += term
     if nr % 2 == 0:
         return total * p ** ((n + r) // 2)

@@ -17,8 +17,10 @@ import numpy as np
 # kernels may assume q*q fits comfortably in signed 128-bit products.
 Q_MAX = 2**62
 
-# Direct O(q) summation budget for Gauss sums at double precision.
-GAUSS_SUM_Q_MAX = 10**7
+# The one cap on size-q work: residue tables, materialized families, direct
+# O(q) sums. The int64 kernels' overflow bounds rest on it: every factor
+# reduced below q <= 1e7 keeps a product under 1e14 < 2^63.
+TABLE_Q_MAX = 10**7
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -65,6 +67,12 @@ class PrimePowerModulus:
         if self.n > 62 or (q := self.p**self.n) > Q_MAX:
             raise ValueError(f"q = {self.p}^{self.n} exceeds the 2^62 cap")
         object.__setattr__(self, "q", q)
+
+
+def check_table_q(q: int) -> None:
+    """Refuse a size-q table or sum over TABLE_Q_MAX, before anything is allocated."""
+    if q > TABLE_Q_MAX:
+        raise ValueError(f"q={q} exceeds the table budget")
 
 
 class CoefficientTriple(NamedTuple):
@@ -232,8 +240,7 @@ def gauss_sum(q: int) -> complex:
     """Quadratic Gauss sum G_q = sum_{x=1..q} exp(2 pi i x^2 / q), q odd."""
     if q <= 0 or q % 2 == 0:
         raise ValueError(f"q={q} must be odd and positive")
-    if q > GAUSS_SUM_Q_MAX:
-        raise ValueError(f"q={q} exceeds the direct summation budget")
+    check_table_q(q)
     x = np.arange(1, q + 1, dtype=np.int64)
     ang = (x * x % q) * (2.0 * np.pi / q)
     return complex(math.fsum(np.cos(ang)), math.fsum(np.sin(ang)))
@@ -268,6 +275,7 @@ def jacobi_table(q: int) -> np.ndarray:
     """(y/q) for y = 0..q-1 as an int8 array: prod_p (y/p)^e over q's factorization."""
     if q % 2 == 0 or q <= 0:
         raise ValueError("jacobi_table needs odd positive q")
+    check_table_q(q)
     tab = np.ones(q, dtype=np.int8)
     y = np.arange(q, dtype=np.int64)
     for p, e in _factorize(q):
@@ -280,8 +288,7 @@ def gauss_sum_character(q: int) -> complex:
     """Character form sum_{y=1..q} (y/q) exp(2 pi i y / q); equals G_q for odd q."""
     if q <= 0 or q % 2 == 0:
         raise ValueError(f"q={q} must be odd and positive")
-    if q > GAUSS_SUM_Q_MAX:
-        raise ValueError(f"q={q} exceeds the direct summation budget")
+    check_table_q(q)
     chi = jacobi_table(q).astype(np.float64)
     ang = np.arange(q, dtype=np.float64) * (2.0 * np.pi / q)
     return complex(math.fsum(chi * np.cos(ang)), math.fsum(chi * np.sin(ang)))

@@ -3,11 +3,14 @@
 Run `pytest -s tests/test_acceptance.py` to see the lines as they happen
 (without -s they still appear in the captured-output section of failures).
 
-Criterion 9's pinned (1,1,-1) clause is known not to hold at desk scale:
-that form represents 0 over the integers, and the exact-equation solution
-layer (~N log N Pythagorean triples) still dominates the error term at
-n = 6. The test asserts the criterion as written and fails honestly; see
-the decisions ledger for the full analysis. Everything else passes.
+Criterion 9's pinned (1,1,-1) clause is known not to hold at desk scale.
+Poisson summation writes the count as a sum over dual frequencies k, and
+k = 0 is the main term. (1,1,-1) represents 0 over the integers, so its dual
+form Q*(k) does too: the frequencies k != 0 with Q*(k) = 0 over Z (the dual
+cone) contribute +0.69 of the prediction at n = 6. The exact Pythagorean
+solutions explain only 0.33 of that excess. The test asserts the criterion
+as written and fails honestly; ROADMAP item 1 has the measurements.
+Everything else passes.
 """
 
 import math
@@ -286,13 +289,13 @@ def test_criterion_09_theorem1_trend_sampled_triples():
 
 def test_criterion_09_pinned_pythagorean_triple():
     r4, r5, r6 = _scan_ratios((1, 1, -1))
-    # Known-red: (1,1,-1) represents 0 over Z, and the ~N log N exact
-    # Pythagorean solutions keep the n=6 ratio near 1.7 (the paper's own
-    # transition heuristic); the [0.8, 1.2] window is unreachable within
-    # the runtime budget. Asserted as specified; see the decisions ledger.
+    # Known-red: the dual cone of (1,1,-1), the k != 0 with
+    # Q*(k) = -k1^2 - k2^2 + k3^2 = 0 over Z, adds +0.69 of the prediction at
+    # n = 6 and keeps the ratio near 1.7; its fitted decay reaches the
+    # [0.8, 1.2] window only near q ~ 1e13 (ROADMAP item 1). Asserted as specified.
     _report("criterion 09 (pinned (1,1,-1))", 0.8 <= r6 <= 1.2,
             f"ratios n=4,5,6 = {r4:.4f}, {r5:.4f}, {r6:.4f}; "
-            "the exact-equation layer dominates at desk scale")
+            "the dual-cone term (k != 0, Q*(k) = 0) adds ~+0.69 at n=6, see ROADMAP item 1")
 
 
 def test_criterion_10_smallest_solution():

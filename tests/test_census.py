@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conic_lab import census
+from conic_lab import census, conic, expsum, modcore
 from conic_lab.modcore import PrimePowerModulus, s_p
 from conic_lab.census import (
     CountReport,
@@ -278,13 +278,28 @@ def test_worker_determinism():
 
 def test_table_cap_checked_before_allocation():
     pp = PrimePowerModulus(7, 9)  # q = 40353607 > TABLE_Q_MAX
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="table budget"):
-            count_smoothed((1, 2, 3), pp, 10)
-        with pytest.raises(ValueError, match="table budget"):
-            count_sharp((1, 2, 3), pp, 10)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 10**6  # a size-q table would be hundreds of MB
+    q = pp.q
+    t2 = expsum.IntRationalFunction((0, 0, 1))
+    capped = {
+        "count_smoothed": lambda: count_smoothed((1, 2, 3), pp, 10),
+        "count_sharp": lambda: count_sharp((1, 2, 3), pp, 10),
+        "sqrt_count_table": lambda: sqrt_count_table(pp),
+        "count_unit_circle": lambda: count_unit_circle(1, 1, pp),
+        "smallest_solution": lambda: smallest_solution((1, 2, 3), pp),
+        "build_case1_family": lambda: conic.build_case1_family((1, 1, -1), pp),
+        "build_case2_family": lambda: conic.build_case2_family((1, 1, 1), pp),
+        "enumerate_pair_solutions": lambda: conic.enumerate_pair_solutions((1, 2, 3), pp),
+        "direct_S_alpha": lambda: expsum.direct_S_alpha(t2, 1, pp),
+        "gauss_sum": lambda: modcore.gauss_sum(q),
+        "gauss_sum_character": lambda: modcore.gauss_sum_character(q),
+        "jacobi_table": lambda: modcore.jacobi_table(q),
+    }
+    for name, call in capped.items():
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="table budget"):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6, name  # a size-q table would be hundreds of MB

@@ -112,6 +112,8 @@ BAD_INPUTS = [
     ["predict", "--p", "7", "--n", "2", "--coeffs", "1,2,3", "--N", "1e200"],
     ["scan", "--p", "7", "--n", "2..3", "--coeffs", "1,2,3", "--truncation-radius", "1e308"],
     ["scan", "--p", "7", "--n", "2..3", "--coeffs", "1,2,3", "--truncation-radius", "nan"],
+    ["predict", "--p", "7", "--n", "2", "--N", "5", "--sample", "-1"],
+    ["count", "--p", "7", "--n", "2", "--N", "5", "--sample", "10000000000"],
 ]
 
 
@@ -154,6 +156,7 @@ FLAG_VALUES = {
     "--truncation-radius": ["6", "7.5"],
     "--theta": ["0.62", "1"],
     "--count": ["1", "3"],
+    "--sample": ["1", "2", "3"],
     "--mode": list(DIOPH_MODES),
     "--seed": ["1", "2"],
     "--workers": ["1", "8"],
@@ -164,11 +167,11 @@ FLAG_VALUES = {
 COMMON = ["--seed", "--workers", "--dry-run", "--format"]
 # subcommand -> (the flags it needs to get past its required-flag check, its other flags)
 SUBCOMMAND_FLAGS = {
-    "count": (["--p", "--n", "--coeffs", "--N"], ["--sharp", "--truncation-radius", *COMMON]),
-    "predict": (["--p", "--n", "--coeffs", "--N"], ["--sharp", *COMMON]),
-    "scan": (["--p", "--n", "--coeffs"], ["--theta", "--sharp", "--truncation-radius", *COMMON]),
-    "smallest": (["--p", "--n", "--coeffs"], COMMON),
-    "param-check": (["--p", "--n", "--coeffs"], COMMON),
+    "count": (["--p", "--n", "--coeffs", "--N"], ["--sample", "--sharp", "--truncation-radius", *COMMON]),
+    "predict": (["--p", "--n", "--coeffs", "--N"], ["--sample", "--sharp", *COMMON]),
+    "scan": (["--p", "--n", "--coeffs"], ["--sample", "--theta", "--sharp", "--truncation-radius", *COMMON]),
+    "smallest": (["--p", "--n", "--coeffs"], ["--sample", *COMMON]),
+    "param-check": (["--p", "--n", "--coeffs"], ["--sample", *COMMON]),
     "expsum-check": (["--p", "--n"], ["--count", *COMMON]),
     "dioph": (["--mode", *DIOPH_FLAGS], COMMON),
     "selftest": ([], COMMON),

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conic_lab.modcore import PrimePowerModulus, jacobi
 from conic_lab.conic import (
@@ -405,3 +406,39 @@ def test_closed_form_E_degenerate_cases_raise():
     degenerate = BasePoint(1, 22)  # 1 - 22 = 0 mod 3 and on the conic
     with pytest.raises(UnsupportedCaseError):
         closed_form_E(1, 1, 1, (1, 1, 1), pp33, CASE_II, base=degenerate)
+
+
+@st.composite
+def closed_form_instances(draw):
+    """(p, n, tag, coeffs, r, l1, l2, x3): a Case I triple, or Case II where p = 3 mod 4."""
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    n = draw(st.sampled_from([2, 3, 4]))
+    tag = draw(st.sampled_from([CASE_I, CASE_II] if p % 4 == 3 else [CASE_I]))
+    coeffs = tuple(draw(st.integers(1, p - 1)) for _ in range(3))
+    assume(case_tag(coeffs, p) == tag)
+    r = draw(st.integers(0, n - 2))
+
+    def unit(bound):
+        return draw(st.integers(1, bound - 1).filter(lambda u: u % p))
+
+    return p, n, tag, coeffs, r, unit(p ** (n - r)), unit(p ** (n - r)), unit(p)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(closed_form_instances())
+def test_closed_form_E_matches_direct_sums(instance):
+    # one sqrt(D) expression serves both cases; every parity of n - r occurs
+    p, n, tag, coeffs, r, l1, l2, x3 = instance
+    pp = PrimePowerModulus(p, n)
+    k1, k2 = p**r * l1, p**r * l2
+    if tag == CASE_I:
+        want = direct_E_case1(k1, k2, x3, coeffs, case1_slope_base(coeffs, pp), pp)
+        base = None
+    else:
+        base = find_base_point(coeffs, pp)
+        want = direct_E_case2(k1, k2, x3, coeffs, base, pp)
+    try:
+        got = closed_form_E(k1, k2, x3, coeffs, pp, tag, base=base)
+    except UnsupportedCaseError:
+        return
+    assert abs(got - want) / max(1.0, abs(want)) < 1e-6, (got, want)
