@@ -83,21 +83,6 @@ class CountReport:
         return self.ratio is not None
 
 
-def _sqrt_table(pp: PrimePowerModulus) -> np.ndarray:
-    """tab[c] = the root of x^2 = c mod q in [1, (q-1)/2], 0 when none.
-
-    Canonical for unit c; a lookup r is genuine iff r*r = c mod q.
-    """
-    q = pp.q
-    check_table_q(q)
-    tab = np.zeros(q, dtype=np.int64)
-    x = np.arange(1, (q - 1) // 2 + 1, dtype=np.int64)
-    sq = x * x  # < q^2 <= 1e14 < 2^63; reduced in place, so the peak is 2x the table
-    sq %= q
-    tab[sq] = x
-    return tab
-
-
 def _unit_squares(p: int, q: int, half: int):
     """(xs, xs^2 mod q) over the units xs in 1..half."""
     xs = np.arange(1, half + 1, dtype=np.int64)
@@ -230,17 +215,20 @@ def count_unit_circle(g1: int, g2: int, pp: PrimePowerModulus) -> int:
 BOX_BLOCK_CELLS = 1 << 16
 
 
-def _box_minimum(k1: int, k2: int, tab: np.ndarray, pp: PrimePowerModulus, M: int):
+def _box_minimum(k1: int, k2: int, pp: PrimePowerModulus, M: int):
     """Least (norm, (x1, x2, x3)) over unit solutions with 1 <= x1 <= M and
     |x2|, |x3| <= M, or None; the solutions are x3^2 = k1 x1^2 + k2 x2^2 mod q.
 
-    Needs 2M + 1 <= q, so that each residue has at most one representative
-    in [-M, M]. int64 throughout: every factor is reduced below
-    q <= TABLE_Q_MAX = 1e7 before a product (x1, |x2| <= M < q and k1, k2,
-    roots < q), so no product reaches q^2 <= 1e14 < 2^63.
+    Each cell value is looked up among the sorted squares of the units r in
+    1..M, and x3 = +-r. Needs 2M < q, so that two different units in 1..M
+    never have equal squares and a cell has at most one match. int64
+    throughout: every factor is reduced below q <= TABLE_Q_MAX = 1e7 before
+    a product, so no product reaches q^2 <= 1e14 < 2^63.
     """
     p, q = pp.p, pp.q
     x1_all, sq = _unit_squares(p, q, M)
+    order = np.argsort(sq)
+    roots, keys = x1_all[order], sq[order]
     t1_all = k1 * sq % q
     x2 = np.concatenate((-x1_all[::-1], x1_all))
     t2 = k2 * np.concatenate((sq[::-1], sq)) % q
@@ -250,15 +238,12 @@ def _box_minimum(k1: int, k2: int, tab: np.ndarray, pp: PrimePowerModulus, M: in
         x1 = x1_all[start : start + rows]
         cval = t1_all[start : start + rows, None] + t2
         cval[cval >= q] -= q
-        r = tab[cval]
-        i1, i2 = np.nonzero((cval % p != 0) & (r * r % q == cval))
-        # x3 = +-r mod q, at the least representative >= -M
-        x3 = np.concatenate((r[i1, i2], q - r[i1, i2]))
-        x3 -= (M + x3) // q * q
-        keep = x3 <= M
-        if not keep.any():
+        at = np.minimum(np.searchsorted(keys, cval), len(keys) - 1)
+        i1, i2 = np.nonzero(keys[at] == cval)
+        if len(i1) == 0:
             continue
-        a, b, c = x1[np.tile(i1, 2)[keep]], x2[np.tile(i2, 2)[keep]], x3[keep]
+        r = roots[at[i1, i2]]
+        a, b, c = x1[np.tile(i1, 2)], x2[np.tile(i2, 2)], np.concatenate((r, -r))
         norm = np.maximum(np.maximum(a, np.abs(b)), np.abs(c))
         j = np.lexsort((c, b, a, norm))[0]
         cand = (int(norm[j]), (int(a[j]), int(b[j]), int(c[j])))
@@ -282,11 +267,11 @@ def smallest_solution(coeffs, pp: PrimePowerModulus):
     c = validate_coeffs(coeffs, p)
     if p - s_p(coeffs, p) <= 0:
         return None
-    tab = _sqrt_table(pp)
+    check_table_q(q)  # the int64 bound of the box search
     inv3 = mod_inverse(c.a3, q)
     k1, k2 = -c.a1 * inv3 % q, -c.a2 * inv3 % q
     for M in _box_sizes(q, q):
-        found = _box_minimum(k1, k2, tab, pp, M)
+        found = _box_minimum(k1, k2, pp, M)
         if found is not None:
             return found
     raise AssertionError("box search overran the residue box")

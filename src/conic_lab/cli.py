@@ -280,7 +280,7 @@ def _run_param_check(args, rng):
     _require(args, "p", "n")
     pp = PrimePowerModulus(args.p, args.n)
     triples = _coeff_list(args, rng, args.p)
-    if _budget_gate(args, pp.q * pp.p):
+    if _budget_gate(args, pp.q * pp.p * len(triples)):
         return []
     rows = []
     for coeffs in triples:

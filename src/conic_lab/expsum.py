@@ -147,16 +147,6 @@ class IntRationalFunction:
         )
         return IntRationalFunction(num, _poly_mul(self.denom, self.denom))
 
-    def ord_p(self, p):
-        """ord_p(numer) - ord_p(denom); error if the numerator vanishes."""
-        vn = _poly_valuation(self.numer, p)
-        if vn is None:
-            raise ValueError("ord_p undefined: numerator is identically zero")
-        vd = _poly_valuation(self.denom, p)
-        if vd is None:  # unreachable: denom is nonzero by construction
-            raise ZeroDivisionError("zero denominator")
-        return vn - vd
-
     def stripped(self, p):
         """The function with p-content removed from both parts, plus its ord."""
         vn = _poly_valuation(self.numer, p)
@@ -171,7 +161,7 @@ class IntRationalFunction:
 
 def ord_p_derivative(f: IntRationalFunction, p: int) -> int:
     """r = ord_p(f'), the exact p-content of the derivative."""
-    return f.derivative().ord_p(p)
+    return f.derivative().stripped(p)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conic_lab import census, conic, expsum, modcore
-from conic_lab.modcore import PrimePowerModulus, s_p
+from conic_lab import conic, expsum, modcore
+from conic_lab.modcore import PrimePowerModulus, jacobi, s_p
 from conic_lab.census import (
     CountReport,
     WeightSpec,
@@ -135,33 +135,40 @@ def test_sqrt_count_table():
 
 
 def test_table_builders_peak_memory():
-    # each builder holds one q-entry temporary beside its q-entry table
+    # the builder holds one q-entry temporary beside its q-entry table
     pp = PrimePowerModulus(101, 3)
-    for build in (census._sqrt_table, census.sqrt_count_table):
-        tracemalloc.start()
-        try:
-            tab = build(pp)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(tab) == pp.q
-        assert peak <= 2.2 * tab.nbytes, (build.__name__, peak / tab.nbytes)
+    tracemalloc.start()
+    try:
+        tab = sqrt_count_table(pp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tab) == pp.q
+    assert peak <= 2.2 * tab.nbytes, peak / tab.nbytes
 
 
 def test_count_unit_circle():
     assert count_unit_circle(1, 1, PrimePowerModulus(3, 1)) == 4
     assert count_unit_circle(1, 1, PrimePowerModulus(3, 2)) == 12
-    # residue case: the proposition is silent, the oracle decides
+    # every unit pair, both classes of -g1*g2; in the residue case the
+    # proposition is silent and the oracle decides
+    for (p, n) in [(5, 1), (7, 1), (3, 2), (11, 1), (5, 2), (3, 3)]:
+        pp = PrimePowerModulus(p, n)
+        units = [g for g in range(1, pp.q) if g % p]
+        classes = set()
+        for g1 in units:
+            for g2 in units:
+                classes.add(jacobi(-g1 * g2, p))
+                want = oracles.brute_unit_circle(g1, g2, pp.q)
+                assert count_unit_circle(g1, g2, pp) == want, (pp.q, g1, g2)
+        assert classes == {1, -1}, pp.q
     pp71 = PrimePowerModulus(7, 1)
-    assert count_unit_circle(1, -1, pp71) == oracles.brute_unit_circle(1, -1, 7)
     with pytest.raises(ValueError):
         count_unit_circle(7, 1, pp71)
 
 
 def test_count_unit_circle_proposition_sweep():
     rng = random.Random(13)
-    from conic_lab.modcore import jacobi
-
     done = 0
     while done < 40:
         p = rng.choice([3, 7, 11])
@@ -221,8 +228,8 @@ def test_smallest_solution_large_moduli():
     finally:
         tracemalloc.stop()
     assert got == want
-    # the q-entry root table alone is 8.2 MB; the box search adds row blocks
-    assert peak < 24 * 10**6
+    # no q-entry table: the box search holds its unit squares and row blocks
+    assert peak < 4 * 10**6
 
 
 _SMALL_MODULI = [(p, n) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)

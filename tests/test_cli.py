@@ -122,6 +122,12 @@ def test_budget_charges(capsys):
     argv = ["count", "--p", "7", "--n", "2", "--sample", "1000", "--N", "2", "--sharp"]
     code, out, err = run_capture(argv + ["--budget", "4"], capsys)
     assert code == 2 and out == "" and "4000" in err
+    # param-check charges q * p per triple: 3 * 7^6
+    argv = ["param-check", "--p", "7", "--n", "5", "--sample", "3"]
+    code, out, _ = run_capture(argv + ["--dry-run"], capsys)
+    assert code == 0 and out == "dry-run: estimated work units = 352947 (budget 1000000000)\n"
+    code, out, _ = run_capture(argv + ["--budget", "200000"], capsys)
+    assert code == 2 and out == ""
     # dioph --mode equation walks X over [-x, x]: 2x + 1 steps
     argv = ["dioph", "--mode", "equation", "--A", "1", "--B", "1", "--C", "2", "--x", "50"]
     code, out, _ = run_capture(argv + ["--dry-run"], capsys)
