@@ -3,7 +3,8 @@
 Three routes to the same values, kept deliberately separate so they can be
 played against each other:
 
-* direct_S_alpha: brute summation over a residue class t = alpha mod p;
+* direct_S_alpha: brute summation over a residue class t = alpha mod p,
+  exactly rounded by an int64 fixed-point sum that equals math.fsum;
 * cochrane_evaluate: the critical-point evaluation (zero away from critical
   points of p^(-r) f', a single Gauss-sum-normalized term at simple ones);
 * closed_form_E: the two-critical-point closed form for the chord-slope
@@ -172,6 +173,24 @@ def _e_q(value: int, q: int) -> complex:
     return complex(np.exp(2j * np.pi * (value % q) / q))
 
 
+def _exact_sum(x: np.ndarray) -> float:
+    """math.fsum(x), bit for bit, for x on the grid 2^-76 Z within [-1, 1].
+
+    direct_S_alpha's cos and sin terms lie on it: q is odd and at most
+    TABLE_Q_MAX, so a nonzero one is at least sin(pi/(2q)) > 2^-23 in size.
+    Each term splits exactly into hi = floor(x 2^36), |hi| <= 2^36, and
+    lo = (x - hi 2^-36) 2^76 in [0, 2^40). A class has q/p < 2^22 terms, so
+    the int64 sums stay below 2^58 and 2^62. Python's int true division
+    rounds the exact total once, half to even, as fsum does.
+    """
+    y = x * 2.0**36
+    hi = np.floor(y)
+    y -= hi
+    y *= 2.0**40
+    total = (int(hi.astype(np.int64).sum()) << 40) + int(y.astype(np.int64).sum())
+    return total / (1 << 76)
+
+
 def direct_S_alpha(f: IntRationalFunction, alpha: int, pp: PrimePowerModulus) -> complex:
     """S_alpha(f; p^n) = sum over t = alpha mod p, t in [1, p^n] of e_q(f(t))."""
     p, n, q = pp.p, pp.n, pp.q
@@ -186,7 +205,7 @@ def direct_S_alpha(f: IntRationalFunction, alpha: int, pp: PrimePowerModulus) ->
     else:
         vals = vals * inv_mod_array(poly_eval_mod_array(f.denom, ts, q), pp) % q
     ang = vals * (2.0 * np.pi / q)
-    return complex(math.fsum(np.cos(ang).tolist()), math.fsum(np.sin(ang).tolist()))
+    return complex(_exact_sum(np.cos(ang)), _exact_sum(np.sin(ang)))
 
 
 def direct_full_sum(f: IntRationalFunction, pp: PrimePowerModulus, alphas=None) -> complex:

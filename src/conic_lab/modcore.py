@@ -216,9 +216,10 @@ def poly_eval_mod_array(coeffs, xs: np.ndarray, m: int) -> np.ndarray:
 def inv_mod_array(d: np.ndarray, pp: PrimePowerModulus) -> np.ndarray:
     """Inverses mod q of the units d (entries in [0, q)).
 
-    Fermat's d^(p-2) mod p, then Newton steps x <- x (2 - d x), each of which
-    doubles the p-adic precision: ceil(log2 n) steps reach q. int64 is safe
-    for q <= 1e7: every factor is reduced below q, so products stay < 1e14.
+    Fermat's d^(p-2) mod p, then Newton steps x <- x (2 - d x mod q) mod q,
+    each doubling the p-adic precision (ceil(log2 n) steps; the inverse mod
+    q is unique, so working mod q throughout is exact). int64 is safe for
+    q <= 1e7: every factor lies in (-q, q), so products stay < 1e14.
     """
     p, q = pp.p, pp.q
     e = p - 2
@@ -229,10 +230,10 @@ def inv_mod_array(d: np.ndarray, pp: PrimePowerModulus) -> np.ndarray:
             out = out * base % p
         base = base * base % p
         e >>= 1
-    mod = p
-    while mod < q:
-        mod = min(mod * mod, q)
-        out = out * ((2 - d % mod * out) % mod) % mod
+    precision = p
+    while precision < q:
+        precision *= precision
+        out = out * (2 - d * out % q) % q
     return out
 
 

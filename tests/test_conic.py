@@ -2,8 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conic_lab.modcore import PrimePowerModulus, s_p
+from conic_lab.modcore import PrimePowerModulus, jacobi, s_p
 from conic_lab.conic import (
     CASE_I,
     CASE_II,
@@ -170,6 +171,30 @@ def test_case2_family_matches_enumeration_sweep():
         # in Case II all solutions have unit coordinates automatically
         assert frozenset(units) == frozenset(every) == fam.pairs
         done += 1
+
+
+@st.composite
+def case2_instances(draw):
+    """(coeffs, pp): a Case II unit triple mod p^n, q <= 7^4.
+
+    p = 3 mod 4 makes -1 a non-residue, so every -ai*aj is one exactly when
+    the three ai share a Legendre symbol.
+    """
+    p, n_max = draw(st.sampled_from([(3, 7), (7, 4), (11, 3), (19, 2), (23, 2), (43, 2)]))
+    pp = PrimePowerModulus(p, draw(st.integers(1, n_max)))
+    a1 = draw(st.integers(1, pp.q - 1).filter(lambda a: a % p))
+    same = st.integers(1, pp.q - 1).filter(lambda a: a % p and jacobi(a, p) == jacobi(a1, p))
+    return (a1, draw(same), draw(same)), pp
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(case2_instances())
+def test_case2_family_size_property(instance):
+    coeffs, pp = instance
+    assert case_tag(coeffs, pp.p) == CASE_II
+    fam = build_case2_family(coeffs, pp)
+    assert len(fam.pairs) == pp.q + pp.q // pp.p
+    assert fam.pairs == frozenset(enumerate_pair_solutions(coeffs, pp, units_only=False))
 
 
 def test_enumerate_examples():

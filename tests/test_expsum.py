@@ -1,7 +1,10 @@
 import cmath
+import itertools
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -28,6 +31,7 @@ from conic_lab.expsum import (
     direct_E_case2,
     direct_S_alpha,
     direct_full_sum,
+    _exact_sum,
     family_case1,
     family_case2,
     layer_sum,
@@ -138,6 +142,85 @@ def test_direct_sums_rational_denominator():
             ts = [t for t in range(pp.q) if t % p in alphas]
             want = oracles.direct_exp_sum(_ref_values(f, pp.q, ts), pp.q)
             assert abs(direct_full_sum(f, pp, alphas) - want) < 1e-9
+
+
+def _same_float(a, b):
+    return float(a).hex() == float(b).hex()
+
+
+# multiples of 2^-76 in [-1, 1]: a 53-bit mantissa scaled by 2^-53 .. 2^-76
+grid_floats = st.builds(
+    lambda m, e: math.ldexp(m, -53 - e), st.integers(-(2**53), 2**53), st.integers(0, 23)
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(grid_floats, max_size=200))
+def test_exact_sum_is_fsum_on_the_grid(xs):
+    assert _same_float(_exact_sum(np.array(xs, dtype=float)), math.fsum(xs))
+
+
+def test_exact_sum_edge_cases():
+    cases = [
+        [],
+        [1.0, 2.0**-53],  # half-way: ties to the even 1.0
+        [1.0, 2.0**-52, 2.0**-53],  # half-way: ties up to the even 1 + 2^-51
+        [1.0, 2.0**-53, 2.0**-76],  # just past half-way
+        [-1.0, -(2.0**-53)],
+        [0.1, 0.2, -0.1, -0.2],  # exact cancellation to 0
+        [0.1, 0.2, -0.3],
+        [1.0, -1.0, 1.0, 1.0, -1.0],
+        [math.sin(math.pi / 2e7), -math.sin(math.pi / 2e7), 2.0**-23, 2.0**-76],
+    ]
+    # the smallest nonzero terms: cos and sin next to a quarter turn at q near the cap
+    q = 10**7 - 1
+    ang = np.arange(q // 4 - 2, q // 4 + 3) * (2.0 * np.pi / q)
+    near = np.concatenate([np.cos(ang), np.sin(2 * ang), [1.0, -1.0]])
+    assert np.abs(near).min() > 2.0**-23
+    cases.append(near.tolist())
+    for xs in cases:
+        assert _same_float(_exact_sum(np.array(xs, dtype=float)), math.fsum(xs)), xs
+
+
+def test_exact_sum_int64_worst_case():
+    # a class has at most q/3 terms at q <= 1e7; every lo limb is near 2^40
+    n = 3_333_333
+    for x in (1.0 - 2.0**-53, -(1.0 - 2.0**-53), -1.0):
+        got = _exact_sum(np.full(n, x))
+        assert _same_float(got, math.fsum(itertools.repeat(x, n))), x
+
+
+def test_direct_S_alpha_equals_fsum_of_the_terms():
+    # bit for bit the per-class fsum of the float cos and sin terms
+    rng = random.Random(8)
+    for p, n_max in ((3, 8), (5, 6), (7, 5), (11, 4), (13, 3)):
+        for n in (rng.randint(1, n_max - 1), n_max, n_max):
+            pp = PrimePowerModulus(p, n)
+            numer = tuple(rng.randint(-50, 50) for _ in range(rng.randint(1, 5)))
+            denom = (1,) if rng.random() < 0.5 else (rng.randint(1, 9), rng.randint(-9, 9), 1)
+            f = IntRationalFunction(numer, denom)
+            for a in rng.sample(range(p), min(p, 3)):
+                if _ref_eval(f.denom, a) % p == 0:
+                    continue
+                vals = _ref_values(f, pp.q, range(a, pp.q, p))
+                ang = np.array(vals, dtype=np.int64) * (2.0 * np.pi / pp.q)
+                want = complex(math.fsum(np.cos(ang).tolist()), math.fsum(np.sin(ang).tolist()))
+                assert direct_S_alpha(f, a, pp) == want
+
+
+def test_direct_S_alpha_memory_peak():
+    # one class at 5^8 holds a few 5^7-entry arrays; a Python float list of
+    # the terms or a q-entry table would push the peak past 4.8 MB
+    f = IntRationalFunction((3, 5, 7, 11), (2, 0, 1))
+    pp = PrimePowerModulus(5, 8)
+    direct_S_alpha(f, 1, pp)
+    tracemalloc.start()
+    try:
+        direct_S_alpha(f, 1, pp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.8e6
 
 
 def test_cochrane_examples():
