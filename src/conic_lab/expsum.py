@@ -29,7 +29,7 @@ from .modcore import (
     lift_root,
     mod_inverse,
     poly_eval_mod,
-    poly_eval_mod_array,
+    poly_eval_mod_class,
     sqrt_mod_prime_power,
     validate_coeffs,
 )
@@ -192,18 +192,21 @@ def _exact_sum(x: np.ndarray) -> float:
 
 
 def direct_S_alpha(f: IntRationalFunction, alpha: int, pp: PrimePowerModulus) -> complex:
-    """S_alpha(f; p^n) = sum over t = alpha mod p, t in [1, p^n] of e_q(f(t))."""
-    p, n, q = pp.p, pp.n, pp.q
+    """S_alpha(f; p^n) = sum over t = alpha mod p, t in [1, p^n] of e_q(f(t)).
+
+    Values by poly_eval_mod_class, denominators inverted by inv_mod_array's
+    product tree, the cos and sin sums each rounded once by _exact_sum.
+    """
+    p, q = pp.p, pp.q
     check_table_q(q)
     alpha %= p
     if poly_eval_mod(f.denom, alpha, p) == 0:
         raise NonUnitDenominatorError(f"denominator vanishes on the class {alpha} mod {p}")
-    ts = alpha + p * np.arange(p ** (n - 1), dtype=np.int64)
-    vals = poly_eval_mod_array(f.numer, ts, q)
+    vals = poly_eval_mod_class(f.numer, alpha, pp)
     if len(f.denom) == 1:
         vals = vals * pow(f.denom[0], -1, q) % q
     else:
-        vals = vals * inv_mod_array(poly_eval_mod_array(f.denom, ts, q), pp) % q
+        vals = vals * inv_mod_array(poly_eval_mod_class(f.denom, alpha, pp), pp) % q
     ang = vals * (2.0 * np.pi / q)
     return complex(_exact_sum(np.cos(ang)), _exact_sum(np.sin(ang)))
 

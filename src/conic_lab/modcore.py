@@ -1,9 +1,10 @@
 """Exact modular arithmetic over odd prime powers.
 
-Jacobi symbols, inverses (also of int64 arrays), square roots, the Newton
-lift of a simple polynomial root, integer polynomials mod q (at a point and
-on int64 arrays), quadratic Gauss sums, and the structural constants
-s_p / C_p. All functions are pure and thread-safe.
+Jacobi symbols, inverses (of arrays by a product tree), square roots, the
+Newton lift of a simple polynomial root, integer polynomials mod q (at a
+point, by Horner on int64 arrays, on a class t = alpha mod p by baby and giant
+steps), quadratic Gauss sums, and the structural constants s_p / C_p. All
+functions are pure and thread-safe.
 """
 
 import math
@@ -213,28 +214,64 @@ def poly_eval_mod_array(coeffs, xs: np.ndarray, m: int) -> np.ndarray:
     return acc
 
 
-def inv_mod_array(d: np.ndarray, pp: PrimePowerModulus) -> np.ndarray:
-    """Inverses mod q of the units d (entries in [0, q)).
+def poly_eval_mod_class(coeffs, alpha: int, pp: PrimePowerModulus) -> np.ndarray:
+    """coeffs(alpha + p s) mod q for s = 0..p^(n-1)-1: poly_eval_mod_array on the class.
 
-    Fermat's d^(p-2) mod p, then Newton steps x <- x (2 - d x mod q) mod q,
-    each doubling the p-adic precision (ceil(log2 n) steps; the inverse mod
-    q is unique, so working mod q throughout is exact). int64 is safe for
-    q <= 1e7: every factor lies in (-q, q), so products stay < 1e14.
+    Baby and giant steps, one reduction per value: with s = i + B j, B = p^floor((n-1)/2),
+    u_i = alpha + p i and w_j = p B j, f(u + w) = sum_{a,b} c_(a+b) C(a+b, a) u^a w^b, so
+    row j, column i of (W @ ((U @ M) % q).T) % q is index s, for U[i, a] = u_i^a and
+    W[j, b] = w_j^b. int64 is safe for q <= 1e7: each matmul sums d + 1 products of
+    factors below q, under (d + 1) 1e14 < 2^63 while d + 1 <= 92,000; more is refused.
     """
-    p, q = pp.p, pp.q
-    e = p - 2
-    out = np.ones_like(d)
-    base = d % p
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    precision = p
-    while precision < q:
-        precision *= precision
-        out = out * (2 - d * out % q) % q
-    return out
+    p, n, q = pp.p, pp.n, pp.q
+    k = len(coeffs)
+    if k > 92_000:
+        raise ValueError(f"degree {k - 1} is over the int64 bound of poly_eval_mod_class")
+    big = p ** ((n - 1) // 2)
+
+    def powers(x):
+        out = np.ones((len(x), k), dtype=np.int64)
+        for a in range(1, k):
+            out[:, a] = out[:, a - 1] * x % q
+        return out
+
+    u = powers((alpha % q + p * np.arange(big, dtype=np.int64)) % q)
+    w = powers(p * big * np.arange(p ** (n - 1) // big, dtype=np.int64))  # p B j < q
+    m = [[c * math.comb(a + b, a) % q for b, c in enumerate(coeffs[a:])] + [0] * a for a in range(k)]
+    return (w @ (u @ np.array(m, dtype=np.int64) % q).T % q).ravel()
+
+
+def inv_mod_array(d: np.ndarray, pp: PrimePowerModulus) -> np.ndarray:
+    """Inverses mod q of the units d (entries in [0, q)), int64 or object.
+
+    Montgomery's batch inversion as an iterative product tree: pairwise products
+    level by level up to one root, a single pow(root, -1, q), then inv[2k] = up d[2k+1]
+    and inv[2k+1] = up d[2k] on the way down, about 3 mulmods per entry. A non-unit
+    entry makes the root a non-unit: ValueError. int64 is safe for q <= 1e7: every
+    factor lies in [0, q), so products stay < 1e14.
+    """
+    q = pp.q
+    levels, x = [], d
+    while len(x) > 1:
+        levels.append(x)
+        x = x[0::2].copy()  # an odd level carries its last entry up unpaired
+        x[: len(levels[-1]) // 2] *= levels[-1][1::2]
+        x %= q
+    inv = x.copy()
+    if len(inv):
+        try:
+            inv[0] = pow(int(inv[0]), -1, q)
+        except ValueError:
+            raise ValueError(f"inv_mod_array: an entry is not a unit mod {q}") from None
+    while levels:
+        x = levels.pop()
+        up = np.empty_like(x)
+        up[0::2] = inv
+        up[0 : len(x) - 1 : 2] *= x[1::2]
+        np.multiply(inv[: len(x) // 2], x[0 : len(x) - 1 : 2], out=up[1::2])
+        up %= q
+        inv = up
+    return inv
 
 
 def gauss_sum(q: int) -> complex:

@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -132,6 +133,25 @@ def test_sqrt_count_table():
         tab = sqrt_count_table(pp)
         for c in range(pp.q):
             assert tab[c] == len(oracles.brute_sqrt_roots(c, pp.q)), (p, n, c)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from([(3, 1), (3, 5), (5, 3), (7, 3), (11, 2), (13, 3), (101, 2)]), st.data())
+def test_sqrt_counts_property(pn, data):
+    # a unit has 2 square roots mod p^n if it is a residue mod p, else none
+    pp = PrimePowerModulus(*pn)
+    p, q = pp.p, pp.q
+    tab = sqrt_count_table(pp)
+    c = np.arange(q)
+    units = c % p != 0
+    want = np.where(modcore.legendre_table(p)[c % p] == 1, 2, 0)
+    assert np.array_equal(tab[units], want[units])
+    a = data.draw(st.integers(1, q - 1).filter(lambda a: a % p))
+    root = modcore.sqrt_mod_prime_power(a, pp)
+    if jacobi(a, p) == 1:
+        assert root * root % q == a
+    else:
+        assert root is None
 
 
 def test_table_builders_peak_memory():

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conic_lab.modcore import PrimePowerModulus, jacobi, s_p
 from conic_lab.conic import (
@@ -254,3 +254,34 @@ def test_lift_triple_random():
             assert (a1 * t[0] ** 2 + a2 * t[1] ** 2 + a3 * t[2] ** 2) % up == 0
             assert all(v % p for v in t)
         done += 1
+
+
+@st.composite
+def unit_solutions(draw):
+    """(x, coeffs, pp): a unit solution x in [1, q)^3 of a1 x1^2 + a2 x2^2 + a3 x3^2 = 0 mod q <= 7^3."""
+    p, n_max = draw(st.sampled_from([(3, 5), (5, 3), (7, 3)]))
+    pp = PrimePowerModulus(p, draw(st.integers(1, n_max)))
+    q = pp.q
+    unit = st.integers(1, q - 1).filter(lambda a: a % p)
+    a1, a2, a3 = coeffs = (draw(unit), draw(unit), draw(unit))
+    x2, x3 = draw(unit), draw(unit)
+    x1s = [x1 for x1 in range(1, q) if x1 % p and (a1 * x1 * x1 + a2 * x2 * x2 + a3 * x3 * x3) % q == 0]
+    assume(x1s)
+    return (draw(st.sampled_from(x1s)), x2, x3), coeffs, pp
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(unit_solutions())
+def test_lift_triple_property(instance):
+    # the p^2 lifts are exactly the solutions mod p^(n+1) that are = x mod p^n
+    x, (a1, a2, a3), pp = instance
+    p, q = pp.p, pp.q
+    up = p * q
+    lifts = lift_triple(x, (a1, a2, a3), pp)
+    brute = set()
+    for k in itertools.product(range(p), repeat=3):
+        y1, y2, y3 = (xi + ki * q for xi, ki in zip(x, k))
+        if (a1 * y1 * y1 + a2 * y2 * y2 + a3 * y3 * y3) % up == 0:
+            brute.add((y1, y2, y3))
+    assert len(lifts) == p * p
+    assert set(lifts) == brute

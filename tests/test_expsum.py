@@ -124,8 +124,8 @@ def _ref_values(f, q, ts):
 
 
 def test_direct_sums_rational_denominator():
-    # a non-constant unit denominator is inverted mod p, then Newton-lifted;
-    # n = 1 takes no Newton step
+    # a non-constant unit denominator goes through inv_mod_array's product
+    # tree; n = 1 has a single term per class
     rng = random.Random(3)
     for p in (3, 5, 7, 11):
         for n in range(1, 5):
@@ -209,8 +209,8 @@ def test_direct_S_alpha_equals_fsum_of_the_terms():
 
 
 def test_direct_S_alpha_memory_peak():
-    # one class at 5^8 holds a few 5^7-entry arrays; a Python float list of
-    # the terms or a q-entry table would push the peak past 4.8 MB
+    # one class at 5^8 holds six 5^7-entry arrays (3.75 MB); a Python float
+    # list of the terms or a q-entry table would push the peak past 4.2 MB
     f = IntRationalFunction((3, 5, 7, 11), (2, 0, 1))
     pp = PrimePowerModulus(5, 8)
     direct_S_alpha(f, 1, pp)
@@ -220,7 +220,7 @@ def test_direct_S_alpha_memory_peak():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4.8e6
+    assert peak < 4.2e6
 
 
 def test_cochrane_examples():

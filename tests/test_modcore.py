@@ -2,8 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conic_lab.modcore import (
+    TABLE_Q_MAX,
     PrimePowerModulus,
     gauss_sum,
     gauss_sum_character,
@@ -15,6 +17,7 @@ from conic_lab.modcore import (
     main_constant,
     mod_inverse,
     poly_eval_mod_array,
+    poly_eval_mod_class,
     s_p,
     sqrt_mod_prime_power,
     validate_coeffs,
@@ -192,3 +195,74 @@ def test_array_inverse_and_horner_vs_scalar():
                     acc = (acc * x + c) % q
                 want.append(acc)
             assert poly_eval_mod_array(coeffs, np.array(xs, dtype=np.int64), q).tolist() == want
+
+
+def _class_xs(alpha, pp):
+    return alpha + pp.p * np.arange(pp.q // pp.p, dtype=np.int64)
+
+
+@st.composite
+def class_polys(draw):
+    """(coeffs, alpha, pp): p <= 13, q <= TABLE_Q_MAX, degree 0..7, coefficients in +-3q."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    n_max = int(math.log(TABLE_Q_MAX, p))
+    pp = PrimePowerModulus(p, draw(st.integers(1, n_max)))
+    q = pp.q
+    coeffs = draw(st.lists(st.integers(-3 * q, 3 * q), min_size=1, max_size=8))
+    return coeffs, draw(st.integers(-q, q)), pp
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(class_polys())
+def test_poly_eval_mod_class_is_horner_on_the_class(instance):
+    coeffs, alpha, pp = instance
+    got = poly_eval_mod_class(coeffs, alpha, pp)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, poly_eval_mod_array(coeffs, _class_xs(alpha, pp), pp.q))
+
+
+def test_poly_eval_mod_class_int64_worst_case():
+    # q = 3^14 is next to the cap, and every coefficient reduces to q - 1
+    pp = PrimePowerModulus(3, 14)
+    q = pp.q
+    coeffs = [-1] * 9
+    got = poly_eval_mod_class(coeffs, 2, pp)
+    assert np.array_equal(got, poly_eval_mod_array(coeffs, _class_xs(2, pp), q))
+    rng = random.Random(14)
+    big = 3**6  # the baby-step block length, so block edges are checked too
+    for s in [0, 1, big - 1, big, big + 1, len(got) - 1] + rng.sample(range(len(got)), 2000):
+        assert got[s] == sum(-((2 + 3 * s) ** k) for k in range(9)) % q, s
+
+
+def test_poly_eval_mod_class_degree_guard():
+    # past degree 91,999 a matmul sum could pass 2^63; refused before any table is built
+    with pytest.raises(ValueError):
+        poly_eval_mod_class([1] * 92_001, 1, PrimePowerModulus(3, 2))
+
+
+def test_inv_mod_array_product_tree_lengths():
+    rng = random.Random(9)
+    for p, n in [(3, 9), (5, 6), (7, 4), (13, 3)]:
+        pp = PrimePowerModulus(p, n)
+        q = pp.q
+        lengths = {0, 1, 2, 3, p ** (n - 1)}
+        lengths |= {2**k + e for k in range(1, 11) for e in (-1, 1)}
+        for length in sorted(lengths):
+            units = [rng.randrange(1, q) for _ in range(3 * length + 9)]
+            units = [d for d in units if d % p][:length]
+            assert len(units) == length
+            want = [pow(d, -1, q) for d in units]
+            got = inv_mod_array(np.array(units, dtype=np.int64), pp)
+            assert got.dtype == np.int64 and got.tolist() == want, length
+            assert inv_mod_array(np.array(units, dtype=object), pp).tolist() == want, length
+
+
+def test_inv_mod_array_refuses_non_units():
+    pp = PrimePowerModulus(7, 3)
+    with pytest.raises(ValueError):
+        inv_mod_array(np.array([3, 14, 49, 50], dtype=np.int64), pp)
+    d = np.array([u for u in range(1, 6000) if u % 7], dtype=np.int64) % pp.q
+    d[2345] = 7 * 30
+    for arr in (d, d.astype(object)):
+        with pytest.raises(ValueError):
+            inv_mod_array(arr, pp)
