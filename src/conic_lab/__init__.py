@@ -26,7 +26,6 @@ from .census import (
 from .conic import (
     BasePoint,
     ParamFamily,
-    SolutionPair,
     build_case1_family,
     build_case2_family,
     enumerate_pair_solutions,

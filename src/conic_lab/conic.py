@@ -4,14 +4,15 @@ Two regimes, decided by the residue pattern of the -ai*aj mod p:
 
 * Case I  (-a2*a3 is a residue): chord slopes through the point (0, -b) with
   b^2 = -a3/a2 parametrize the unit solutions; the map t -> (y1, y2) is
-  injective on the p^(n-1)*(p - s_p) admissible t.
+  injective on the p^(n-1)*(p - s_p) t in the admissible classes mod p.
 * Case II (no -ai*aj is a residue): the slope line is layered into sets M_s,
   s = 0..n, which together cover all p^n + p^(n-1) solutions exactly.
 
 Both regimes use one chord-slope map, written once as the form k1*y1 + k2*y2
 (slope_form): Case II is its layers s through a base point, Case I its layer 0
-through (0, -b). The family builders evaluate it on t-arrays, expsum's
-amplitudes scale it by x3.
+through (0, -b). The family builders run one layer loop that evaluates it
+class by class (modcore.poly_eval_mod_class); expsum's amplitudes scale it
+by x3. Pairs are plain (y1, y2) tuples of ints.
 
 Also: base-point search and Hensel lifting of full solution triples.
 """
@@ -29,7 +30,8 @@ from .modcore import (
     jacobi,
     lift_root,
     mod_inverse,
-    poly_eval_mod_array,
+    poly_eval_mod,
+    poly_eval_mod_class,
     sqrt_mod_prime,
     sqrt_mod_prime_power,
     validate_coeffs,
@@ -42,11 +44,6 @@ CASE_II = "CaseII"
 class BasePoint(NamedTuple):
     a: int
     b: int
-
-
-class SolutionPair(NamedTuple):
-    y1: int
-    y2: int
 
 
 def residue_pattern(coeffs, p: int) -> tuple:
@@ -147,24 +144,29 @@ def slope_form(k1, k2, s, base, coeffs, p: int):
     return (a1 * ps * ps * d, 2 * ps * (b * a2 * k1 - a * a1 * k2), -a2 * d), (a1 * ps * ps, 0, a2)
 
 
-def _map_pairs(coeffs, s, base, ts, pp: PrimePowerModulus) -> list:
-    """The pairs (y1, y2) of slope_form's map at t / p^s, mod q, for each t of ts.
+def _map_pairs(coeffs, s, base, alphas, e, pp: PrimePowerModulus) -> set:
+    """The pairs (y1, y2) of slope_form's map at t / p^s mod q, t = alpha + p j for j < p^e.
 
-    Their common denominator must be a unit; it is inverted once. int64 ts
-    need q <= TABLE_Q_MAX; an object array of Python ints is exact for any q.
+    The classes alpha are evaluated by poly_eval_mod_class (q <= TABLE_Q_MAX)
+    and their common denominator, which must be a unit, is inverted once.
     """
     q = pp.q
     num1, den = slope_form(1, 0, s, base, coeffs, pp.p)
     num2, _ = slope_form(0, 1, s, base, coeffs, pp.p)
-    dinv = inv_mod_array(poly_eval_mod_array(den, ts, q), pp)
-    y1, y2 = (poly_eval_mod_array(num, ts, q) * dinv % q for num in (num1, num2))
-    return list(map(SolutionPair._make, zip(y1.tolist(), y2.tolist())))
+
+    def values(f):  # np.array, not concatenate: no classes (p = s_p) is an empty layer
+        return np.array([poly_eval_mod_class(f, a, e, pp) for a in alphas], np.int64).ravel()
+
+    dinv = inv_mod_array(values(den), pp)
+    y1, y2 = (values(num) * dinv % q for num in (num1, num2))
+    return set(zip(y1.tolist(), y2.tolist()))
 
 
-def param_case1(t: int, b: int, coeffs, pp: PrimePowerModulus) -> SolutionPair:
+def param_case1(t: int, b: int, coeffs, pp: PrimePowerModulus) -> tuple:
     """Case I chord-slope parametrization t -> (y1, y2) mod q: slope_form through (0, -b).
 
     Requires b^2 = -a3/a2 mod q and gcd(t (a1 - a2 t^2)(a1 + a2 t^2), p) = 1.
+    Scalar Python-int arithmetic, exact for any q.
     """
     c = validate_coeffs(coeffs, pp.p)
     p, q = pp.p, pp.q
@@ -175,7 +177,10 @@ def param_case1(t: int, b: int, coeffs, pp: PrimePowerModulus) -> SolutionPair:
     t %= q
     if t % p == 0 or (c.a1 - c.a2 * t * t) % p == 0 or (c.a1 + c.a2 * t * t) % p == 0:
         raise ValueError(f"t={t} violates the unit conditions")
-    return _map_pairs(c, 0, (0, -b), np.array([t], dtype=object), pp)[0]
+    num1, den = slope_form(1, 0, 0, (0, -b), c, p)
+    num2, _ = slope_form(0, 1, 0, (0, -b), c, p)
+    dinv = mod_inverse(poly_eval_mod(den, t, q), q)
+    return poly_eval_mod(num1, t, q) * dinv % q, poly_eval_mod(num2, t, q) * dinv % q
 
 
 def case1_admissible_alphas(coeffs, p: int):
@@ -188,9 +193,10 @@ def case1_admissible_alphas(coeffs, p: int):
 class ParamFamily:
     """A materialized parametrization family.
 
-    For CASE_II, layers[s] is the pair set M_s (s = 0..n) and pairs is their
-    disjoint union of size p^n + p^(n-1). For CASE_I, layers[0] holds the
-    admissible t values and pairs the injective image of param_case1.
+    layers[s] is the pair set of layer s of slope_form's map and pairs is their
+    disjoint union. CASE_II has the sets M_s, s = 0..n, of total size
+    p^n + p^(n-1); CASE_I has the one layer 0, the injective image of the
+    admissible classes, of size p^(n-1)(p - s_p).
     """
 
     case_tag: str
@@ -201,18 +207,31 @@ class ParamFamily:
     pp: PrimePowerModulus
 
 
+def _family(tag, coeffs, base: BasePoint, plan, pp: PrimePowerModulus) -> ParamFamily:
+    """The family of the layers (s, alphas, e) of plan, each of its full size len(alphas) p^e.
+
+    A layer whose map is not injective, or that meets an earlier layer, is an
+    AssertionError.
+    """
+    layers, seen = {}, set()
+    for s, alphas, e in plan:
+        pairs = _map_pairs(coeffs, s, base, alphas, e, pp)
+        expected = len(alphas) * pp.p**e
+        if len(pairs) != expected:
+            raise AssertionError(f"layer {s} has {len(pairs)} pairs, expected {expected}")
+        if seen & pairs:
+            raise AssertionError(f"layer {s} overlaps an earlier layer")
+        seen |= pairs
+        layers[s] = frozenset(pairs)
+    return ParamFamily(tag, base, layers, frozenset(seen), coeffs, pp)
+
+
 def build_case1_family(coeffs, pp: PrimePowerModulus) -> ParamFamily:
-    """Materialize the Case I image together with its parameter set."""
+    """Materialize the Case I image: layer 0 through (0, -b) on the admissible classes."""
     c = validate_coeffs(coeffs, pp.p)
     check_table_q(pp.q)
-    b = case1_slope_base(coeffs, pp)
-    alphas = np.array(case1_admissible_alphas(coeffs, pp.p), dtype=np.int64)
-    ts = (np.arange(0, pp.q, pp.p, dtype=np.int64)[:, None] + alphas).ravel()
-    base = BasePoint(0, -b % pp.q)
-    pairs = frozenset(_map_pairs(c, 0, base, ts, pp))
-    if len(pairs) != len(ts):
-        raise AssertionError("Case I parametrization failed injectivity")
-    return ParamFamily(CASE_I, base, {0: frozenset(ts.tolist())}, pairs, c, pp)
+    base = BasePoint(0, -case1_slope_base(coeffs, pp) % pp.q)
+    return _family(CASE_I, c, base, [(0, case1_admissible_alphas(c, pp.p), pp.n - 1)], pp)
 
 
 def build_case2_family(
@@ -220,11 +239,12 @@ def build_case2_family(
 ) -> ParamFamily:
     """Materialize the layered sets M_s covering all solutions in Case II.
 
-    Layer s evaluates slope_form's map at t / p^s, for t = 1..p^n at
-    s = 0 and the units t in 1..p^(n-s) otherwise (t = 1 alone at s = n);
-    the denominators are units mod q. Layer sizes |M_0| = p^n, |M_n| = 1,
-    |M_s| = p^(n-s) - p^(n-s-1) otherwise are enforced, as is pairwise
-    disjointness; the union has exactly p^n + p^(n-1) distinct pairs.
+    Layer s evaluates slope_form's map at t / p^s, for t = 0..p^n - 1 at
+    s = 0 (t = 0 stands for t = p^n, equal mod q) and the units t in
+    1..p^(n-s) otherwise (t = 1 alone at s = n); the denominators are units
+    mod q. Layer sizes |M_0| = p^n, |M_n| = 1, |M_s| = p^(n-s) - p^(n-s-1)
+    otherwise are enforced, as is pairwise disjointness; the union has
+    exactly p^n + p^(n-1) distinct pairs.
     """
     c = validate_coeffs(coeffs, pp.p)
     p, n, q = pp.p, pp.n, pp.q
@@ -236,21 +256,10 @@ def build_case2_family(
     a, b = base.a % q, base.b % q
     if (c.a1 * a * a + c.a2 * b * b + c.a3) % q != 0:
         raise ValueError("base point does not lie on the conic mod q")
-    layers, seen = {}, set()
-    for s in range(n + 1):
-        ts = np.arange(1, p ** (n - s) + 1, dtype=np.int64)
-        if s > 0:
-            ts = ts[ts % p != 0]
-        pairs = set(_map_pairs(c, s, (a, b), ts, pp))
-        expected = q if s == 0 else (1 if s == n else p ** (n - s) - p ** (n - s - 1))
-        if len(pairs) != expected:
-            raise AssertionError(f"layer {s} has {len(pairs)} pairs, expected {expected}")
-        if seen & pairs:
-            raise AssertionError(f"layer {s} overlaps an earlier layer")
-        seen |= pairs
-        layers[s] = frozenset(pairs)
-    assert len(seen) == q + q // p
-    return ParamFamily(CASE_II, BasePoint(a, b), layers, frozenset(seen), c, pp)
+    plan = [(0, range(p), n - 1), *((s, range(1, p), n - s - 1) for s in range(1, n)), (n, [1], 0)]
+    fam = _family(CASE_II, c, BasePoint(a, b), plan, pp)
+    assert len(fam.pairs) == q + q // p
+    return fam
 
 
 def lift_triple(x, coeffs, pp: PrimePowerModulus) -> list:
@@ -307,4 +316,4 @@ def enumerate_pair_solutions(coeffs, pp: PrimePowerModulus, units_only: bool = T
     # match k of y1 = ys[i] is the sorted position lo[i] + k
     i1 = np.repeat(np.arange(len(ys)), cnt)
     pos = np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(len(i1))
-    return set(map(SolutionPair._make, zip(ys[i1].tolist(), ys[order[pos]].tolist())))
+    return set(zip(ys[i1].tolist(), ys[order[pos]].tolist()))

@@ -180,14 +180,16 @@ def _exact_sum(x: np.ndarray) -> float:
     TABLE_Q_MAX, so a nonzero one is at least sin(pi/(2q)) > 2^-23 in size.
     Each term splits exactly into hi = floor(x 2^36), |hi| <= 2^36, and
     lo = (x - hi 2^-36) 2^76 in [0, 2^40). A class has q/p < 2^22 terms, so
-    the int64 sums stay below 2^58 and 2^62. Python's int true division
-    rounds the exact total once, half to even, as fsum does.
+    the int64 sums stay below 2^58 and 2^62; both parts are whole floats, so
+    summing them with dtype=int64 converts each term exactly, without a
+    full-length int64 copy. Python's int true division rounds the exact
+    total once, half to even, as fsum does.
     """
     y = x * 2.0**36
     hi = np.floor(y)
     y -= hi
     y *= 2.0**40
-    total = (int(hi.astype(np.int64).sum()) << 40) + int(y.astype(np.int64).sum())
+    total = (int(hi.sum(dtype=np.int64)) << 40) + int(y.sum(dtype=np.int64))
     return total / (1 << 76)
 
 
@@ -202,11 +204,11 @@ def direct_S_alpha(f: IntRationalFunction, alpha: int, pp: PrimePowerModulus) ->
     alpha %= p
     if poly_eval_mod(f.denom, alpha, p) == 0:
         raise NonUnitDenominatorError(f"denominator vanishes on the class {alpha} mod {p}")
-    vals = poly_eval_mod_class(f.numer, alpha, pp)
+    vals = poly_eval_mod_class(f.numer, alpha, pp.n - 1, pp)
     if len(f.denom) == 1:
         vals = vals * pow(f.denom[0], -1, q) % q
     else:
-        vals = vals * inv_mod_array(poly_eval_mod_class(f.denom, alpha, pp), pp) % q
+        vals = vals * inv_mod_array(poly_eval_mod_class(f.denom, alpha, pp.n - 1, pp), pp) % q
     ang = vals * (2.0 * np.pi / q)
     return complex(_exact_sum(np.cos(ang)), _exact_sum(np.sin(ang)))
 

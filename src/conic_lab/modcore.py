@@ -1,10 +1,10 @@
 """Exact modular arithmetic over odd prime powers.
 
 Jacobi symbols, inverses (of arrays by a product tree), square roots, the
-Newton lift of a simple polynomial root, integer polynomials mod q (at a
-point, by Horner on int64 arrays, on a class t = alpha mod p by baby and giant
-steps), quadratic Gauss sums, and the structural constants s_p / C_p. All
-functions are pure and thread-safe.
+Newton lift of a simple polynomial root, integer polynomials mod q (by Horner
+at a point, by baby and giant steps on a residue class t = alpha mod p),
+quadratic Gauss sums, and the structural constants s_p / C_p. All functions
+are pure and thread-safe.
 """
 
 import math
@@ -201,33 +201,20 @@ def lift_root(coeffs, alpha: int, p: int, target: int) -> int:
     return x
 
 
-def poly_eval_mod_array(coeffs, xs: np.ndarray, m: int) -> np.ndarray:
-    """Horner values mod m of the ascending integer polynomial coeffs at each of xs.
+def poly_eval_mod_class(coeffs, alpha: int, e: int, pp: PrimePowerModulus) -> np.ndarray:
+    """coeffs(alpha + p j) mod q for j = 0..p^e - 1, e < n, as int64.
 
-    int64 is safe for m <= 1e7: xs (t = q in a Case II layer 0 included) and
-    every coefficient are reduced below m, so products stay under 1e14 < 2^63.
-    """
-    xs = xs % m
-    acc = np.zeros_like(xs)
-    for c in reversed(coeffs):
-        acc = (acc * xs + c % m) % m
-    return acc
-
-
-def poly_eval_mod_class(coeffs, alpha: int, pp: PrimePowerModulus) -> np.ndarray:
-    """coeffs(alpha + p s) mod q for s = 0..p^(n-1)-1: poly_eval_mod_array on the class.
-
-    Baby and giant steps, one reduction per value: with s = i + B j, B = p^floor((n-1)/2),
-    u_i = alpha + p i and w_j = p B j, f(u + w) = sum_{a,b} c_(a+b) C(a+b, a) u^a w^b, so
-    row j, column i of (W @ ((U @ M) % q).T) % q is index s, for U[i, a] = u_i^a and
-    W[j, b] = w_j^b. int64 is safe for q <= 1e7: each matmul sums d + 1 products of
+    Baby and giant steps, one reduction per value: with j = i + B k, B = p^floor(e/2),
+    u_i = alpha + p i and w_k = p B k, f(u + w) = sum_{a,b} c_(a+b) C(a+b, a) u^a w^b, so
+    row k, column i of (W @ ((U @ M) % q).T) % q is index j, for U[i, a] = u_i^a and
+    W[k, b] = w_k^b. int64 is safe for q <= 1e7: each matmul sums d + 1 products of
     factors below q, under (d + 1) 1e14 < 2^63 while d + 1 <= 92,000; more is refused.
     """
-    p, n, q = pp.p, pp.n, pp.q
+    p, q = pp.p, pp.q
     k = len(coeffs)
     if k > 92_000:
         raise ValueError(f"degree {k - 1} is over the int64 bound of poly_eval_mod_class")
-    big = p ** ((n - 1) // 2)
+    big = p ** (e // 2)
 
     def powers(x):
         out = np.ones((len(x), k), dtype=np.int64)
@@ -236,19 +223,20 @@ def poly_eval_mod_class(coeffs, alpha: int, pp: PrimePowerModulus) -> np.ndarray
         return out
 
     u = powers((alpha % q + p * np.arange(big, dtype=np.int64)) % q)
-    w = powers(p * big * np.arange(p ** (n - 1) // big, dtype=np.int64))  # p B j < q
+    w = powers(p * big * np.arange(p**e // big, dtype=np.int64))  # p B k < p^(e+1) <= q
     m = [[c * math.comb(a + b, a) % q for b, c in enumerate(coeffs[a:])] + [0] * a for a in range(k)]
     return (w @ (u @ np.array(m, dtype=np.int64) % q).T % q).ravel()
 
 
 def inv_mod_array(d: np.ndarray, pp: PrimePowerModulus) -> np.ndarray:
-    """Inverses mod q of the units d (entries in [0, q)), int64 or object.
+    """Inverses mod q of the units d (entries in [0, q)), as poly_eval_mod_class gives them.
 
     Montgomery's batch inversion as an iterative product tree: pairwise products
     level by level up to one root, a single pow(root, -1, q), then inv[2k] = up d[2k+1]
     and inv[2k+1] = up d[2k] on the way down, about 3 mulmods per entry. A non-unit
     entry makes the root a non-unit: ValueError. int64 is safe for q <= 1e7: every
-    factor lies in [0, q), so products stay < 1e14.
+    factor lies in [0, q), so products stay < 1e14. An object array of Python ints
+    is exact for any q.
     """
     q = pp.q
     levels, x = [], d

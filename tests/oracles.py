@@ -162,6 +162,17 @@ def direct_exp_sum(fvals, q):
     return complex(math.fsum(re), math.fsum(im))
 
 
+def horner_mod(coeffs, xs, q):
+    """The values mod q of the ascending integer polynomial coeffs at each x of xs, one by one."""
+    out = []
+    for x in map(int, xs):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % q
+        out.append(acc)
+    return out
+
+
 def prime_powers_upto(limit, p_min=3):
     """All odd prime powers p^n <= limit as (p, n) pairs."""
     def is_prime(m):

@@ -88,7 +88,7 @@ def test_criterion_03_parametrization_coverage():
                 if tag == conic.CASE_I and case1 < 60:
                     fam = conic.build_case1_family(coeffs, pp)
                     expect = p ** (n - 1) * (p - modcore.s_p(coeffs, p))
-                    assert len(fam.layers[0]) == expect  # admissible t count
+                    assert len(fam.layers[0]) == expect  # the admissible classes' image
                     assert len(fam.pairs) == expect  # injective image
                     case1 += 1
                 elif tag == conic.CASE_II and case2 < 60:

@@ -45,6 +45,18 @@ def test_smallest_absent_maps_to_zero(capsys):
     assert lines[1] == "5,1,5,1,1,-1,0,,,,1"
 
 
+def test_param_check_rows_pinned(capsys):
+    # Case I and mixed at 7^5, Case II at 3^8, and a Case I triple with p = s_p (no pairs)
+    header = "p,n,q,a1,a2,a3,case,family_size,expected_size,matches_enumeration,schema_version"
+    for args, row in [
+        ("--p 7 --n 5 --coeffs 14729,15475,12440", "7,5,16807,14729,15475,12440,CaseI,9604,9604,1,1"),
+        ("--p 7 --n 5 --coeffs 705,13638,3277", "7,5,16807,705,13638,3277,mixed,9604,9604,1,1"),
+        ("--p 3 --n 8 --coeffs 1382,4115,101", "3,8,6561,1382,4115,101,CaseII,8748,8748,1,1"),
+        ("--p 5 --n 3 --coeffs 1,1,-1", "5,3,125,1,1,-1,CaseI,0,0,1,1"),
+    ]:
+        assert run_capture(["param-check", *args.split()], capsys) == (0, f"{header}\n{row}\n", "")
+
+
 def test_exit_codes(capsys):
     code, _, err = run_capture(
         ["count", "--p", "4", "--n", "1", "--coeffs", "1,1,-1", "--N", "2"], capsys

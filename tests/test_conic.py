@@ -11,6 +11,7 @@ from conic_lab.conic import (
     BasePoint,
     build_case1_family,
     build_case2_family,
+    case1_admissible_alphas,
     case1_slope_base,
     case_tag,
     enumerate_pair_solutions,
@@ -138,7 +139,7 @@ def test_case1_family_size_injectivity_and_coverage():
         fam = build_case1_family(coeffs, pp)
         expected = p ** (n - 1) * (p - s_p(coeffs, p))
         assert len(fam.pairs) == expected
-        assert len(fam.layers[0]) == expected  # injectivity over admissible t
+        assert len(fam.layers[0]) == expected  # the admissible classes' image
         assert fam.pairs == frozenset(enumerate_pair_solutions(coeffs, pp))
         done += 1
 
@@ -173,6 +174,41 @@ def test_case2_family_matches_enumeration_sweep():
         done += 1
 
 
+def _plain_pair(pair):
+    # a plain tuple of Python ints: no NamedTuple, no numpy scalar
+    return type(pair) is tuple and len(pair) == 2 and all(type(y) is int for y in pair)
+
+
+@st.composite
+def case1_instances(draw):
+    """(coeffs, pp, t): a Case I unit triple mod p^n, q <= 7^4, and an admissible t or None."""
+    p, n_max = draw(st.sampled_from([(3, 7), (5, 4), (7, 4), (11, 3), (13, 3), (41, 2)]))
+    pp = PrimePowerModulus(p, draw(st.integers(1, n_max)))
+    unit = st.integers(1, pp.q - 1).filter(lambda a: a % p)
+    a1, a2 = draw(unit), draw(unit)
+    a3 = draw(unit.filter(lambda a: jacobi(-a2 * a, p) == 1))
+    alphas = case1_admissible_alphas((a1, a2, a3), p)
+    if not alphas:
+        return (a1, a2, a3), pp, None
+    return (a1, a2, a3), pp, draw(st.sampled_from(alphas)) + p * draw(st.integers(0, pp.q // p - 1))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(case1_instances())
+def test_case1_family_property(instance):
+    coeffs, pp, t = instance
+    p = pp.p
+    assert case_tag(coeffs, p) == CASE_I
+    fam = build_case1_family(coeffs, pp)
+    units = enumerate_pair_solutions(coeffs, pp, units_only=True)
+    assert fam.pairs == frozenset(units)
+    assert len(fam.pairs) == p ** (pp.n - 1) * (p - s_p(coeffs, p))
+    assert all(map(_plain_pair, fam.pairs)) and all(map(_plain_pair, units))
+    if t is not None:
+        pair = param_case1(t, case1_slope_base(coeffs, pp), coeffs, pp)
+        assert _plain_pair(pair) and pair in fam.pairs
+
+
 @st.composite
 def case2_instances(draw):
     """(coeffs, pp): a Case II unit triple mod p^n, q <= 7^4.
@@ -195,6 +231,7 @@ def test_case2_family_size_property(instance):
     fam = build_case2_family(coeffs, pp)
     assert len(fam.pairs) == pp.q + pp.q // pp.p
     assert fam.pairs == frozenset(enumerate_pair_solutions(coeffs, pp, units_only=False))
+    assert all(map(_plain_pair, fam.pairs))
 
 
 def test_enumerate_examples():

@@ -16,7 +16,7 @@ from conic_lab.modcore import (
     jacobi_table,
     main_constant,
     mod_inverse,
-    poly_eval_mod_array,
+    poly_eval_mod,
     poly_eval_mod_class,
     s_p,
     sqrt_mod_prime_power,
@@ -25,6 +25,8 @@ from conic_lab.modcore import (
 from fractions import Fraction
 
 import numpy as np
+
+import oracles
 
 
 def test_modulus_validation():
@@ -188,37 +190,32 @@ def test_array_inverse_and_horner_vs_scalar():
         ]
         for _ in range(5):
             coeffs = [rng.randrange(-3 * q, 3 * q) for _ in range(rng.randint(1, 5))]
-            want = []
-            for x in xs:
-                acc = 0
-                for c in reversed(coeffs):
-                    acc = (acc * x + c) % q
-                want.append(acc)
-            assert poly_eval_mod_array(coeffs, np.array(xs, dtype=np.int64), q).tolist() == want
+            want = oracles.horner_mod(coeffs, xs, q)
+            assert [poly_eval_mod(coeffs, x, q) for x in xs] == want
 
 
-def _class_xs(alpha, pp):
-    return alpha + pp.p * np.arange(pp.q // pp.p, dtype=np.int64)
+def _class_xs(alpha, e, pp):
+    return range(alpha, alpha + pp.p**(e + 1), pp.p)
 
 
 @st.composite
 def class_polys(draw):
-    """(coeffs, alpha, pp): p <= 13, q <= TABLE_Q_MAX, degree 0..7, coefficients in +-3q."""
+    """(coeffs, alpha, e, pp): p <= 13, q <= TABLE_Q_MAX, e < n, degree 0..7, coefficients +-3q."""
     p = draw(st.sampled_from([3, 5, 7, 11, 13]))
     n_max = int(math.log(TABLE_Q_MAX, p))
     pp = PrimePowerModulus(p, draw(st.integers(1, n_max)))
     q = pp.q
     coeffs = draw(st.lists(st.integers(-3 * q, 3 * q), min_size=1, max_size=8))
-    return coeffs, draw(st.integers(-q, q)), pp
+    return coeffs, draw(st.integers(-q, q)), draw(st.integers(0, pp.n - 1)), pp
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(class_polys())
 def test_poly_eval_mod_class_is_horner_on_the_class(instance):
-    coeffs, alpha, pp = instance
-    got = poly_eval_mod_class(coeffs, alpha, pp)
+    coeffs, alpha, e, pp = instance
+    got = poly_eval_mod_class(coeffs, alpha, e, pp)
     assert got.dtype == np.int64
-    assert np.array_equal(got, poly_eval_mod_array(coeffs, _class_xs(alpha, pp), pp.q))
+    assert got.tolist() == oracles.horner_mod(coeffs, _class_xs(alpha, e, pp), pp.q)
 
 
 def test_poly_eval_mod_class_int64_worst_case():
@@ -226,8 +223,8 @@ def test_poly_eval_mod_class_int64_worst_case():
     pp = PrimePowerModulus(3, 14)
     q = pp.q
     coeffs = [-1] * 9
-    got = poly_eval_mod_class(coeffs, 2, pp)
-    assert np.array_equal(got, poly_eval_mod_array(coeffs, _class_xs(2, pp), q))
+    got = poly_eval_mod_class(coeffs, 2, 13, pp)
+    assert got.tolist() == oracles.horner_mod(coeffs, _class_xs(2, 13, pp), q)
     rng = random.Random(14)
     big = 3**6  # the baby-step block length, so block edges are checked too
     for s in [0, 1, big - 1, big, big + 1, len(got) - 1] + rng.sample(range(len(got)), 2000):
@@ -237,7 +234,7 @@ def test_poly_eval_mod_class_int64_worst_case():
 def test_poly_eval_mod_class_degree_guard():
     # past degree 91,999 a matmul sum could pass 2^63; refused before any table is built
     with pytest.raises(ValueError):
-        poly_eval_mod_class([1] * 92_001, 1, PrimePowerModulus(3, 2))
+        poly_eval_mod_class([1] * 92_001, 1, 1, PrimePowerModulus(3, 2))
 
 
 def test_inv_mod_array_product_tree_lengths():
