@@ -23,6 +23,7 @@ import numpy as np
 from .modcore import (
     CoefficientTriple,
     PrimePowerModulus,
+    TABLE_Q_MAX,
     check_table_q,
     main_constant,
     mod_inverse,
@@ -83,9 +84,11 @@ class CountReport:
         return self.ratio is not None
 
 
-def _unit_squares(p: int, q: int, half: int):
-    """(xs, xs^2 mod q) over the units xs in 1..half."""
-    xs = np.arange(1, half + 1, dtype=np.int64)
+def _unit_squares(p: int, q: int, half: float):
+    """(xs, xs^2 mod q) over the units xs in 1..floor(half), half >= 0."""
+    if not half <= TABLE_Q_MAX:  # before int() (inf overflows) and before the arange
+        raise ValueError(f"box half-width {half} exceeds the table budget")
+    xs = np.arange(1, int(half) + 1, dtype=np.int64)
     xs = xs[xs % p != 0]
     r = xs % q
     return xs, r * r % q  # r*r < q^2 <= 1e14 < 2^63
@@ -102,7 +105,7 @@ def count_sharp(coeffs, pp: PrimePowerModulus, N: int, workers: Optional[int] = 
     p, q = pp.p, pp.q
     c = validate_coeffs(coeffs, p)
     check_table_q(q)
-    _, sq = _unit_squares(p, q, int(N))
+    _, sq = _unit_squares(p, q, N)
     # int64 throughout: a%q * sq < q^2 <= 1e14 < 2^63; hist holds the
     # histogram twice (2q entries, 16q B) so t1 + t2 < 2q needs no reduction.
     hist = np.tile(np.bincount(c.a3 % q * sq % q, minlength=q), 2)
@@ -133,7 +136,7 @@ def count_smoothed(
     p, q = pp.p, pp.q
     c = validate_coeffs(coeffs, p)
     check_table_q(q)
-    xs, sq = _unit_squares(p, q, int(math.floor(w.truncation_radius * N)))
+    xs, sq = _unit_squares(p, q, w.truncation_radius * N)
     phi = w.phi(xs / N)
 
     def spectrum(a):

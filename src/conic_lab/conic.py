@@ -11,7 +11,7 @@ Two regimes, decided by the residue pattern of the -ai*aj mod p:
 Both regimes use one chord-slope map, written once as the form k1*y1 + k2*y2
 (slope_form): Case II is its layers s through a base point, Case I its layer 0
 through (0, -b). The family builders run one layer loop that evaluates it
-class by class (modcore.poly_eval_mod_class); expsum's amplitudes scale it
+class by class (modcore.ratio_mod_class); expsum's amplitudes scale it
 by x3. Pairs are plain (y1, y2) tuples of ints.
 
 Also: base-point search and Hensel lifting of full solution triples.
@@ -26,12 +26,11 @@ from .modcore import (
     CoefficientTriple,
     PrimePowerModulus,
     check_table_q,
-    inv_mod_array,
     jacobi,
     lift_root,
     mod_inverse,
     poly_eval_mod,
-    poly_eval_mod_class,
+    ratio_mod_class,
     sqrt_mod_prime,
     sqrt_mod_prime_power,
     validate_coeffs,
@@ -147,18 +146,11 @@ def slope_form(k1, k2, s, base, coeffs, p: int):
 def _map_pairs(coeffs, s, base, alphas, e, pp: PrimePowerModulus) -> set:
     """The pairs (y1, y2) of slope_form's map at t / p^s mod q, t = alpha + p j for j < p^e.
 
-    The classes alpha are evaluated by poly_eval_mod_class (q <= TABLE_Q_MAX)
-    and their common denominator, which must be a unit, is inverted once.
+    By modcore.ratio_mod_class (q <= TABLE_Q_MAX); the denominator must be a unit.
     """
-    q = pp.q
     num1, den = slope_form(1, 0, s, base, coeffs, pp.p)
     num2, _ = slope_form(0, 1, s, base, coeffs, pp.p)
-
-    def values(f):  # np.array, not concatenate: no classes (p = s_p) is an empty layer
-        return np.array([poly_eval_mod_class(f, a, e, pp) for a in alphas], np.int64).ravel()
-
-    dinv = inv_mod_array(values(den), pp)
-    y1, y2 = (values(num) * dinv % q for num in (num1, num2))
+    y1, y2 = ratio_mod_class((num1, num2), den, alphas, e, pp)
     return set(zip(y1.tolist(), y2.tolist()))
 
 

@@ -127,8 +127,7 @@ def count_F(b1: int, b2: int, X: int, q: int) -> int:
 
     Walks A2 and counts the admissible A1 by progressions; b1 must be a
     unit mod q. For b1 = b2 and X < q/2 the pairs are forced diagonal,
-    giving exactly 2X counted pairs... i.e. F(b, b, 2M^2, q) = 4M^2 when
-    2M^2 < q/2.
+    A1 = A2, so F(b, b, X, q) = 2X (e.g. F(b, b, 2M^2, q) = 4M^2).
     """
     if X > 10**6:
         raise ValueError("direct pair count capped at X <= 10^6")

@@ -3,8 +3,8 @@
 Three routes to the same values, kept deliberately separate so they can be
 played against each other:
 
-* direct_S_alpha: brute summation over a residue class t = alpha mod p,
-  exactly rounded by an int64 fixed-point sum that equals math.fsum;
+* direct_S_alpha: brute summation over a residue class t = alpha mod p, by
+  modcore's one class evaluator and one exactly rounded exponential sum;
 * cochrane_evaluate: the critical-point evaluation (zero away from critical
   points of p^(-r) f', a single Gauss-sum-normalized term at simple ones);
 * closed_form_E: the two-critical-point closed form for the chord-slope
@@ -22,14 +22,13 @@ import numpy as np
 
 from .modcore import (
     PrimePowerModulus,
-    check_table_q,
+    exp_sum,
     gauss_sum_unit,
-    inv_mod_array,
     jacobi,
     lift_root,
     mod_inverse,
     poly_eval_mod,
-    poly_eval_mod_class,
+    ratio_mod_class,
     sqrt_mod_prime_power,
     validate_coeffs,
 )
@@ -173,44 +172,16 @@ def _e_q(value: int, q: int) -> complex:
     return complex(np.exp(2j * np.pi * (value % q) / q))
 
 
-def _exact_sum(x: np.ndarray) -> float:
-    """math.fsum(x), bit for bit, for x on the grid 2^-76 Z within [-1, 1].
-
-    direct_S_alpha's cos and sin terms lie on it: q is odd and at most
-    TABLE_Q_MAX, so a nonzero one is at least sin(pi/(2q)) > 2^-23 in size.
-    Each term splits exactly into hi = floor(x 2^36), |hi| <= 2^36, and
-    lo = (x - hi 2^-36) 2^76 in [0, 2^40). A class has q/p < 2^22 terms, so
-    the int64 sums stay below 2^58 and 2^62; both parts are whole floats, so
-    summing them with dtype=int64 converts each term exactly, without a
-    full-length int64 copy. Python's int true division rounds the exact
-    total once, half to even, as fsum does.
-    """
-    y = x * 2.0**36
-    hi = np.floor(y)
-    y -= hi
-    y *= 2.0**40
-    total = (int(hi.sum(dtype=np.int64)) << 40) + int(y.sum(dtype=np.int64))
-    return total / (1 << 76)
-
-
 def direct_S_alpha(f: IntRationalFunction, alpha: int, pp: PrimePowerModulus) -> complex:
     """S_alpha(f; p^n) = sum over t = alpha mod p, t in [1, p^n] of e_q(f(t)).
 
-    Values by poly_eval_mod_class, denominators inverted by inv_mod_array's
-    product tree, the cos and sin sums each rounded once by _exact_sum.
+    Values by modcore.ratio_mod_class, rounded by modcore.exp_sum.
     """
     p, q = pp.p, pp.q
-    check_table_q(q)
     alpha %= p
     if poly_eval_mod(f.denom, alpha, p) == 0:
         raise NonUnitDenominatorError(f"denominator vanishes on the class {alpha} mod {p}")
-    vals = poly_eval_mod_class(f.numer, alpha, pp.n - 1, pp)
-    if len(f.denom) == 1:
-        vals = vals * pow(f.denom[0], -1, q) % q
-    else:
-        vals = vals * inv_mod_array(poly_eval_mod_class(f.denom, alpha, pp.n - 1, pp), pp) % q
-    ang = vals * (2.0 * np.pi / q)
-    return complex(_exact_sum(np.cos(ang)), _exact_sum(np.sin(ang)))
+    return exp_sum(ratio_mod_class((f.numer,), f.denom, (alpha,), pp.n - 1, pp)[0], q)
 
 
 def direct_full_sum(f: IntRationalFunction, pp: PrimePowerModulus, alphas=None) -> complex:

@@ -2,9 +2,10 @@
 
 Jacobi symbols, inverses (of arrays by a product tree), square roots, the
 Newton lift of a simple polynomial root, integer polynomials mod q (by Horner
-at a point, by baby and giant steps on a residue class t = alpha mod p),
-quadratic Gauss sums, and the structural constants s_p / C_p. All functions
-are pure and thread-safe.
+at a point, by baby and giant steps on a residue class t = alpha mod p), the one
+class evaluator of ratios mod q (ratio_mod_class), the one exactly rounded
+exponential sum (exp_sum, for the Gauss sums and expsum's direct sums), and the
+structural constants s_p / C_p. All functions are pure and thread-safe.
 """
 
 import math
@@ -262,14 +263,58 @@ def inv_mod_array(d: np.ndarray, pp: PrimePowerModulus) -> np.ndarray:
     return inv
 
 
+def ratio_mod_class(numers, denom, alphas, e: int, pp: PrimePowerModulus) -> list:
+    """numer(t) / denom(t) mod q on t = alpha + p j, j < p^e, alpha in alphas: an int64 array per numer.
+
+    poly_eval_mod_class values, so q <= TABLE_Q_MAX is checked first; a constant denominator
+    is inverted by one pow, any other by one inv_mod_array tree (a non-unit is a ValueError).
+    """
+    check_table_q(pp.q)
+
+    def values(f):  # one class uncopied; np.array, not concatenate: no classes is an empty array
+        rows = [poly_eval_mod_class(f, a, e, pp) for a in alphas]
+        return rows[0] if len(rows) == 1 else np.array(rows, np.int64).ravel()
+
+    dinv = pow(denom[0], -1, pp.q) if len(denom) == 1 else inv_mod_array(values(denom), pp)
+    return [values(f) * dinv % pp.q for f in numers]
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """fsum(x), bit for bit, for terms x on the grid 2^-76 Z within [-1, 1].
+
+    exp_sum's cos and sin terms lie on it: q is odd and at most TABLE_Q_MAX, so a nonzero
+    one is at least sin(pi/(2q)) > 2^-23 in size. Each term splits exactly into whole floats
+    hi = floor(x 2^38), |hi| <= 2^38, and lo = (x - hi 2^-38) 2^76 in [0, 2^38). Summed with
+    dtype=int64 (exact per term, no int64 copy) in blocks of 2^17 terms, which bound the
+    temporaries, both stay below 2^56; Python ints add the blocks, and int true division
+    rounds the exact total once, half to even, as fsum does.
+    """
+    total = 0
+    for i in range(0, len(x), 1 << 17):
+        y = x[i : i + (1 << 17)] * 2.0**38
+        hi = np.floor(y)
+        y -= hi
+        y *= 2.0**38
+        total += (int(hi.sum(dtype=np.int64)) << 38) + int(y.sum(dtype=np.int64))
+    return total / (1 << 76)
+
+
+def exp_sum(vals: np.ndarray, q: int, chi: Optional[np.ndarray] = None) -> complex:
+    """sum of chi(v) e(v/q) over the residues vals (q odd <= TABLE_Q_MAX, chi = 1 if None).
+
+    _exact_sum rounds the float terms chi cos(2 pi v/q), then chi sin(2 pi v/q), once each.
+    """
+    ang = vals * (2.0 * np.pi / q)
+    parts = (trig(ang) if chi is None else trig(ang) * chi for trig in (np.cos, np.sin))
+    return complex(*map(_exact_sum, parts))  # one full-length part alive at a time
+
+
 def gauss_sum(q: int) -> complex:
     """Quadratic Gauss sum G_q = sum_{x=1..q} exp(2 pi i x^2 / q), q odd."""
     if q <= 0 or q % 2 == 0:
         raise ValueError(f"q={q} must be odd and positive")
     check_table_q(q)
-    x = np.arange(1, q + 1, dtype=np.int64)
-    ang = (x * x % q) * (2.0 * np.pi / q)
-    return complex(math.fsum(np.cos(ang)), math.fsum(np.sin(ang)))
+    return exp_sum(np.arange(1, q + 1, dtype=np.int64) ** 2 % q, q)
 
 
 def _factorize(m: int) -> list:
@@ -300,7 +345,7 @@ def legendre_table(p: int) -> np.ndarray:
 def jacobi_table(q: int) -> np.ndarray:
     """(y/q) for y = 0..q-1 as an int8 array: prod_p (y/p)^e over q's factorization."""
     if q % 2 == 0 or q <= 0:
-        raise ValueError("jacobi_table needs odd positive q")
+        raise ValueError(f"q={q} must be odd and positive")
     check_table_q(q)
     tab = np.ones(q, dtype=np.int8)
     y = np.arange(q, dtype=np.int64)
@@ -312,12 +357,8 @@ def jacobi_table(q: int) -> np.ndarray:
 
 def gauss_sum_character(q: int) -> complex:
     """Character form sum_{y=1..q} (y/q) exp(2 pi i y / q); equals G_q for odd q."""
-    if q <= 0 or q % 2 == 0:
-        raise ValueError(f"q={q} must be odd and positive")
-    check_table_q(q)
-    chi = jacobi_table(q).astype(np.float64)
-    ang = np.arange(q, dtype=np.float64) * (2.0 * np.pi / q)
-    return complex(math.fsum(chi * np.cos(ang)), math.fsum(chi * np.sin(ang)))
+    chi = jacobi_table(q)  # refuses even, non-positive and over-budget q first
+    return exp_sum(np.arange(q, dtype=np.int64), q, chi)
 
 
 def gauss_sum_unit(q: int) -> complex:

@@ -305,11 +305,15 @@ def test_worker_determinism():
 
 def test_table_cap_checked_before_allocation():
     pp = PrimePowerModulus(7, 9)  # q = 40353607 > TABLE_Q_MAX
+    pp72 = PrimePowerModulus(7, 2)
     q = pp.q
     t2 = expsum.IntRationalFunction((0, 0, 1))
     capped = {
         "count_smoothed": lambda: count_smoothed((1, 2, 3), pp, 10),
         "count_sharp": lambda: count_sharp((1, 2, 3), pp, 10),
+        # a box over the budget, at a q within it: refused before int() and the arange
+        "count_smoothed box": lambda: count_smoothed((1, 2, 3), pp72, 5, WeightSpec("gaussian", 1e308)),
+        "count_sharp box": lambda: count_sharp((1, 2, 3), pp72, float("inf")),
         "sqrt_count_table": lambda: sqrt_count_table(pp),
         "count_unit_circle": lambda: count_unit_circle(1, 1, pp),
         "smallest_solution": lambda: smallest_solution((1, 2, 3), pp),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conic_lab.modcore import PrimePowerModulus, jacobi
+from conic_lab.modcore import TABLE_Q_MAX, PrimePowerModulus, _exact_sum, jacobi
 from conic_lab.conic import (
     CASE_I,
     CASE_II,
@@ -31,7 +31,6 @@ from conic_lab.expsum import (
     direct_E_case2,
     direct_S_alpha,
     direct_full_sum,
-    _exact_sum,
     family_case1,
     family_case2,
     layer_sum,
@@ -183,11 +182,25 @@ def test_exact_sum_edge_cases():
 
 
 def test_exact_sum_int64_worst_case():
-    # a class has at most q/3 terms at q <= 1e7; every lo limb is near 2^40
-    n = 3_333_333
-    for x in (1.0 - 2.0**-53, -(1.0 - 2.0**-53), -1.0):
-        got = _exact_sum(np.full(n, x))
-        assert _same_float(got, math.fsum(itertools.repeat(x, n))), x
+    # a class has at most q/3 terms and a Gauss sum q <= TABLE_Q_MAX terms;
+    # every hi limb is near +-2^38, or every lo limb near 2^38
+    for n in (3_333_333, TABLE_Q_MAX):
+        for x in (1.0 - 2.0**-53, -(1.0 - 2.0**-53), -1.0):
+            got = _exact_sum(np.full(n, x))
+            assert _same_float(got, math.fsum(itertools.repeat(x, n))), (n, x)
+
+
+def test_exact_sum_low_limbs_sum_exactly():
+    # terms of size 2^-23 with the full 2^-75 grid below; in the second input all
+    # 2^17 - 1 terms share one block, whose low limbs sum to an odd total past
+    # 2^53 that a float64 low-limb sum cannot hold: it would lose the 2^-76
+    rng = np.random.default_rng(14)
+    xs = np.ldexp(rng.integers(2**52, 2**53, size=2**16).astype(np.float64), -75)
+    tiny = [2.0**-76]
+    for parts in ([xs, -xs, tiny], [tiny, xs[1:], -xs[1:]]):
+        terms = np.concatenate(parts)
+        assert math.fsum(terms.tolist()) == 2.0**-76
+        assert _same_float(_exact_sum(terms), 2.0**-76)
 
 
 def test_direct_S_alpha_equals_fsum_of_the_terms():

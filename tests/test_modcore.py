@@ -150,6 +150,19 @@ def test_gauss_sum_modulus_and_character_form():
         assert abs(gauss_sum_unit(q) * math.sqrt(q) - g) < 1e-7
 
 
+def test_gauss_sums_equal_fsum_of_the_terms():
+    # bit for bit the fsum of the float cos and sin terms, q up to TABLE_Q_MAX
+    def fsum_exp(vals, q, chi=1.0):
+        ang = vals * (2.0 * np.pi / q)
+        return complex(math.fsum(np.cos(ang) * chi), math.fsum(np.sin(ang) * chi))
+
+    for q in (1, 9, 3**14, 9_999_991):
+        want = fsum_exp(np.arange(1, q + 1, dtype=np.int64) ** 2 % q, q)
+        assert repr(gauss_sum(q)) == repr(want), q
+        want = fsum_exp(np.arange(q, dtype=np.int64), q, jacobi_table(q).astype(np.float64))
+        assert repr(gauss_sum_character(q)) == repr(want), q
+
+
 def test_character_form_diverges_on_square_part():
     # (y/9) is the principal character mod 3, so its sum telescopes to 0
     # while G_9 = 3: the two forms agree only for squarefree moduli.
