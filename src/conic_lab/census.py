@@ -7,11 +7,12 @@ box search, and n-sweeps comparing observed counts to the prediction.
 The Gaussian count is evaluated on the dual side, as in the paper's Poisson
 step: count = (1/q) sum_{h mod q} prod_i F_i(h), with F_i the discrete
 Fourier transform over Z/q of the Phi-weighted histogram of a_i x^2. This
-costs O(half + q log q) and agrees with direct summation to within a few
-ulps of the count (float64 FFT rounding). Sharp counts stay exact: an int64
-kernel sums, over (x1, x2) rows, a histogram of a3 x3^2. Both kernels run
-in one thread with a fixed operation order, so results never depend on the
-worker count; the `workers` arguments are accepted and ignored.
+costs O(half + q log q) and agrees with direct summation to within a few ulps
+of the count (float64 FFT rounding); exponent bins round the h-sum exactly,
+equal to math.fsum. Sharp counts stay exact: an int64 kernel sums, over
+(x1, x2) rows, a histogram of a3 x3^2. Both kernels run in one thread with a
+fixed operation order, so results never depend on the worker count; the
+`workers` arguments are accepted and ignored.
 """
 
 import math
@@ -94,6 +95,32 @@ def _unit_squares(p: int, q: int, half: float):
     return xs, r * r % q  # r*r < q^2 <= 1e14 < 2^63
 
 
+def _float_sum(x: np.ndarray) -> float:
+    """math.fsum(x), bit for bit, for a float64 array x; ValueError on a non-finite term.
+
+    A term is m 2^e (frexp: m = 0 or 1/2 <= |m| < 1, e >= -1073), so m 2^53 splits exactly
+    into whole floats hi = floor(m 2^26), |hi| <= 2^26, and lo = (m 2^26 - hi) 2^27 in
+    [0, 2^27). In blocks of 2^15 terms, which bound the temporaries, bincount sums both per
+    exponent (Demmel and Hida's binned sum) exactly: each partial sum is an integer below
+    2^27 2^15 < 2^53. Python ints add the bins on the grid 2^-1126 Z, and int true division
+    rounds the total once, half to even, as fsum does.
+    """
+    total = 0
+    for i in range(0, len(x), 1 << 15):
+        block = x[i : i + (1 << 15)]
+        if not np.isfinite(block).all():  # before frexp: inf - inf would warn, NaN pass
+            raise ValueError("cannot round a sum with a non-finite term")
+        m, e = np.frexp(block)
+        m *= 2.0**26
+        hi = np.floor(m)
+        e -= (e0 := int(e.min()))
+        m -= hi
+        m *= 2.0**27  # lo, in place: each temporary costs peak RSS
+        bins = zip(*(np.bincount(e, weights=w).tolist() for w in (hi, m)))
+        total += sum(((int(a) << 27) + int(b)) << k for k, (a, b) in enumerate(bins)) << (e0 + 1073)
+    return total / (1 << 1126)
+
+
 def count_sharp(coeffs, pp: PrimePowerModulus, N: int, workers: Optional[int] = None) -> int:
     """Exact number of solutions with |x_i| <= N and all coordinates units.
 
@@ -126,8 +153,9 @@ def count_smoothed(
     discarded tail is below 1e-15 per coordinate. The Gaussian sum is
     evaluated on the dual side, 8/q * sum_h prod_i F_i(h) with F_i the
     float64 FFT of the Phi-weighted histogram of a_i x^2 mod q, and agrees
-    with direct summation to about 1e-15 relative. The sharp kind delegates
-    to count_sharp. `workers` is accepted for compatibility and has no effect.
+    with direct summation to about 1e-15 relative; _float_sum's exponent bins
+    round the h-sum exactly, equal to math.fsum. The sharp kind delegates to
+    count_sharp. `workers` is accepted for compatibility and has no effect.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -145,13 +173,18 @@ def count_smoothed(
 
     # Besides pocketfft's own buffers, at most one histogram (8q B) and two
     # spectra ((q//2+1)*16 B each) are alive at once: under 3*(q/2+1)*16 B,
-    # 240 MB at TABLE_Q_MAX.
-    prod = spectrum(c.a1)
-    prod *= spectrum(c.a2)
-    prod *= spectrum(c.a3)
+    # 240 MB at TABLE_Q_MAX. So a spectrum is reused only for the next
+    # coefficient: keeping F1 for a1 = a3 != a2 would hold a third one.
+    prod = f = spectrum(c.a1)
+    for prev, a in ((c.a1, c.a2), (c.a2, c.a3)):
+        if (a - prev) % q:
+            f = None  # drop the last spectrum before the next is built
+            f = spectrum(a)
+        # in place, unless prod is still F1 itself, which a3 = a2 = a1 needs again
+        prod = prod * f if prod is f else np.multiply(prod, f, out=prod)
     # The histograms are real, so P(-h) = conj P(h); q is odd, so the rfft
     # bins h = 1..(q-1)/2 pair up with -h and there is no Nyquist bin.
-    return 8.0 * (float(prod[0].real) + 2.0 * math.fsum(prod[1:].real)) / q
+    return 8.0 * (float(prod[0].real) + 2.0 * _float_sum(prod[1:].real)) / q
 
 
 def predict_main_term(coeffs, pp: PrimePowerModulus, N: float, w: WeightSpec = WeightSpec()) -> float:

@@ -11,6 +11,7 @@ from conic_lab.modcore import PrimePowerModulus, jacobi, s_p
 from conic_lab.census import (
     CountReport,
     WeightSpec,
+    _float_sum,
     asymptotic_scan,
     count_mod_p,
     count_sharp,
@@ -101,6 +102,53 @@ def test_count_smoothed_vs_brute():
             got = count_smoothed(coeffs, pp, N, WeightSpec(truncation_radius=radius))
             want = oracles.brute_smoothed_mesh(coeffs, p, pp.q, N, radius)
             assert abs(got - want) <= 1e-12 * max(1.0, want), (p, n, coeffs, N, radius)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)  # subnormals included
+BLOCK = 1 << 15  # _float_sum's block length
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(FINITE, max_size=30), FINITE, st.sampled_from([0, 7, BLOCK - 3, BLOCK + 1, 3 * BLOCK]), st.data())
+def test_float_sum_equals_fsum(xs, fill, gap, data):
+    # xs, then gap copies of fill, then the negation of a prefix of xs: the
+    # cancelling terms land in another block once gap crosses the block length
+    cut = data.draw(st.integers(0, len(xs)), label="cut")
+    x = np.concatenate([xs, np.full(gap, fill), np.negative(xs[:cut])])
+    try:
+        want = math.fsum(x)
+    except OverflowError:
+        return  # an overflowing sum has no float value to match
+    got = _float_sum(x)
+    assert got.hex() == want.hex() or got == want == 0.0  # the sign of a zero total is not pinned
+
+
+def test_float_sum_worst_case_bins():
+    # Full blocks at one exponent of the largest mantissa 2^53 - 1: the per-bin
+    # partial sums of hi and lo reach their stated bound 2^27 * 2^15.
+    rng = np.random.default_rng(15)
+    top = 1.0 - 2.0**-53
+    for e in (-1021, -60, 0, 52, 1000):
+        for signs in (np.ones(BLOCK), -np.ones(2 * BLOCK + 1), rng.choice([-1.0, 1.0], 3 * BLOCK)):
+            x = signs * math.ldexp(top, e)
+            assert _float_sum(x).hex() == math.fsum(x).hex(), (e, len(x))
+
+
+def test_float_sum_refuses_non_finite_terms():
+    for bad in (math.nan, math.inf, -math.inf):
+        for at in (0, BLOCK + 5):  # in the first block and in a later one
+            x = np.ones(2 * BLOCK)
+            x[at] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                _float_sum(x)
+
+
+def test_count_smoothed_nan_spectrum_raises(monkeypatch):
+    # A NaN spectrum must not come back as a NaN count. NaN, not inf: inf * 0
+    # in the spectrum product would warn before the sum is reached.
+    monkeypatch.setattr(np.fft, "rfft", lambda h: np.full(len(h) // 2 + 1, complex(math.nan, 0.0)))
+    with pytest.raises(ValueError, match="non-finite"):
+        count_smoothed((1, 2, 3), PrimePowerModulus(7, 3), 15)
 
 
 def test_predict_examples():

@@ -57,6 +57,34 @@ def test_param_check_rows_pinned(capsys):
         assert run_capture(["param-check", *args.split()], capsys) == (0, f"{header}\n{row}\n", "")
 
 
+def test_scan_jsonl_rows_pinned(capsys):
+    # JSONL writes floats by repr, so these rows pin count_smoothed to the bit:
+    # (1,1,-1) repeats a coefficient, (2,5,5) repeats one mod every q.
+    rows = {
+        "1,1,-1": [
+            (3, 343, 38, 83.81655970016303, 1.069690156850367),
+            (4, 2401, 125, 606.6162434336485, 1.52251294770614),
+            (5, 16807, 417, 2141.370801463229, 1.0133483158492338),
+            (6, 117649, 1393, 19015.3261985734, 1.6897541006475898),
+        ],
+        "2,5,5": [
+            (3, 343, 38, 99.88364264926105, 1.2747427209430815),
+            (4, 2401, 125, 375.30058913501864, 0.9419464322377773),
+            (5, 16807, 417, 2201.598575272121, 1.0418495511863763),
+            (6, 117649, 1393, 11122.251534573594, 0.9883538122206742),
+        ],
+    }
+    predicted = {3: 78.3559231272684, 4: 398.4309258897228, 5: 2113.1636259430293, 6: 11253.309692390076}
+    for coeffs, expected in rows.items():
+        want = "".join(
+            f'{{"p": 7, "n": {n}, "q": {q}, "N": {N}, "theta": 0.62, "observed": {obs!r}, '
+            f'"predicted": {predicted[n]!r}, "ratio": {ratio!r}, "schema_version": 1}}\n'
+            for n, q, N, obs, ratio in expected
+        )
+        argv = ["scan", "--p", "7", "--n", "3..6", "--theta", "0.62", "--format", "jsonl", "--coeffs", coeffs]
+        assert run_capture(argv, capsys) == (0, want, "")
+
+
 def test_exit_codes(capsys):
     code, _, err = run_capture(
         ["count", "--p", "4", "--n", "1", "--coeffs", "1,1,-1", "--N", "2"], capsys
