@@ -11,8 +11,7 @@ costs O(half + q log q) and agrees with direct summation to within a few ulps
 of the count (float64 FFT rounding); exponent bins round the h-sum exactly,
 equal to math.fsum. Sharp counts stay exact: an int64 kernel sums, over
 (x1, x2) rows, a histogram of a3 x3^2. Both kernels run in one thread with a
-fixed operation order, so results never depend on the worker count; the
-`workers` arguments are accepted and ignored.
+fixed operation order.
 """
 
 import math
@@ -121,11 +120,10 @@ def _float_sum(x: np.ndarray) -> float:
     return total / (1 << 1126)
 
 
-def count_sharp(coeffs, pp: PrimePowerModulus, N: int, workers: Optional[int] = None) -> int:
+def count_sharp(coeffs, pp: PrimePowerModulus, N: int) -> int:
     """Exact number of solutions with |x_i| <= N and all coordinates units.
 
     Sums, over the (x1, x2) rows, an int64 histogram of a3 x3^2 mod q.
-    `workers` is accepted for compatibility and has no effect.
     """
     if N < 0:
         raise ValueError("box half-width must be >= 0")
@@ -144,9 +142,7 @@ def count_sharp(coeffs, pp: PrimePowerModulus, N: int, workers: Optional[int] = 
     return 8 * total  # independent signs of x1, x2, x3
 
 
-def count_smoothed(
-    coeffs, pp: PrimePowerModulus, N: float, w: WeightSpec = WeightSpec(), workers: Optional[int] = None
-) -> float:
+def count_smoothed(coeffs, pp: PrimePowerModulus, N: float, w: WeightSpec = WeightSpec()) -> float:
     """Sum of Phi(x1/N) Phi(x2/N) Phi(x3/N) over unit solutions.
 
     Truncated at |x_i| <= truncation_radius * N; for the Gaussian the
@@ -155,7 +151,7 @@ def count_smoothed(
     float64 FFT of the Phi-weighted histogram of a_i x^2 mod q, and agrees
     with direct summation to about 1e-15 relative; _float_sum's exponent bins
     round the h-sum exactly, equal to math.fsum. The sharp kind delegates to
-    count_sharp. `workers` is accepted for compatibility and has no effect.
+    count_sharp.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -356,13 +352,7 @@ def estimate_scan_work(p: int, n_values, theta: float, w: WeightSpec) -> int:
 
 
 def asymptotic_scan(
-    coeffs,
-    p: int,
-    n_values,
-    theta: float,
-    w: WeightSpec = WeightSpec(),
-    workers: Optional[int] = None,
-    budget: int = 10**9,
+    coeffs, p: int, n_values, theta: float, w: WeightSpec = WeightSpec(), budget: int = 10**9
 ) -> list:
     """CountReports with N = ceil(q^theta) at each n; refuses oversized scans."""
     n_values = list(n_values)
@@ -374,7 +364,7 @@ def asymptotic_scan(
     for n in n_values:
         pp = PrimePowerModulus(p, n)
         N = math.ceil(pp.q**theta)
-        observed = count_smoothed(coeffs, pp, N, w, workers)
+        observed = count_smoothed(coeffs, pp, N, w)
         predicted = predict_main_term(coeffs, pp, N, w)
         reports.append(CountReport.build(pp, c, N, observed, predicted))
     return reports

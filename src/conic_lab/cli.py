@@ -12,8 +12,12 @@ again, so explicit flags win and config values are type-checked like flags.
 Results are emitted as CSV or JSONL with a fixed column set per subcommand
 and a schema_version column; floats are printed with 12 significant digits.
 Work is estimated up front in (x1, x2)-pair-visit units and runs over the
-budget are refused; `dioph --mode equation` is charged its 2x+1 loop steps,
-the other dioph modes a flat 10^6, and predict and selftest nothing.
+budget are refused. With r the truncation radius (1 for --sharp), the
+charges are: count floor(r*N)^2 per triple; scan the sum over n of
+floor(r*ceil(q^theta))^2 per triple; smallest the box pair visits
+sum M(2M+1) up to the expected norm, per triple; param-check q*p per triple;
+expsum-check count*q; dioph 2x+1 for --mode equation and a flat 10^6 for the
+other modes; predict and selftest nothing.
 
 Exit codes: 0 success, 2 invalid input, 1 internal assertion failure. The
 handlers do not translate errors: every ValueError, from the library's own
@@ -158,14 +162,16 @@ def _budget_gate(args, units: int):
     return False
 
 
-def _coeff_list(args, rng, need_p):
-    """Coefficient triples from --coeffs or --sample; a given --sample must lie in 1..SAMPLE_MAX."""
+def _coeff_list(args, rng):
+    """Coefficient triples from --coeffs or --sample (not both); --sample must lie in 1..SAMPLE_MAX."""
     if args.sample is not None and not 1 <= args.sample <= SAMPLE_MAX:
         raise ValidationError(f"--sample must lie in 1..{SAMPLE_MAX}, got {args.sample}")
-    if args.coeffs:
+    if args.coeffs is not None and args.sample is not None:
+        raise ValidationError("give --coeffs or --sample, not both")
+    if args.coeffs is not None:
         return [_parse_coeffs(args.coeffs)]
-    if args.sample:
-        return [rng.unit_triple(need_p) for _ in range(args.sample)]
+    if args.sample is not None:
+        return [rng.unit_triple(args.p) for _ in range(args.sample)]
     raise ValidationError("provide --coeffs or --sample")
 
 
@@ -207,7 +213,7 @@ def _run_count(args, rng):
     box = (w.truncation_radius if w.kind == "gaussian" else 1.0) * args.N
     if box == math.inf:
         raise ValidationError("count box --truncation-radius * --N overflows a float")
-    triples = _coeff_list(args, rng, args.p)
+    triples = _coeff_list(args, rng)
     if _budget_gate(args, int(box) ** 2 * len(triples)):
         return []
     rows = []
@@ -226,7 +232,7 @@ def _run_predict(args, rng):
     w = _weight(args)
     if not 0 <= args.N < math.inf:
         raise ValidationError("predict requires a finite --N >= 0")
-    triples = _coeff_list(args, rng, args.p)
+    triples = _coeff_list(args, rng)
     if _budget_gate(args, 0):
         return []
     rows = []
@@ -242,7 +248,7 @@ def _run_scan(args, rng):
     n_values = _parse_n_range(args.n)
     w = _weight(args)
     units = census.estimate_scan_work(args.p, n_values, args.theta, w)
-    triples = _coeff_list(args, rng, args.p)
+    triples = _coeff_list(args, rng)
     if _budget_gate(args, units * len(triples)):
         return []
     rows = []
@@ -260,7 +266,7 @@ def _run_scan(args, rng):
 def _run_smallest(args, rng):
     _require(args, "p", "n")
     pp = PrimePowerModulus(args.p, args.n)
-    triples = _coeff_list(args, rng, args.p)
+    triples = _coeff_list(args, rng)
     units = sum(census.estimate_smallest_work(coeffs, pp) for coeffs in triples)
     if _budget_gate(args, units):
         return []
@@ -279,7 +285,7 @@ def _run_smallest(args, rng):
 def _run_param_check(args, rng):
     _require(args, "p", "n")
     pp = PrimePowerModulus(args.p, args.n)
-    triples = _coeff_list(args, rng, args.p)
+    triples = _coeff_list(args, rng)
     if _budget_gate(args, pp.q * pp.p * len(triples)):
         return []
     rows = []
@@ -332,7 +338,7 @@ def _run_expsum_check(args, rng):
                 if tag != conic.CASE_II:
                     continue
                 base = conic.find_base_point(coeffs, pp)
-                want = expsum.direct_E_case2(k1, k2, x3, coeffs, base, pp)
+                want = expsum.layer_sum(0, k1, k2, x3, coeffs, base, pp)
                 got = expsum.closed_form_E(k1, k2, x3, coeffs, pp, conic.CASE_II, base=base)
             else:
                 coeffs_poly = tuple(1 + rng.below(pp.q - 1) for _ in range(4))

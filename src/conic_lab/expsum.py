@@ -159,11 +159,6 @@ class IntRationalFunction:
         )
 
 
-def ord_p_derivative(f: IntRationalFunction, p: int) -> int:
-    """r = ord_p(f'), the exact p-content of the derivative."""
-    return f.derivative().stripped(p)[1]
-
-
 # ---------------------------------------------------------------------------
 # direct summation
 
@@ -211,14 +206,16 @@ class CriticalPointReport:
     lift_modulus: int
 
 
-def analyze_critical_points(f: IntRationalFunction, pp: PrimePowerModulus) -> CriticalPointReport:
-    """The roots mod p of g = p^(-r) f' where f is defined, with lifts and A(alpha)."""
-    return _critical_points(f, pp, range(pp.p))
+def analyze_critical_points(
+    f: IntRationalFunction, pp: PrimePowerModulus, alphas=None
+) -> CriticalPointReport:
+    """The roots mod p of g = p^(-r) f' where f is defined, with lifts and A(alpha).
 
-
-def _critical_points(f, pp, alphas) -> CriticalPointReport:
-    """analyze_critical_points over the classes alphas only (a full scan costs O(p))."""
+    Scans the classes alphas (default: all p of them; a full scan costs O(p)).
+    """
     p, n = pp.p, pp.n
+    if alphas is None:
+        alphas = range(p)
     g, r = f.derivative().stripped(p)
     lift_mod = p ** ((n - r + 1) // 2)
     roots, lifted, second = [], {}, {}
@@ -268,7 +265,7 @@ def cochrane_evaluate(f: IntRationalFunction, alpha: int, pp: PrimePowerModulus)
     alpha %= p
     if poly_eval_mod(f.denom, alpha, p) == 0:
         raise NonUnitDenominatorError(f"denominator vanishes at alpha={alpha} mod {p}")
-    crit = _critical_points(f, pp, (alpha,))
+    crit = analyze_critical_points(f, pp, (alpha,))
     r = crit.r
     _check_evaluable(p, n, r)
     mult = dict(crit.roots).get(alpha)
@@ -316,11 +313,6 @@ def direct_E_case1(k1, k2, x3, coeffs, b, pp: PrimePowerModulus) -> complex:
     """E(k1,k2,x3;p^n) for Case I: the t-sum over admissible classes, directly."""
     f = family_case1(k1, k2, x3, coeffs, b, pp)
     return direct_full_sum(f, pp, case1_admissible_alphas(coeffs, pp.p))
-
-
-def direct_E_case2(k1, k2, x3, coeffs, base: BasePoint, pp: PrimePowerModulus) -> complex:
-    """The full t-sum of the s=0 Case II amplitude, directly."""
-    return layer_sum(0, k1, k2, x3, coeffs, base, pp)
 
 
 def layer_sum(s, k1, k2, x3, coeffs, base: BasePoint, pp: PrimePowerModulus) -> complex:

@@ -85,14 +85,10 @@ class CoefficientTriple(NamedTuple):
     a3: int
 
 
-def as_coeffs(coeffs) -> CoefficientTriple:
-    a1, a2, a3 = coeffs
-    return CoefficientTriple(a1, a2, a3)
-
-
 def validate_coeffs(coeffs, p: int) -> CoefficientTriple:
     """Check gcd(a_i, p) = 1 for all three coefficients."""
-    c = as_coeffs(coeffs)
+    a1, a2, a3 = coeffs  # a wrong length raises ValueError
+    c = CoefficientTriple(a1, a2, a3)
     for a in c:
         if a % p == 0:
             raise ValueError(f"coefficient {a} shares a factor with p={p}")

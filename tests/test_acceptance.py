@@ -13,6 +13,9 @@ as written and fails honestly; ROADMAP item 1 has the measurements.
 Everything else passes.
 """
 
+import contextlib
+import io
+import json
 import math
 import random
 import time
@@ -20,7 +23,7 @@ import time
 import numpy as np
 import pytest
 
-from conic_lab import census, conic, dioph, expsum, modcore
+from conic_lab import census, cli, conic, dioph, expsum, modcore
 from conic_lab.census import WeightSpec
 from conic_lab.modcore import PrimePowerModulus
 
@@ -207,7 +210,7 @@ def test_criterion_06_closed_form_E():
                     else:
                         base = conic.find_base_point(coeffs, pp)
                         got = expsum.closed_form_E(k1, k2, x3, coeffs, pp, tag, base=base)
-                        want = expsum.direct_E_case2(k1, k2, x3, coeffs, base, pp)
+                        want = expsum.layer_sum(0, k1, k2, x3, coeffs, base, pp)
                 except expsum.UnsupportedCaseError:
                     continue
                 assert abs(got - want) / max(1.0, abs(want)) < 1e-6, (p, n, tag, coeffs)
@@ -258,8 +261,8 @@ def test_criterion_08_count_equals_brute_force():
     _report("criterion 08", True, f"count_sharp == brute triple loop on {done} instances")
 
 
-def _scan_ratios(coeffs, workers=None):
-    reports = census.asymptotic_scan(coeffs, 7, [4, 5, 6], 0.62, workers=workers)
+def _scan_ratios(coeffs):
+    reports = census.asymptotic_scan(coeffs, 7, [4, 5, 6], 0.62)
     return [r.ratio for r in reports]
 
 
@@ -390,6 +393,15 @@ def test_criterion_11_diophantine_toolkit():
             f"equal on {checked_eq} unit-r instances over q in (49, 343)")
 
 
+def _cli_stdout(argv):
+    """stdout of one cli.run call, which must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(argv)
+    assert code == 0, argv
+    return out.getvalue()
+
+
 def test_criterion_12_determinism_across_workers():
     rng = random.Random(112)
     for _ in range(5):
@@ -397,14 +409,15 @@ def test_criterion_12_determinism_across_workers():
         pp = PrimePowerModulus(p, n)
         coeffs = tuple(rng.choice([1, -1]) * rng.randrange(1, p) for _ in range(3))
         N = rng.randint(5, 40)
-        counts = {w: census.count_sharp(coeffs, pp, N, workers=w) for w in (1, 4, 8)}
-        assert len(set(counts.values())) == 1, counts
-    rows = {}
-    for w in (1, 4, 8):
-        rows[w] = [
-            (r.observed, r.predicted, r.ratio)
-            for r in census.asymptotic_scan((1, 2, 3), 7, [3, 4], 0.62, workers=w)
-        ]
-    assert rows[1] == rows[4] == rows[8]  # bit-identical, stronger than 1e-12
+        argv = ["count", "--p", str(p), "--n", str(n), "--coeffs=" + ",".join(map(str, coeffs)),
+                "--N", str(N), "--sharp", "--format", "jsonl"]
+        outs = {_cli_stdout(argv + ["--workers", str(w)]) for w in (1, 4, 8)}
+        assert len(outs) == 1, outs
+        assert json.loads(outs.pop())["observed"] == census.count_sharp(coeffs, pp, N)
+    argv = ["scan", "--p", "7", "--n", "3..4", "--theta", "0.62", "--coeffs", "1,2,3", "--format", "jsonl"]
+    outs = {_cli_stdout(argv + ["--workers", str(w)]) for w in (1, 4, 8)}
+    assert len(outs) == 1  # bit-identical: JSONL prints floats as repr
+    observed = [json.loads(line)["observed"] for line in outs.pop().splitlines()]
+    assert observed == [r.observed for r in census.asymptotic_scan((1, 2, 3), 7, [3, 4], 0.62)]
     _report("criterion 12", True,
-            "sharp counts bit-identical and scan rows bit-identical over workers {1,4,8}")
+            "count and scan JSONL byte-identical over --workers {1,4,8}; observed == library counts")

@@ -343,14 +343,6 @@ def test_poisson_selfcheck():
         poisson_selfcheck(WeightSpec("sharp", 1.0), 1.0)
 
 
-def test_worker_determinism():
-    pp = PrimePowerModulus(7, 3)
-    sharp = {count_sharp((1, 1, -1), pp, 60, workers=k) for k in (1, 2, 4, 8)}
-    assert len(sharp) == 1
-    smooth = {count_smoothed((1, 2, 3), pp, 15, workers=k) for k in (1, 2, 4, 8)}
-    assert len(smooth) == 1  # bit-identical: the kernels ignore the worker count
-
-
 def test_table_cap_checked_before_allocation():
     pp = PrimePowerModulus(7, 9)  # q = 40353607 > TABLE_Q_MAX
     pp72 = PrimePowerModulus(7, 2)

@@ -157,6 +157,17 @@ BAD_INPUTS = [
 ]
 
 
+def test_coeffs_with_sample_exits_2(capsys):
+    # --sample would be ignored while the output still carried its seed
+    for argv in (["count", "--p", "7", "--n", "2", "--N", "5", "--sharp"],
+                 ["smallest", "--p", "7", "--n", "2"]):
+        for fmt in ("csv", "jsonl"):
+            code, out, err = run_capture(
+                argv + ["--coeffs", "1,1,-1", "--sample", "3", "--format", fmt], capsys)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_budget_charges(capsys):
     # count charges its per-triple units once per triple: 1000 * int(2)^2
     argv = ["count", "--p", "7", "--n", "2", "--sample", "1000", "--N", "2", "--sharp"]

@@ -28,13 +28,11 @@ from conic_lab.expsum import (
     closed_form_E,
     cochrane_evaluate,
     direct_E_case1,
-    direct_E_case2,
     direct_S_alpha,
     direct_full_sum,
     family_case1,
     family_case2,
     layer_sum,
-    ord_p_derivative,
 )
 
 import oracles
@@ -53,11 +51,12 @@ def test_eval_mod_examples():
 
 
 def test_ord_p_derivative_examples():
-    assert ord_p_derivative(T2, 7) == 0
-    assert ord_p_derivative(IntRationalFunction((0, 0, 0, 7)), 7) == 1
-    assert ord_p_derivative(IntRationalFunction((1, 2), (0, 1)), 7) == 0
+    # r = ord_p(f'), the exact p-content of the derivative
+    assert T2.derivative().stripped(7)[1] == 0
+    assert IntRationalFunction((0, 0, 0, 7)).derivative().stripped(7)[1] == 1
+    assert IntRationalFunction((1, 2), (0, 1)).derivative().stripped(7)[1] == 0
     with pytest.raises(ValueError):
-        ord_p_derivative(IntRationalFunction((5,)), 7)
+        IntRationalFunction((5,)).derivative().stripped(7)[1]
 
 
 def _poly_deriv_ref(c):
@@ -260,7 +259,7 @@ def test_cochrane_p3_gap_is_excluded():
     # below has |direct| = 3^(5/2) but a rotated phase.
     f = IntRationalFunction((10, -18, 15, 1))
     pp = PrimePowerModulus(3, 4)
-    assert ord_p_derivative(f, 3) == 1
+    assert f.derivative().stripped(3)[1] == 1
     with pytest.raises(UnsupportedCaseError):
         cochrane_evaluate(f, 0, pp)
     direct = direct_S_alpha(f, 0, pp)
@@ -367,7 +366,7 @@ def test_family_case2_layer_sums():
             continue
         for s in (1, 2):
             f = family_case2(s, k1, k2, 1, coeffs, base, pp)
-            if ord_p_derivative(f, 3) <= pp.n - 2:
+            if f.derivative().stripped(3)[1] <= pp.n - 2:
                 assert abs(layer_sum(s, k1, k2, 1, coeffs, base, pp)) < 1e-6
                 checked += 1
     assert checked >= 10
@@ -384,8 +383,8 @@ def test_family_case2_s0_discriminant_obstruction():
         l1, l2 = rng.randrange(1, 27), rng.randrange(1, 27)
         if l1 % 3 == 0 or l2 % 3 == 0:
             continue
-        assert abs(direct_E_case2(3 * l1, l2, 1, coeffs, base, pp)) < 1e-9
-        assert abs(direct_E_case2(l1, 3 * l2, 1, coeffs, base, pp)) < 1e-9
+        assert abs(layer_sum(0, 3 * l1, l2, 1, coeffs, base, pp)) < 1e-9
+        assert abs(layer_sum(0, l1, 3 * l2, 1, coeffs, base, pp)) < 1e-9
 
 
 def test_families_are_the_conic_maps():
@@ -463,7 +462,7 @@ def test_closed_form_E_matches_direct_case2():
             got = closed_form_E(k1, k2, x3, coeffs, pp, CASE_II, base=base)
         except UnsupportedCaseError:
             continue
-        want = direct_E_case2(k1, k2, x3, coeffs, base, pp)
+        want = layer_sum(0, k1, k2, x3, coeffs, base, pp)
         assert abs(got - want) / max(1.0, abs(want)) < 1e-6
         checked += 1
 
@@ -532,7 +531,7 @@ def test_closed_form_E_matches_direct_sums(instance):
         base = None
     else:
         base = find_base_point(coeffs, pp)
-        want = direct_E_case2(k1, k2, x3, coeffs, base, pp)
+        want = layer_sum(0, k1, k2, x3, coeffs, base, pp)
     try:
         got = closed_form_E(k1, k2, x3, coeffs, pp, tag, base=base)
     except UnsupportedCaseError:

@@ -188,6 +188,9 @@ def test_validate_coeffs():
     assert tuple(validate_coeffs((1, 2, -3), 7)) == (1, 2, -3)
     with pytest.raises(ValueError):
         validate_coeffs((1, 14, 3), 7)
+    for wrong_length in ((1, 2), (1, 2, 3, 4)):  # ValueError, not TypeError
+        with pytest.raises(ValueError):
+            validate_coeffs(wrong_length, 7)
 
 
 def test_array_inverse_and_horner_vs_scalar():
