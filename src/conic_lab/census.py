@@ -9,9 +9,10 @@ step: count = (1/q) sum_{h mod q} prod_i F_i(h), with F_i the discrete
 Fourier transform over Z/q of the Phi-weighted histogram of a_i x^2. This
 costs O(half + q log q) and agrees with direct summation to within a few ulps
 of the count (float64 FFT rounding); exponent bins round the h-sum exactly,
-equal to math.fsum. Sharp counts stay exact: an int64 kernel sums, over
-(x1, x2) rows, a histogram of a3 x3^2. Both kernels run in one thread with a
-fixed operation order.
+equal to math.fsum. Sharp counts stay exact: blocks of (x1, x2) rows gather a
+histogram of a3 x3^2 in the narrowest unsigned dtype that holds its largest
+bin (bins <= 2(N/q + 1)) and sum it in int64. Both kernels run in one thread
+with a fixed operation order.
 """
 
 import math
@@ -32,6 +33,9 @@ from .modcore import (
 )
 
 GAUSSIAN_TAIL_RADIUS = 6.0
+# Cells (x1, x2) per row block of the sharp count and the box search: bounds
+# their scratch arrays to a few MB whatever the box size.
+BOX_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -123,7 +127,7 @@ def _float_sum(x: np.ndarray) -> float:
 def count_sharp(coeffs, pp: PrimePowerModulus, N: int) -> int:
     """Exact number of solutions with |x_i| <= N and all coordinates units.
 
-    Sums, over the (x1, x2) rows, an int64 histogram of a3 x3^2 mod q.
+    Sums, over blocks of (x1, x2) rows, a narrow-table histogram of a3 x3^2 mod q.
     """
     if N < 0:
         raise ValueError("box half-width must be >= 0")
@@ -131,14 +135,20 @@ def count_sharp(coeffs, pp: PrimePowerModulus, N: int) -> int:
     c = validate_coeffs(coeffs, p)
     check_table_q(q)
     _, sq = _unit_squares(p, q, N)
-    # int64 throughout: a%q * sq < q^2 <= 1e14 < 2^63; hist holds the
-    # histogram twice (2q entries, 16q B) so t1 + t2 < 2q needs no reduction.
-    hist = np.tile(np.bincount(c.a3 % q * sq % q, minlength=q), 2)
-    t1s = (-c.a1) % q * sq % q
-    t2 = (-c.a2) % q * sq % q
+    # A bin is at most 2(N/q + 1) (two roots per unit square, each hit at most
+    # N/q + 1 times in 1..N); the table takes the narrowest unsigned dtype that
+    # holds it, uint8 for N < q/2, twice over (2q entries) so t1 + t2 < 2q needs
+    # no reduction. int64: a%q * sq < q^2 <= 1e14; a block sums under 2e14 < 2^63.
+    vals, counts = np.unique(c.a3 % q * sq % q, return_counts=True)
+    hist = np.zeros(2 * q, dtype=np.min_scalar_type(counts.max(initial=0)))
+    hist[vals] = hist[vals + q] = counts
+    # sorted rows and columns keep a block's gathers in one band of the table
+    t1s = np.sort((-c.a1) % q * sq % q)
+    t2 = np.sort((-c.a2) % q * sq % q)
+    rows = max(1, BOX_BLOCK_CELLS // max(len(t2), 1))
     total = 0
-    for t1 in t1s.tolist():
-        total += int(hist[t1 + t2].sum())
+    for start in range(0, len(t1s), rows):
+        total += int(hist[t1s[start : start + rows, None] + t2].sum(dtype=np.int64))
     return 8 * total  # independent signs of x1, x2, x3
 
 
@@ -240,11 +250,6 @@ def count_unit_circle(g1: int, g2: int, pp: PrimePowerModulus) -> int:
     xs = np.arange(q, dtype=np.int64)
     need = (1 - g1 % q * (xs * xs % q)) % q * inv2 % q
     return int(np.sum(counts[need]))
-
-
-# Cells (x1, x2) per row block of the box search: bounds its scratch arrays
-# to a few MB whatever the box size.
-BOX_BLOCK_CELLS = 1 << 16
 
 
 def _box_minimum(k1: int, k2: int, pp: PrimePowerModulus, M: int):

@@ -21,10 +21,8 @@ import random
 import time
 
 import numpy as np
-import pytest
 
 from conic_lab import census, cli, conic, dioph, expsum, modcore
-from conic_lab.census import WeightSpec
 from conic_lab.modcore import PrimePowerModulus
 
 import oracles

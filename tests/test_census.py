@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conic_lab import conic, expsum, modcore
+from conic_lab import cli, conic, expsum, modcore
 from conic_lab.modcore import PrimePowerModulus, jacobi, s_p
 from conic_lab.census import (
     CountReport,
@@ -58,6 +58,43 @@ def test_count_sharp_vs_brute_sweep():
         coeffs = tuple(rng.choice([1, -1]) * rng.randrange(1, p) for _ in range(3))
         N = rng.randint(0, 30)
         assert count_sharp(coeffs, pp, N) == oracles.brute_count_triples_mesh(coeffs, p, pp.q, N)
+
+
+@pytest.mark.parametrize("p, n, k", [(7, 1, 130), (5, 1, 140), (5, 2, 130)])
+def test_count_sharp_periodicity_law(p, n, k):
+    # N = k q + (q-1)/2: the box [-N, N] holds (2k+1) q consecutive integers,
+    # so it covers each residue 2k+1 times and the count scales by (2k+1)^3.
+    # A unit square's two roots r and q - r are hit k+1 and k times in 1..N,
+    # so a bin holds 2k+1 > 255 values and the table must be wider than uint8.
+    pp = PrimePowerModulus(p, n)
+    half = (pp.q - 1) // 2
+    units = [a for a in range(-pp.q + 1, pp.q) if a % p]
+    rng = random.Random(p * k)
+    for _ in range(3):
+        coeffs = tuple(rng.choice(units) for _ in range(3))
+        want = (2 * k + 1) ** 3 * count_sharp(coeffs, pp, half)
+        assert count_sharp(coeffs, pp, k * pp.q + half) == want
+        if n == 1:
+            assert want == (2 * k + 1) ** 3 * count_mod_p(coeffs, p)
+
+
+def test_count_sharp_large_modulus_memory(capsys):
+    # the sharp count of the benchmark's verify batch (seed 1): 7^7, N = 4677
+    coeffs, pp, N = (574975, 243455, 538729), PrimePowerModulus(7, 7), 4677
+    tracemalloc.start()
+    try:
+        got = count_sharp(coeffs, pp, N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == 971096  # as counted by the earlier int64-table kernel
+    argv = ["count", "--p", "7", "--n", "7", "--coeffs", "574975,243455,538729",
+            "--N", str(N), "--sharp"]
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[8] == str(got)
+    # a uint8 table of 2q entries (1.6 MB) and 2^16-cell row blocks; the
+    # int64 table was 13 MB
+    assert peak < 4 * 10**6
 
 
 def test_count_sharp_monotone_in_N():

@@ -3,9 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conic_lab.dioph import (
-    Approximant,
     BinaryQuadraticInstance,
     choose_parameters,
     convergents,
@@ -98,6 +98,17 @@ def test_count_F_vs_brute():
         b2 = rng.randrange(1, q)
         X = rng.randint(1, 25)
         assert count_F(b1, b2, X, q) == oracles.brute_count_F(b1, b2, X, q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 400), st.data())
+def test_count_F_property(q, data):
+    # the closed form's edge cases: q = 1, b2 = 0 or a non-unit, negative
+    # b's, X <= 0 (count 0) and X >= q (A1 wraps around the modulus)
+    b1 = data.draw(st.integers(-2 * q, 2 * q).filter(lambda b: math.gcd(b, q) == 1))
+    b2 = data.draw(st.integers(-2 * q, 2 * q))
+    X = data.draw(st.integers(-3, 40))
+    assert count_F(b1, b2, X, q) == oracles.brute_count_F(b1, b2, X, q)
 
 
 def test_reduce_coefficients_example():
