@@ -4,9 +4,14 @@ Sharp and Gaussian-smoothed counts, the main-term predictor C_p N^3 / q,
 exact prime-level counts, unit-circle counts mod p^n, the smallest-solution
 box search, and n-sweeps comparing observed counts to the prediction.
 
+The weight is a switch. By default it is the paper's self-dual Gaussian
+exp(-pi (x/N)^2), counted by count_smoothed over the box GAUSSIAN_TAIL_RADIUS
+* N; sharp=True selects the box |x_i| <= N, counted exactly by count_sharp.
+predict_main_term, estimate_scan_work and asymptotic_scan take the switch.
+
 The Gaussian count is evaluated on the dual side, as in the paper's Poisson
 step: count = (1/q) sum_{h mod q} prod_i F_i(h), with F_i the discrete
-Fourier transform over Z/q of the Phi-weighted histogram of a_i x^2. This
+Fourier transform over Z/q of the Gaussian-weighted histogram of a_i x^2. This
 costs O(half + q log q) and agrees with direct summation to within a few ulps
 of the count (float64 FFT rounding); exponent bins round the h-sum exactly,
 equal to math.fsum. Sharp counts stay exact: blocks of (x1, x2) rows gather a
@@ -22,7 +27,6 @@ from typing import Optional
 import numpy as np
 
 from .modcore import (
-    CoefficientTriple,
     PrimePowerModulus,
     TABLE_Q_MAX,
     check_table_q,
@@ -32,39 +36,17 @@ from .modcore import (
     validate_coeffs,
 )
 
+# The Gaussian count's box, in units of N: the weight's tail mass beyond it is
+# below 1e-15 per coordinate, so any larger radius gives the same float.
 GAUSSIAN_TAIL_RADIUS = 6.0
 # Cells (x1, x2) per row block of the sharp count and the box search: bounds
 # their scratch arrays to a few MB whatever the box size.
 BOX_BLOCK_CELLS = 1 << 16
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """Weight Phi applied per coordinate: self-dual Gaussian or sharp cutoff.
-
-    gaussian: Phi(x) = exp(-pi x^2), its own Fourier transform, hat(0) = 1;
-    sharp: the indicator of [-1, 1], hat(0) = 2. truncation_radius is in
-    units of N and must keep the Gaussian tail below double precision
-    (>= 6: per-coordinate tail mass < 1e-15).
-    """
-
-    kind: str = "gaussian"
-    truncation_radius: float = GAUSSIAN_TAIL_RADIUS
-
-    def __post_init__(self):
-        if self.kind not in ("gaussian", "sharp"):
-            raise ValueError(f"unknown weight kind {self.kind!r}")
-        if self.kind == "gaussian" and not self.truncation_radius >= GAUSSIAN_TAIL_RADIUS:
-            raise ValueError("gaussian truncation radius must be >= 6")
-
-    def phi(self, x):
-        if self.kind == "gaussian":
-            return np.exp(-np.pi * np.square(x))
-        return (np.abs(x) <= 1.0).astype(float)
-
-    @property
-    def hat_zero(self) -> float:
-        return 1.0 if self.kind == "gaussian" else 2.0
+def _gaussian(x):
+    """The self-dual weight exp(-pi x^2): its own Fourier transform, with hat(0) = 1."""
+    return np.exp(-np.pi * np.square(x))
 
 
 @dataclass(frozen=True)
@@ -72,16 +54,15 @@ class CountReport:
     """One observed-vs-predicted record of a box count."""
 
     modulus: PrimePowerModulus
-    coeffs: CoefficientTriple
     box_half_width: float
     observed: float
     predicted: float
     ratio: Optional[float] = field(default=None)
 
     @staticmethod
-    def build(pp, coeffs, n_box, observed, predicted) -> "CountReport":
+    def build(pp, n_box, observed, predicted) -> "CountReport":
         ratio = observed / predicted if predicted > 0 else None
-        return CountReport(pp, CoefficientTriple(*coeffs), n_box, observed, predicted, ratio)
+        return CountReport(pp, n_box, observed, predicted, ratio)
 
     @property
     def valid(self) -> bool:
@@ -152,26 +133,22 @@ def count_sharp(coeffs, pp: PrimePowerModulus, N: int) -> int:
     return 8 * total  # independent signs of x1, x2, x3
 
 
-def count_smoothed(coeffs, pp: PrimePowerModulus, N: float, w: WeightSpec = WeightSpec()) -> float:
-    """Sum of Phi(x1/N) Phi(x2/N) Phi(x3/N) over unit solutions.
+def count_smoothed(coeffs, pp: PrimePowerModulus, N: float) -> float:
+    """Sum of exp(-pi |x/N|^2) over the unit solutions x: the Gaussian-smoothed count.
 
-    Truncated at |x_i| <= truncation_radius * N; for the Gaussian the
-    discarded tail is below 1e-15 per coordinate. The Gaussian sum is
-    evaluated on the dual side, 8/q * sum_h prod_i F_i(h) with F_i the
-    float64 FFT of the Phi-weighted histogram of a_i x^2 mod q, and agrees
-    with direct summation to about 1e-15 relative; _float_sum's exponent bins
-    round the h-sum exactly, equal to math.fsum. The sharp kind delegates to
-    count_sharp.
+    Truncated at |x_i| <= GAUSSIAN_TAIL_RADIUS * N, where the discarded tail
+    is below 1e-15 per coordinate. Evaluated on the dual side, 8/q * sum_h
+    prod_i F_i(h) with F_i the float64 FFT of the weighted histogram of
+    a_i x^2 mod q; agrees with direct summation to about 1e-15 relative, and
+    _float_sum's exponent bins round the h-sum exactly, equal to math.fsum.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if w.kind == "sharp":
-        return float(count_sharp(coeffs, pp, int(N)))
     p, q = pp.p, pp.q
     c = validate_coeffs(coeffs, p)
     check_table_q(q)
-    xs, sq = _unit_squares(p, q, w.truncation_radius * N)
-    phi = w.phi(xs / N)
+    xs, sq = _unit_squares(p, q, GAUSSIAN_TAIL_RADIUS * N)
+    phi = _gaussian(xs / N)
 
     def spectrum(a):
         # residues a%q * sq < q^2 <= 1e14 < 2^63
@@ -193,9 +170,12 @@ def count_smoothed(coeffs, pp: PrimePowerModulus, N: float, w: WeightSpec = Weig
     return 8.0 * (float(prod[0].real) + 2.0 * _float_sum(prod[1:].real)) / q
 
 
-def predict_main_term(coeffs, pp: PrimePowerModulus, N: float, w: WeightSpec = WeightSpec()) -> float:
+def predict_main_term(coeffs, pp: PrimePowerModulus, N: float, sharp: bool = False) -> float:
     """Main-term prediction hat(Phi)(0)^3 * C_p * N^3 / q.
 
+    hat(Phi)(0) is the weight's integral over R: 1 for the self-dual Gaussian
+    and 2 for the sharp box [-1, 1], so the sharp prediction is 8 times the
+    Gaussian one (each coordinate's box holds 2N integers, not N).
     Zero or negative C_p (s_p >= p) makes the prediction vacuous; the value
     is returned as-is and report builders flag the ratio as invalid.
     """
@@ -204,7 +184,7 @@ def predict_main_term(coeffs, pp: PrimePowerModulus, N: float, w: WeightSpec = W
         cube = float(N) ** 3
     except OverflowError:
         raise ValueError(f"N={N} is too large: N^3 overflows a float") from None
-    return w.hat_zero**3 * float(cp) * cube / pp.q
+    return (8.0 if sharp else 1.0) * float(cp) * cube / pp.q
 
 
 def prediction_is_vacuous(coeffs, p: int) -> bool:
@@ -339,54 +319,48 @@ def estimate_smallest_work(coeffs, pp: PrimePowerModulus) -> int:
     return sum(M * (2 * M + 1) for M in _box_sizes(pp.q, m_est))
 
 
-def estimate_scan_work(p: int, n_values, theta: float, w: WeightSpec) -> int:
+def estimate_scan_work(p: int, n_values, theta: float, sharp: bool = False) -> int:
     """Pair visits the scan will perform (the unit of the work budget).
 
-    Checks theta and each modulus first, so a bad scan is refused before any work.
+    The box radius is GAUSSIAN_TAIL_RADIUS * N, or N for the sharp count.
+    Checks theta and each modulus first, so a bad scan is refused before any
+    work; with q <= Q_MAX and theta <= 1 no box overflows a float.
     """
     if not 0.5 < theta <= 1.0:
         raise ValueError("theta must lie in (0.5, 1]")
-    total = 0
-    radius = w.truncation_radius if w.kind == "gaussian" else 1.0
-    for n in n_values:
-        box = radius * math.ceil(PrimePowerModulus(p, n).q ** theta)
-        if box == math.inf:
-            raise ValueError("the scan box truncation_radius * N overflows a float")
-        total += int(box) ** 2
-    return total
+    radius = 1.0 if sharp else GAUSSIAN_TAIL_RADIUS
+    return sum(int(radius * math.ceil(PrimePowerModulus(p, n).q ** theta)) ** 2 for n in n_values)
 
 
-def asymptotic_scan(
-    coeffs, p: int, n_values, theta: float, w: WeightSpec = WeightSpec(), budget: int = 10**9
-) -> list:
-    """CountReports with N = ceil(q^theta) at each n; refuses oversized scans."""
+def asymptotic_scan(coeffs, p: int, n_values, theta: float, sharp: bool = False, budget: int = 10**9) -> list:
+    """CountReports with N = ceil(q^theta) at each n; refuses oversized scans.
+
+    Counts with count_smoothed, or with the exact count_sharp when sharp.
+    """
     n_values = list(n_values)
-    work = estimate_scan_work(p, n_values, theta, w)
+    work = estimate_scan_work(p, n_values, theta, sharp)
     if work > budget:
         raise ValueError(f"scan needs ~{work} pair visits, over the budget {budget}")
-    c = validate_coeffs(coeffs, p)
     reports = []
     for n in n_values:
         pp = PrimePowerModulus(p, n)
         N = math.ceil(pp.q**theta)
-        observed = count_smoothed(coeffs, pp, N, w)
-        predicted = predict_main_term(coeffs, pp, N, w)
-        reports.append(CountReport.build(pp, c, N, observed, predicted))
+        observed = float(count_sharp(coeffs, pp, N)) if sharp else count_smoothed(coeffs, pp, N)
+        predicted = predict_main_term(coeffs, pp, N, sharp)
+        reports.append(CountReport.build(pp, N, observed, predicted))
     return reports
 
 
-def poisson_selfcheck(w: WeightSpec, scale: float) -> float:
-    """|sum_m Phi(m/scale) - scale * sum_m Phi(scale m)| for the Gaussian.
+def poisson_selfcheck(scale: float) -> float:
+    """|sum_m Phi(m/scale) - scale * sum_m Phi(scale m)| for the Gaussian Phi(x) = exp(-pi x^2).
 
     Both sides are truncated where the tails drop below double precision;
     the summation-formula defect is ~1e-15 at any scale.
     """
-    if w.kind != "gaussian":
-        raise ValueError("self-check requires the gaussian weight")
-    lhs_half = int(math.ceil(w.truncation_radius * scale)) + 1
+    lhs_half = int(math.ceil(GAUSSIAN_TAIL_RADIUS * scale)) + 1
     m = np.arange(-lhs_half, lhs_half + 1)
-    lhs = math.fsum(w.phi(m / scale))
-    rhs_half = int(math.ceil(w.truncation_radius / scale)) + 1
+    lhs = math.fsum(_gaussian(m / scale))
+    rhs_half = int(math.ceil(GAUSSIAN_TAIL_RADIUS / scale)) + 1
     k = np.arange(-rhs_half, rhs_half + 1)
-    rhs = scale * math.fsum(w.phi(scale * k))
+    rhs = scale * math.fsum(_gaussian(scale * k))
     return abs(lhs - rhs)

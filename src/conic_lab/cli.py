@@ -3,17 +3,17 @@
 Subcommands: count | predict | scan | smallest | param-check | expsum-check
 | dioph | selftest. One argparse parser, built at import, knows every flag,
 type and default. A JSON config object (--config) is turned into argv: each
-key names a flag ("truncation_radius" is --truncation-radius), true is the
-bare flag, false is dropped, and any other value is passed as --key=value.
-These tokens go before the explicit flags and the whole line is parsed
-again, so explicit flags win and config values are type-checked like flags.
+key names a flag ("dry_run" is --dry-run), true is the bare flag, false is
+dropped, and any other value is passed as --key=value. These tokens go
+before the explicit flags and the whole line is parsed again, so explicit
+flags win and config values are type-checked like flags.
 --workers and $CONIC_LAB_THREADS must be integers and have no effect.
 
 Results are emitted as CSV or JSONL with a fixed column set per subcommand
 and a schema_version column; floats are printed with 12 significant digits.
 Work is estimated up front in (x1, x2)-pair-visit units and runs over the
-budget are refused. With r the truncation radius (1 for --sharp), the
-charges are: count floor(r*N)^2 per triple; scan the sum over n of
+budget are refused. With r = census.GAUSSIAN_TAIL_RADIUS = 6 (1 for --sharp),
+the charges are: count floor(r*N)^2 per triple; scan the sum over n of
 floor(r*ceil(q^theta))^2 per triple; smallest the box pair visits
 sum M(2M+1) up to the expected norm, per triple; param-check q*p per triple;
 expsum-check count*q; dioph 2x+1 for --mode equation and a flat 10^6 for the
@@ -32,7 +32,6 @@ import os
 import sys
 
 from . import census, conic, dioph, expsum, modcore
-from .census import WeightSpec
 from .modcore import PrimePowerModulus
 
 SCHEMA_VERSION = 1
@@ -142,13 +141,6 @@ def _parse_n_range(text: str):
         raise ValidationError(f"bad n value {text!r}")
 
 
-def _weight(args) -> WeightSpec:
-    if getattr(args, "sharp", False):
-        return WeightSpec("sharp", 1.0)
-    radius = getattr(args, "truncation_radius", None)
-    return WeightSpec("gaussian", radius if radius is not None else 6.0)
-
-
 def _budget_gate(args, units: int):
     budget = args.budget
     if units > budget:
@@ -207,38 +199,39 @@ def _require(args, *names):
 def _run_count(args, rng):
     _require(args, "p", "n", "N")
     pp = PrimePowerModulus(args.p, args.n)
-    w = _weight(args)
     if not 0 <= args.N < math.inf:
         raise ValidationError("count requires a finite --N >= 0")
-    box = (w.truncation_radius if w.kind == "gaussian" else 1.0) * args.N
+    radius = 1.0 if args.sharp else census.GAUSSIAN_TAIL_RADIUS
+    box = radius * args.N
     if box == math.inf:
-        raise ValidationError("count box --truncation-radius * --N overflows a float")
+        raise ValidationError(f"count box {radius:g} * --N overflows a float")
     triples = _coeff_list(args, rng)
     if _budget_gate(args, int(box) ** 2 * len(triples)):
         return []
     rows = []
+    weight = "sharp" if args.sharp else "gaussian"
     for coeffs in triples:
-        if w.kind == "sharp":
+        if args.sharp:
             obs = census.count_sharp(coeffs, pp, int(args.N))
         else:
-            obs = census.count_smoothed(coeffs, pp, args.N, w)
-        rows.append(_row(pp, coeffs, N=args.N, weight=w.kind, observed=obs))
+            obs = census.count_smoothed(coeffs, pp, args.N)
+        rows.append(_row(pp, coeffs, N=args.N, weight=weight, observed=obs))
     return rows
 
 
 def _run_predict(args, rng):
     _require(args, "p", "n", "N")
     pp = PrimePowerModulus(args.p, args.n)
-    w = _weight(args)
     if not 0 <= args.N < math.inf:
         raise ValidationError("predict requires a finite --N >= 0")
     triples = _coeff_list(args, rng)
     if _budget_gate(args, 0):
         return []
     rows = []
+    weight = "sharp" if args.sharp else "gaussian"
     for coeffs in triples:
-        pred = census.predict_main_term(coeffs, pp, args.N, w)
-        rows.append(_row(pp, coeffs, N=args.N, weight=w.kind, predicted=pred,
+        pred = census.predict_main_term(coeffs, pp, args.N, args.sharp)
+        rows.append(_row(pp, coeffs, N=args.N, weight=weight, predicted=pred,
                          vacuous=census.prediction_is_vacuous(coeffs, pp.p)))
     return rows
 
@@ -246,14 +239,13 @@ def _run_predict(args, rng):
 def _run_scan(args, rng):
     _require(args, "p", "n")
     n_values = _parse_n_range(args.n)
-    w = _weight(args)
-    units = census.estimate_scan_work(args.p, n_values, args.theta, w)
+    units = census.estimate_scan_work(args.p, n_values, args.theta, args.sharp)
     triples = _coeff_list(args, rng)
     if _budget_gate(args, units * len(triples)):
         return []
     rows = []
     for coeffs in triples:
-        reports = census.asymptotic_scan(coeffs, args.p, n_values, args.theta, w, budget=args.budget)
+        reports = census.asymptotic_scan(coeffs, args.p, n_values, args.theta, args.sharp, args.budget)
         for rep in reports:
             rows.append(
                 dict(p=rep.modulus.p, n=rep.modulus.n, q=rep.modulus.q,
@@ -333,13 +325,13 @@ def _run_expsum_check(args, rng):
                     continue
                 b = conic.case1_slope_base(coeffs, pp)
                 want = expsum.direct_E_case1(k1, k2, x3, coeffs, b, pp)
-                got = expsum.closed_form_E(k1, k2, x3, coeffs, pp, conic.CASE_I)
+                got = expsum.closed_form_E(k1, k2, x3, coeffs, pp)
             elif source == "case2":
                 if tag != conic.CASE_II:
                     continue
                 base = conic.find_base_point(coeffs, pp)
                 want = expsum.layer_sum(0, k1, k2, x3, coeffs, base, pp)
-                got = expsum.closed_form_E(k1, k2, x3, coeffs, pp, conic.CASE_II, base=base)
+                got = expsum.closed_form_E(k1, k2, x3, coeffs, pp, base=base)
             else:
                 coeffs_poly = tuple(1 + rng.below(pp.q - 1) for _ in range(4))
                 f = expsum.IntRationalFunction(coeffs_poly)
@@ -401,7 +393,7 @@ def _run_selftest(args, rng):
         expsum.cochrane_evaluate(expsum.IntRationalFunction((0, 0, 1)), 0, PrimePowerModulus(7, 3))
         - expsum.direct_S_alpha(expsum.IntRationalFunction((0, 0, 1)), 0, PrimePowerModulus(7, 3))
     ) < 1e-6)
-    check("poisson", lambda: census.poisson_selfcheck(WeightSpec(), 10.5) < 1e-9)
+    check("poisson", lambda: census.poisson_selfcheck(10.5) < 1e-9)
     check("dirichlet", lambda: dioph.dirichlet_approx(7, 10, 3).r == 3)
     if not all(r["status"] == "pass" for r in rows):
         raise AssertionError("selftest failed")
@@ -444,7 +436,6 @@ def _build_parser():
     coeffy(sp)
     sp.add_argument("--N", type=float)
     sp.add_argument("--sharp", action="store_true")
-    sp.add_argument("--truncation-radius", type=float)
     common(sp)
 
     sp = sub.add_parser("predict", help="main-term prediction")
@@ -458,7 +449,6 @@ def _build_parser():
     sp.add_argument("--n", help="e.g. 3..6")
     sp.add_argument("--theta", type=float, default=0.62)
     sp.add_argument("--sharp", action="store_true")
-    sp.add_argument("--truncation-radius", type=float)
     common(sp)
 
     sp = sub.add_parser("smallest", help="minimal max-norm solution")

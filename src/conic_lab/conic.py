@@ -191,15 +191,11 @@ class ParamFamily:
     admissible classes, of size p^(n-1)(p - s_p).
     """
 
-    case_tag: str
-    base: BasePoint
     layers: dict
     pairs: frozenset
-    coeffs: CoefficientTriple
-    pp: PrimePowerModulus
 
 
-def _family(tag, coeffs, base: BasePoint, plan, pp: PrimePowerModulus) -> ParamFamily:
+def _family(coeffs, base: BasePoint, plan, pp: PrimePowerModulus) -> ParamFamily:
     """The family of the layers (s, alphas, e) of plan, each of its full size len(alphas) p^e.
 
     A layer whose map is not injective, or that meets an earlier layer, is an
@@ -215,7 +211,7 @@ def _family(tag, coeffs, base: BasePoint, plan, pp: PrimePowerModulus) -> ParamF
             raise AssertionError(f"layer {s} overlaps an earlier layer")
         seen |= pairs
         layers[s] = frozenset(pairs)
-    return ParamFamily(tag, base, layers, frozenset(seen), coeffs, pp)
+    return ParamFamily(layers, frozenset(seen))
 
 
 def build_case1_family(coeffs, pp: PrimePowerModulus) -> ParamFamily:
@@ -223,7 +219,7 @@ def build_case1_family(coeffs, pp: PrimePowerModulus) -> ParamFamily:
     c = validate_coeffs(coeffs, pp.p)
     check_table_q(pp.q)
     base = BasePoint(0, -case1_slope_base(coeffs, pp) % pp.q)
-    return _family(CASE_I, c, base, [(0, case1_admissible_alphas(c, pp.p), pp.n - 1)], pp)
+    return _family(c, base, [(0, case1_admissible_alphas(c, pp.p), pp.n - 1)], pp)
 
 
 def build_case2_family(
@@ -249,7 +245,7 @@ def build_case2_family(
     if (c.a1 * a * a + c.a2 * b * b + c.a3) % q != 0:
         raise ValueError("base point does not lie on the conic mod q")
     plan = [(0, range(p), n - 1), *((s, range(1, p), n - s - 1) for s in range(1, n)), (n, [1], 0)]
-    fam = _family(CASE_II, c, BasePoint(a, b), plan, pp)
+    fam = _family(c, BasePoint(a, b), plan, pp)
     assert len(fam.pairs) == q + q // p
     return fam
 

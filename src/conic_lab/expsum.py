@@ -38,7 +38,6 @@ from .conic import (
     case_tag,
     find_base_point,
     slope_form,
-    CASE_I,
     CASE_II,
 )
 
@@ -338,7 +337,7 @@ def _split_common_power(k1, k2, p, n):
     return k1, k2, r
 
 
-def closed_form_E(k1, k2, x3, coeffs, pp: PrimePowerModulus, tag: str, base: BasePoint = None) -> complex:
+def closed_form_E(k1, k2, x3, coeffs, pp: PrimePowerModulus, base: BasePoint = None) -> complex:
     """The sqrt(D) closed form of the family sum E(k1,k2,x3;p^n).
 
     Writing (k1,k2) = p^r (l1,l2) with l1, l2 units and
@@ -348,30 +347,29 @@ def closed_form_E(k1, k2, x3, coeffs, pp: PrimePowerModulus, tag: str, base: Bas
         p^((n+r)/2) * sum_{eps = +-1} e(eps * (x3/a1) * sqrt(D) / p^(n-r)) * K(eps)
 
     with K(eps) = 1 for n-r even and (-2*x3*a2*eps*sqrt(D) / p) * G_p/sqrt(p)
-    for n-r odd. Both tags share it: the Case I family is the Case II layer 0
-    through (0, -b), b^2 = -a3/a2, whose (eps, sqrt(D)) run over the same two
-    critical points. The Legendre factor is attached per critical point, which
-    makes the expression independent of the sqrt(D) branch. Unsupported:
-    r > n-2, D = 0 mod p, and Case II instances whose critical quadratic
-    degenerates mod p (leading coefficient l2*a1*a - l1*a2*b = 0 at the base
-    point; through (0, -b) it is l1*a2*b, a unit).
+    for n-r odd. Both cases (case_tag of the coefficients) share it: the Case I
+    family is the Case II layer 0 through (0, -b), b^2 = -a3/a2, whose
+    (eps, sqrt(D)) run over the same two critical points. The Legendre factor
+    is attached per critical point, which makes the expression independent of
+    the sqrt(D) branch. Unsupported: r > n-2, D = 0 mod p, and Case II
+    instances whose critical quadratic degenerates mod p (leading coefficient
+    l2*a1*a - l1*a2*b = 0 at the base point; through (0, -b) it is l1*a2*b, a
+    unit). A mixed residue pattern is a ValueError: normalize_to_case1
+    permutes it into Case I. base is the Case II base point (find_base_point's
+    when None); Case I ignores it.
     """
     c = validate_coeffs(coeffs, pp.p)
     p, n = pp.p, pp.n
-    if tag not in (CASE_I, CASE_II):
-        raise ValueError(f"unknown case tag {tag!r}")
     if x3 % p == 0:
         raise ValueError("x3 must be a unit mod p")
     l1, l2, r = _split_common_power(k1, k2, p, n)
     if l1 % p == 0 or l2 % p == 0:
         raise ValueError("k1 and k2 must share the same exact power of p")
     _check_evaluable(p, n, r)
-    if tag == CASE_I:
-        if jacobi(-c.a2 * c.a3, p) != 1:
-            raise ValueError("coefficients do not match the Case I pattern")
-    else:
-        if case_tag(coeffs, p) != CASE_II:
-            raise ValueError("coefficients do not match the Case II pattern")
+    tag = case_tag(c, p)
+    if tag == "mixed":
+        raise ValueError("a mixed residue pattern has no closed form; permute it into Case I")
+    if tag == CASE_II:
         if base is None:
             base = find_base_point(coeffs, pp)
         if (l2 * c.a1 * base.a - l1 * c.a2 * base.b) % p == 0:

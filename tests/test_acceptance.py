@@ -202,12 +202,12 @@ def test_criterion_06_closed_form_E():
                 x3 = rng.randrange(1, p)
                 try:
                     if tag == conic.CASE_I:
-                        got = expsum.closed_form_E(k1, k2, x3, coeffs, pp, tag)
+                        got = expsum.closed_form_E(k1, k2, x3, coeffs, pp)
                         b = conic.case1_slope_base(coeffs, pp)
                         want = expsum.direct_E_case1(k1, k2, x3, coeffs, b, pp)
                     else:
                         base = conic.find_base_point(coeffs, pp)
-                        got = expsum.closed_form_E(k1, k2, x3, coeffs, pp, tag, base=base)
+                        got = expsum.closed_form_E(k1, k2, x3, coeffs, pp, base=base)
                         want = expsum.layer_sum(0, k1, k2, x3, coeffs, base, pp)
                 except expsum.UnsupportedCaseError:
                     continue

@@ -10,7 +10,6 @@ from conic_lab import cli, conic, expsum, modcore
 from conic_lab.modcore import PrimePowerModulus, jacobi, s_p
 from conic_lab.census import (
     CountReport,
-    WeightSpec,
     _float_sum,
     asymptotic_scan,
     count_mod_p,
@@ -28,14 +27,17 @@ from conic_lab.census import (
 import oracles
 
 
-def test_weight_spec_validation():
-    w = WeightSpec()
-    assert w.kind == "gaussian" and w.hat_zero == 1.0
-    assert WeightSpec("sharp", 1.0).hat_zero == 2.0
-    with pytest.raises(ValueError):
-        WeightSpec("gaussian", 4.0)
-    with pytest.raises(ValueError):
-        WeightSpec("boxcar")
+def test_sharp_prediction_is_eight_times_gaussian():
+    # hat(0) is 2 for the box [-1, 1] and 1 for the Gaussian, cubed over three coordinates
+    for coeffs, p, n, N in [((1, 1, -1), 7, 4, 100), ((1, 2, 3), 5, 3, 7.5), ((2, 5, 5), 11, 2, 13)]:
+        pp = PrimePowerModulus(p, n)
+        assert predict_main_term(coeffs, pp, N, sharp=True) == 8 * predict_main_term(coeffs, pp, N)
+    # the box N = (q-1)/2 holds each residue once, so it counts C_p q^2 = C_p (2N+1)^3 / q exactly
+    pp = PrimePowerModulus(7, 2)
+    N = (pp.q - 1) // 2
+    count = count_sharp((1, 2, 3), pp, N)
+    assert count == modcore.main_constant((1, 2, 3), 7) * (2 * N + 1) ** 3 / pp.q
+    assert predict_main_term((1, 2, 3), pp, N, sharp=True) == pytest.approx(count * (2 * N / (2 * N + 1)) ** 3)
 
 
 def test_count_sharp_examples():
@@ -111,11 +113,6 @@ def test_count_smoothed_examples():
     v = count_smoothed((1, 1, -1), pp71, 3)
     assert type(v) is float and 0 < v < 24
     assert type(count_sharp((1, 1, -1), pp71, 3)) is int
-    # sharp kind delegates to count_sharp
-    assert count_smoothed((1, 1, -1), pp71, 3, WeightSpec("sharp", 1.0)) == 24
-    # truncation radius does not matter at double precision
-    v8 = count_smoothed((1, 1, -1), pp71, 3, WeightSpec(truncation_radius=8.0))
-    assert abs(v - v8) <= 1e-9 * max(1.0, v)
 
 
 def test_count_smoothed_vs_brute():
@@ -129,16 +126,15 @@ def test_count_smoothed_vs_brute():
         got = count_smoothed(coeffs, pp, N)
         want = oracles.brute_smoothed_mesh(coeffs, p, pp.q, N)
         assert abs(got - want) <= 1e-12 * max(1.0, want)
-    # larger moduli: the box half-width floor(radius * N) stays below q, so
-    # the residue histograms do not wrap (the small-q cases above do)
+    # larger moduli: the box half-width floor(6 N) stays below q, so the
+    # residue histograms do not wrap (the small-q cases above do)
     for (p, n) in [(3, 5), (5, 3), (7, 3), (11, 2)]:
         pp = PrimePowerModulus(p, n)
-        for radius in (6.0, 8.0):
-            coeffs = tuple(rng.choice([1, -1]) * rng.randrange(1, p) for _ in range(3))
-            N = rng.randint(5, 12)
-            got = count_smoothed(coeffs, pp, N, WeightSpec(truncation_radius=radius))
-            want = oracles.brute_smoothed_mesh(coeffs, p, pp.q, N, radius)
-            assert abs(got - want) <= 1e-12 * max(1.0, want), (p, n, coeffs, N, radius)
+        coeffs = tuple(rng.choice([1, -1]) * rng.randrange(1, p) for _ in range(3))
+        N = rng.randint(5, 12)
+        got = count_smoothed(coeffs, pp, N)
+        want = oracles.brute_smoothed_mesh(coeffs, p, pp.q, N)
+        assert abs(got - want) <= 1e-12 * max(1.0, want), (p, n, coeffs, N)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)  # subnormals included
@@ -191,10 +187,10 @@ def test_count_smoothed_nan_spectrum_raises(monkeypatch):
 def test_predict_examples():
     pp74 = PrimePowerModulus(7, 4)
     assert abs(predict_main_term((1, 1, -1), pp74, 100) - (24 / 49) * 1e6 / 2401) < 1e-9
-    assert predict_main_term((1, 1, -1), pp74, 0, WeightSpec("sharp", 1.0)) == 0
+    assert predict_main_term((1, 1, -1), pp74, 0, sharp=True) == 0
     assert prediction_is_vacuous((1, 1, -1), 5)
     assert not prediction_is_vacuous((1, 1, -1), 7)
-    rep = CountReport.build(PrimePowerModulus(5, 1), (1, 1, -1), 3, 0.0,
+    rep = CountReport.build(PrimePowerModulus(5, 1), 3, 0.0,
                             predict_main_term((1, 1, -1), PrimePowerModulus(5, 1), 3))
     assert not rep.valid and rep.ratio is None
 
@@ -366,18 +362,14 @@ def test_asymptotic_scan_shapes_and_budget():
 
 
 def test_estimate_scan_work():
-    w = WeightSpec()
-    units = estimate_scan_work(7, [2], 0.62, w)
     N = math.ceil(49**0.62)
-    assert units == (6 * N) ** 2
+    assert estimate_scan_work(7, [2], 0.62) == (6 * N) ** 2
+    assert estimate_scan_work(7, [2], 0.62, sharp=True) == N**2
 
 
 def test_poisson_selfcheck():
-    w = WeightSpec()
     for scale in (1.0, 10.5, 0.1, 3.25):
-        assert poisson_selfcheck(w, scale) < 1e-9
-    with pytest.raises(ValueError):
-        poisson_selfcheck(WeightSpec("sharp", 1.0), 1.0)
+        assert poisson_selfcheck(scale) < 1e-9
 
 
 def test_table_cap_checked_before_allocation():
@@ -389,7 +381,7 @@ def test_table_cap_checked_before_allocation():
         "count_smoothed": lambda: count_smoothed((1, 2, 3), pp, 10),
         "count_sharp": lambda: count_sharp((1, 2, 3), pp, 10),
         # a box over the budget, at a q within it: refused before int() and the arange
-        "count_smoothed box": lambda: count_smoothed((1, 2, 3), pp72, 5, WeightSpec("gaussian", 1e308)),
+        "count_smoothed box": lambda: count_smoothed((1, 2, 3), pp72, 1e307),
         "count_sharp box": lambda: count_sharp((1, 2, 3), pp72, float("inf")),
         "sqrt_count_table": lambda: sqrt_count_table(pp),
         "count_unit_circle": lambda: count_unit_circle(1, 1, pp),

@@ -1,12 +1,14 @@
 import contextlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conic_lab import census
 from conic_lab.cli import DIOPH_MODES, FIELDS, Splitmix64, emit, run
+from conic_lab.modcore import PrimePowerModulus
 
 
 def run_capture(argv, capsys):
@@ -85,6 +87,27 @@ def test_scan_jsonl_rows_pinned(capsys):
         assert run_capture(argv, capsys) == (0, want, "")
 
 
+def test_scan_sharp_jsonl_rows_pinned(capsys):
+    # --sharp scans count with count_sharp and print its exact count as a float
+    rows = [
+        (2, 49, 12, 176.0, 138.18242399000417, 1.2736786265432098),
+        (3, 343, 38, 648.0, 626.8473850181472, 1.033744441609564),
+        (4, 2401, 125, 3320.0, 3187.4474071177824, 1.0415858133333333),
+        (5, 16807, 417, 17232.0, 16905.309007544234, 1.0193247572292217),
+        (6, 117649, 1393, 89656.0, 90026.4775391206, 0.9958847935713178),
+    ]
+    want = "".join(
+        f'{{"p": 7, "n": {n}, "q": {q}, "N": {N}, "theta": 0.62, "observed": {obs!r}, '
+        f'"predicted": {pred!r}, "ratio": {ratio!r}, "schema_version": 1}}\n'
+        for n, q, N, obs, pred, ratio in rows
+    )
+    argv = ["scan", "--p", "7", "--n", "2..6", "--theta", "0.62", "--coeffs", "1,2,3", "--sharp", "--format", "jsonl"]
+    assert run_capture(argv, capsys) == (0, want, "")
+    for n, q, N, obs, _, _ in rows:
+        assert N == math.ceil(q**0.62)
+        assert obs == float(census.count_sharp((1, 2, 3), PrimePowerModulus(7, n), N))
+
+
 def test_exit_codes(capsys):
     code, _, err = run_capture(
         ["count", "--p", "4", "--n", "1", "--coeffs", "1,1,-1", "--N", "2"], capsys
@@ -150,6 +173,7 @@ BAD_INPUTS = [
     ["dioph", "--mode", "approx", "--beta", "3", "--q", "-5", "--Q", "3"],
     ["dioph", "--mode", "countf", "--b1", "1", "--b2", "1", "--X", "10", "--q", "-1"],
     ["predict", "--p", "7", "--n", "2", "--coeffs", "1,2,3", "--N", "1e200"],
+    # a removed flag, with values its float type once let through
     ["scan", "--p", "7", "--n", "2..3", "--coeffs", "1,2,3", "--truncation-radius", "1e308"],
     ["scan", "--p", "7", "--n", "2..3", "--coeffs", "1,2,3", "--truncation-radius", "nan"],
     ["predict", "--p", "7", "--n", "2", "--N", "5", "--sample", "-1"],
@@ -210,7 +234,6 @@ FLAG_VALUES = {
     "--coeffs": ["1,2,3", "1,1,-1", "3,5,6", "1,1,1"],
     "--N": ["1", "5", "2.5"],
     "--sharp": None,
-    "--truncation-radius": ["6", "7.5"],
     "--theta": ["0.62", "1"],
     "--count": ["1", "3"],
     "--sample": ["1", "2", "3"],
@@ -224,9 +247,9 @@ FLAG_VALUES = {
 COMMON = ["--seed", "--workers", "--dry-run", "--format"]
 # subcommand -> (the flags it needs to get past its required-flag check, its other flags)
 SUBCOMMAND_FLAGS = {
-    "count": (["--p", "--n", "--coeffs", "--N"], ["--sample", "--sharp", "--truncation-radius", *COMMON]),
+    "count": (["--p", "--n", "--coeffs", "--N"], ["--sample", "--sharp", *COMMON]),
     "predict": (["--p", "--n", "--coeffs", "--N"], ["--sample", "--sharp", *COMMON]),
-    "scan": (["--p", "--n", "--coeffs"], ["--sample", "--theta", "--sharp", "--truncation-radius", *COMMON]),
+    "scan": (["--p", "--n", "--coeffs"], ["--sample", "--theta", "--sharp", *COMMON]),
     "smallest": (["--p", "--n", "--coeffs"], ["--sample", *COMMON]),
     "param-check": (["--p", "--n", "--coeffs"], ["--sample", *COMMON]),
     "expsum-check": (["--p", "--n"], ["--count", *COMMON]),
@@ -354,12 +377,12 @@ def test_config_flag_precedence(capsys, tmp_path):
     code, out, _ = run_capture(["scan", "--config", str(cfg), "--p", "7", "--coeffs", "1,1,-1",
                                 "--dry-run"], capsys)
     assert code == 0 and out.startswith("dry-run: estimated work units")
-    # an explicit flag, even abbreviated, beats the config: int(7 * 5)^2 = 1225, not 45^2
-    cfg.write_text(json.dumps({"truncation_radius": 9}))
-    code, out, _ = run_capture(["count", "--config", str(cfg), "--p", "7", "--n", "4",
-                                "--coeffs", "1,1,-1", "--N", "5", "--trunc", "7", "--dry-run"],
-                               capsys)
-    assert code == 0 and out == "dry-run: estimated work units = 1225 (budget 1000000000)\n"
+    # an explicit flag, even abbreviated, beats the config: N = ceil(343^0.62) = 38 and
+    # (6 * 38)^2 = 51984, where theta 0.9 would give N = 192
+    cfg.write_text(json.dumps({"theta": 0.9}))
+    code, out, _ = run_capture(["scan", "--config", str(cfg), "--p", "7", "--n", "3",
+                                "--coeffs", "1,1,-1", "--thet", "0.62", "--dry-run"], capsys)
+    assert code == 0 and out == "dry-run: estimated work units = 51984 (budget 1000000000)\n"
 
 
 def test_identical_seed_identical_bytes(capsys):

@@ -437,7 +437,7 @@ def test_closed_form_E_matches_direct_case1():
         k1, k2 = 7**r * rng.randrange(1, 7), 7**r * rng.randrange(1, 7)
         x3 = rng.randrange(1, 7)
         try:
-            got = closed_form_E(k1, k2, x3, coeffs, pp, CASE_I)
+            got = closed_form_E(k1, k2, x3, coeffs, pp)
         except UnsupportedCaseError:
             continue
         want = direct_E_case1(k1, k2, x3, coeffs, b, pp)
@@ -459,7 +459,7 @@ def test_closed_form_E_matches_direct_case2():
             continue
         x3 = rng.randrange(1, 3)
         try:
-            got = closed_form_E(k1, k2, x3, coeffs, pp, CASE_II, base=base)
+            got = closed_form_E(k1, k2, x3, coeffs, pp, base=base)
         except UnsupportedCaseError:
             continue
         want = layer_sum(0, k1, k2, x3, coeffs, base, pp)
@@ -477,7 +477,7 @@ def test_closed_form_E_nonresidue_D_is_zero():
             D = l1 * l1 + l2 * l2  # a1 = a2 = 1
             if D % 7 == 0 or jacobi(D, 7) == 1:
                 continue
-            got = closed_form_E(l1, l2, 1, coeffs, pp, CASE_I)
+            got = closed_form_E(l1, l2, 1, coeffs, pp)
             assert got == 0
             assert abs(direct_E_case1(l1, l2, 1, coeffs, b, pp)) < 1e-9
             found += 1
@@ -487,20 +487,24 @@ def test_closed_form_E_nonresidue_D_is_zero():
 def test_closed_form_E_degenerate_cases_raise():
     pp = PrimePowerModulus(7, 3)
     with pytest.raises(ValueError):
-        closed_form_E(7, 1, 1, (1, 1, -1), pp, CASE_I)  # mismatched gcd powers
+        closed_form_E(7, 1, 1, (1, 1, -1), pp)  # mismatched gcd powers
     with pytest.raises(UnsupportedCaseError):
-        closed_form_E(49, 49, 1, (1, 1, -1), pp, CASE_I)  # r > n-2
+        closed_form_E(49, 49, 1, (1, 1, -1), pp)  # r > n-2
     # D = 0 mod p: l2^2 = -a1/a2 * l1^2; at (1,1,-1) mod 7 take l2 s.t.
     # l2^2 = -l1^2: -1 is a non-residue mod 7, so force it via coefficients
     pp3 = PrimePowerModulus(3, 4)
     with pytest.raises(UnsupportedCaseError):
         # (1,2,1) is Case I mod 3 and D = 2 l1^2 + l2^2 = 0 mod 3 at l1 = l2 = 1
-        closed_form_E(1, 1, 1, (1, 2, 1), pp3, CASE_I)
+        closed_form_E(1, 1, 1, (1, 2, 1), pp3)
     # Case II degenerate critical quadratic at a chosen base point
     pp33 = PrimePowerModulus(3, 3)
     degenerate = BasePoint(1, 22)  # 1 - 22 = 0 mod 3 and on the conic
     with pytest.raises(UnsupportedCaseError):
-        closed_form_E(1, 1, 1, (1, 1, 1), pp33, CASE_II, base=degenerate)
+        closed_form_E(1, 1, 1, (1, 1, 1), pp33, base=degenerate)
+    # a mixed residue pattern has no closed form until it is permuted into Case I
+    assert case_tag((-1, 1, 1), 7) == "mixed"
+    with pytest.raises(ValueError, match="mixed"):
+        closed_form_E(1, 1, 1, (-1, 1, 1), pp)
 
 
 @st.composite
@@ -533,7 +537,7 @@ def test_closed_form_E_matches_direct_sums(instance):
         base = find_base_point(coeffs, pp)
         want = layer_sum(0, k1, k2, x3, coeffs, base, pp)
     try:
-        got = closed_form_E(k1, k2, x3, coeffs, pp, tag, base=base)
+        got = closed_form_E(k1, k2, x3, coeffs, pp, base=base)
     except UnsupportedCaseError:
         return
     assert abs(got - want) / max(1.0, abs(want)) < 1e-6, (got, want)
