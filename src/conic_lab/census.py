@@ -319,17 +319,30 @@ def estimate_smallest_work(coeffs, pp: PrimePowerModulus) -> int:
     return sum(M * (2 * M + 1) for M in _box_sizes(pp.q, m_est))
 
 
-def estimate_scan_work(p: int, n_values, theta: float, sharp: bool = False) -> int:
-    """Pair visits the scan will perform (the unit of the work budget).
+def estimate_count_work(N: float, sharp: bool = False) -> int:
+    """Pair visits floor(r N)^2 of one count, r = GAUSSIAN_TAIL_RADIUS (1 if sharp).
 
-    The box radius is GAUSSIAN_TAIL_RADIUS * N, or N for the sharp count.
+    Refuses, before any work, the N that count refuses: a non-finite N, N < 1
+    (Gaussian) or N < 0 (sharp), and a box r N past the largest float.
+    """
+    low = 0 if sharp else 1
+    if not low <= N < math.inf:
+        raise ValueError(f"count requires a finite N >= {low}, got {N}")
+    radius = 1.0 if sharp else GAUSSIAN_TAIL_RADIUS
+    if radius * N == math.inf:
+        raise ValueError(f"count box {radius:g} * N overflows a float")
+    return int(radius * N) ** 2
+
+
+def estimate_scan_work(p: int, n_values, theta: float, sharp: bool = False) -> int:
+    """Pair visits the scan will perform: estimate_count_work at N = ceil(q^theta) per n.
+
     Checks theta and each modulus first, so a bad scan is refused before any
     work; with q <= Q_MAX and theta <= 1 no box overflows a float.
     """
     if not 0.5 < theta <= 1.0:
         raise ValueError("theta must lie in (0.5, 1]")
-    radius = 1.0 if sharp else GAUSSIAN_TAIL_RADIUS
-    return sum(int(radius * math.ceil(PrimePowerModulus(p, n).q ** theta)) ** 2 for n in n_values)
+    return sum(estimate_count_work(math.ceil(PrimePowerModulus(p, n).q**theta), sharp) for n in n_values)
 
 
 def asymptotic_scan(coeffs, p: int, n_values, theta: float, sharp: bool = False, budget: int = 10**9) -> list:

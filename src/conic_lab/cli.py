@@ -199,14 +199,9 @@ def _require(args, *names):
 def _run_count(args, rng):
     _require(args, "p", "n", "N")
     pp = PrimePowerModulus(args.p, args.n)
-    if not 0 <= args.N < math.inf:
-        raise ValidationError("count requires a finite --N >= 0")
-    radius = 1.0 if args.sharp else census.GAUSSIAN_TAIL_RADIUS
-    box = radius * args.N
-    if box == math.inf:
-        raise ValidationError(f"count box {radius:g} * --N overflows a float")
+    units = census.estimate_count_work(args.N, args.sharp)
     triples = _coeff_list(args, rng)
-    if _budget_gate(args, int(box) ** 2 * len(triples)):
+    if _budget_gate(args, units * len(triples)):
         return []
     rows = []
     weight = "sharp" if args.sharp else "gaussian"
@@ -318,20 +313,12 @@ def _run_expsum_check(args, rng):
         k2 = shift * (rng.unit(pp.q) * pp.p + rng.unit(pp.p)) % pp.q
         x3 = rng.unit(pp.p)
         alpha = None
-        tag = conic.case_tag(coeffs, pp.p)
         try:
-            if source == "case1":
-                if tag != conic.CASE_I:
+            if source != "poly":
+                if conic.case_tag(coeffs, pp.p) != (conic.CASE_I if source == "case1" else conic.CASE_II):
                     continue
-                b = conic.case1_slope_base(coeffs, pp)
-                want = expsum.direct_E_case1(k1, k2, x3, coeffs, b, pp)
+                want = expsum.direct_E(k1, k2, x3, coeffs, pp)
                 got = expsum.closed_form_E(k1, k2, x3, coeffs, pp)
-            elif source == "case2":
-                if tag != conic.CASE_II:
-                    continue
-                base = conic.find_base_point(coeffs, pp)
-                want = expsum.layer_sum(0, k1, k2, x3, coeffs, base, pp)
-                got = expsum.closed_form_E(k1, k2, x3, coeffs, pp, base=base)
             else:
                 coeffs_poly = tuple(1 + rng.below(pp.q - 1) for _ in range(4))
                 f = expsum.IntRationalFunction(coeffs_poly)

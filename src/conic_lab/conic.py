@@ -2,17 +2,17 @@
 
 Two regimes, decided by the residue pattern of the -ai*aj mod p:
 
-* Case I  (-a2*a3 is a residue): chord slopes through the point (0, -b) with
-  b^2 = -a3/a2 parametrize the unit solutions; the map t -> (y1, y2) is
-  injective on the p^(n-1)*(p - s_p) t in the admissible classes mod p.
+* Case I  (-a2*a3 is a residue): chord slopes through case1_base_point
+  (0, -b), b^2 = -a3/a2, parametrize the unit solutions; the map t -> (y1, y2)
+  is injective on the p^(n-1)*(p - s_p) t in the admissible classes mod p.
 * Case II (no -ai*aj is a residue): the slope line is layered into sets M_s,
   s = 0..n, which together cover all p^n + p^(n-1) solutions exactly.
 
-Both regimes use one chord-slope map, written once as the form k1*y1 + k2*y2
+Both regimes are one chord-slope map, written once as the form k1*y1 + k2*y2
 (slope_form): Case II is its layers s through a base point, Case I its layer 0
-through (0, -b). The family builders run one layer loop that evaluates it
-class by class (modcore.ratio_mod_class); expsum's amplitudes scale it
-by x3. Pairs are plain (y1, y2) tuples of ints.
+through case1_base_point. The family builders run one layer loop that
+evaluates it class by class (modcore.ratio_mod_class); expsum's amplitudes
+scale it by x3. Pairs are plain (y1, y2) tuples of ints.
 
 Also: base-point search and Hensel lifting of full solution triples.
 """
@@ -26,11 +26,10 @@ from .modcore import (
     CoefficientTriple,
     PrimePowerModulus,
     check_table_q,
-    jacobi,
     lift_root,
     mod_inverse,
-    poly_eval_mod,
     ratio_mod_class,
+    residue_pattern,
     sqrt_mod_prime,
     sqrt_mod_prime_power,
     validate_coeffs,
@@ -43,12 +42,6 @@ CASE_II = "CaseII"
 class BasePoint(NamedTuple):
     a: int
     b: int
-
-
-def residue_pattern(coeffs, p: int) -> tuple:
-    """The triple of Legendre symbols ((-a1a2/p), (-a1a3/p), (-a2a3/p))."""
-    a1, a2, a3 = validate_coeffs(coeffs, p)
-    return (jacobi(-a1 * a2, p), jacobi(-a1 * a3, p), jacobi(-a2 * a3, p))
 
 
 def case_tag(coeffs, p: int) -> str:
@@ -118,14 +111,18 @@ def find_base_point(coeffs, pp: PrimePowerModulus) -> BasePoint:
     return BasePoint(a, b)
 
 
-def case1_slope_base(coeffs, pp: PrimePowerModulus) -> int:
-    """The smaller root b of b^2 = -a3/a2 mod q; requires the Case I pattern."""
+def case1_base_point(coeffs, pp: PrimePowerModulus) -> BasePoint:
+    """The Case I base point (0, -b), b the smaller root of b^2 = -a3/a2 mod q.
+
+    -b is left unreduced: the amplitudes through it are the integer
+    polynomials of the Case I family. Requires the Case I pattern.
+    """
     c = validate_coeffs(coeffs, pp.p)
-    if jacobi(-c.a2 * c.a3, pp.p) != 1:
-        raise ValueError("-a2*a3 is not a residue mod p: no Case I slope base")
+    if case_tag(c, pp.p) != CASE_I:
+        raise ValueError("-a2*a3 is not a residue mod p: no Case I base point")
     b = sqrt_mod_prime_power((-c.a3 * mod_inverse(c.a2, pp.q)) % pp.q, pp)
     assert b is not None
-    return b
+    return BasePoint(0, -b)
 
 
 def slope_form(k1, k2, s, base, coeffs, p: int):
@@ -134,7 +131,7 @@ def slope_form(k1, k2, s, base, coeffs, p: int):
     The chord of slope t / p^s through the base point (a, b) meets the conic again at
       y1 = a - 2 a2 (a t^2 - b t p^s) / (a1 p^(2s) + a2 t^2)
       y2 = -b - 2 a1 p^s (a t - b p^s) / (a1 p^(2s) + a2 t^2).
-    Case II uses layers s = 0..n; Case I is layer 0 through (0, -b) with b^2 = -a3/a2.
+    Case II uses layers s = 0..n; Case I is layer 0 through case1_base_point.
     """
     a, b = base
     a1, a2, _ = coeffs
@@ -152,27 +149,6 @@ def _map_pairs(coeffs, s, base, alphas, e, pp: PrimePowerModulus) -> set:
     num2, _ = slope_form(0, 1, s, base, coeffs, pp.p)
     y1, y2 = ratio_mod_class((num1, num2), den, alphas, e, pp)
     return set(zip(y1.tolist(), y2.tolist()))
-
-
-def param_case1(t: int, b: int, coeffs, pp: PrimePowerModulus) -> tuple:
-    """Case I chord-slope parametrization t -> (y1, y2) mod q: slope_form through (0, -b).
-
-    Requires b^2 = -a3/a2 mod q and gcd(t (a1 - a2 t^2)(a1 + a2 t^2), p) = 1.
-    Scalar Python-int arithmetic, exact for any q.
-    """
-    c = validate_coeffs(coeffs, pp.p)
-    p, q = pp.p, pp.q
-    if jacobi(-c.a2 * c.a3, p) != 1:
-        raise ValueError("not a Case I residue pattern")
-    if (c.a2 * b * b + c.a3) % q != 0:
-        raise ValueError("b does not satisfy a2*b^2 = -a3 mod q")
-    t %= q
-    if t % p == 0 or (c.a1 - c.a2 * t * t) % p == 0 or (c.a1 + c.a2 * t * t) % p == 0:
-        raise ValueError(f"t={t} violates the unit conditions")
-    num1, den = slope_form(1, 0, 0, (0, -b), c, p)
-    num2, _ = slope_form(0, 1, 0, (0, -b), c, p)
-    dinv = mod_inverse(poly_eval_mod(den, t, q), q)
-    return poly_eval_mod(num1, t, q) * dinv % q, poly_eval_mod(num2, t, q) * dinv % q
 
 
 def case1_admissible_alphas(coeffs, p: int):
@@ -215,11 +191,10 @@ def _family(coeffs, base: BasePoint, plan, pp: PrimePowerModulus) -> ParamFamily
 
 
 def build_case1_family(coeffs, pp: PrimePowerModulus) -> ParamFamily:
-    """Materialize the Case I image: layer 0 through (0, -b) on the admissible classes."""
+    """Materialize the Case I image: layer 0 through case1_base_point on the admissible classes."""
     c = validate_coeffs(coeffs, pp.p)
     check_table_q(pp.q)
-    base = BasePoint(0, -case1_slope_base(coeffs, pp) % pp.q)
-    return _family(c, base, [(0, case1_admissible_alphas(c, pp.p), pp.n - 1)], pp)
+    return _family(c, case1_base_point(c, pp), [(0, case1_admissible_alphas(c, pp.p), pp.n - 1)], pp)
 
 
 def build_case2_family(

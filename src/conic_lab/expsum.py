@@ -5,6 +5,7 @@ played against each other:
 
 * direct_S_alpha: brute summation over a residue class t = alpha mod p, by
   modcore's one class evaluator and one exactly rounded exponential sum;
+  direct_E, closed_form_E's twin, sums the family sum E this way;
 * cochrane_evaluate: the critical-point evaluation (zero away from critical
   points of p^(-r) f', a single Gauss-sum-normalized term at simple ones);
 * closed_form_E: the two-critical-point closed form for the chord-slope
@@ -35,6 +36,7 @@ from .modcore import (
 from .conic import (
     BasePoint,
     case1_admissible_alphas,
+    case1_base_point,
     case_tag,
     find_base_point,
     slope_form,
@@ -283,21 +285,13 @@ def cochrane_evaluate(f: IntRationalFunction, alpha: int, pp: PrimePowerModulus)
 # the chord-slope amplitude families
 
 
-def family_case1(k1, k2, x3, coeffs, b, pp: PrimePowerModulus) -> IntRationalFunction:
-    """Amplitude -x3*(k1 y1(t) + k2 y2(t)) of the Case I map: layer 0 through (0, -b).
-
-    This is the phase produced by the Case I parametrization after Poisson
-    summation in the first two coordinates; (0, -b) is on the conic exactly
-    when b^2 = -a3/a2 mod q.
-    """
-    return family_case2(0, k1, k2, -x3, coeffs, BasePoint(0, -b), pp)
-
-
 def family_case2(s, k1, k2, x3, coeffs, base: BasePoint, pp: PrimePowerModulus) -> IntRationalFunction:
     """Amplitude x3*(k1 y1(t/p^s) + k2 y2(t/p^s)) with denominators cleared.
 
     Layer s of the Case II family: conic.slope_form at (x3 k1, x3 k2), with
-    exact integer coefficients.
+    exact integer coefficients. It also serves Case I, whose amplitude (the
+    phase after Poisson summation in x1, x2) is layer 0 at -x3 through
+    conic.case1_base_point.
     """
     c = validate_coeffs(coeffs, pp.p)
     if not 0 <= s <= pp.n:
@@ -306,12 +300,6 @@ def family_case2(s, k1, k2, x3, coeffs, base: BasePoint, pp: PrimePowerModulus) 
     if (c.a1 * a * a + c.a2 * b * b + c.a3) % pp.q != 0:
         raise ValueError("base point does not lie on the conic mod q")
     return IntRationalFunction(*slope_form(x3 * k1, x3 * k2, s, base, c, pp.p))
-
-
-def direct_E_case1(k1, k2, x3, coeffs, b, pp: PrimePowerModulus) -> complex:
-    """E(k1,k2,x3;p^n) for Case I: the t-sum over admissible classes, directly."""
-    f = family_case1(k1, k2, x3, coeffs, b, pp)
-    return direct_full_sum(f, pp, case1_admissible_alphas(coeffs, pp.p))
 
 
 def layer_sum(s, k1, k2, x3, coeffs, base: BasePoint, pp: PrimePowerModulus) -> complex:
@@ -326,6 +314,22 @@ def layer_sum(s, k1, k2, x3, coeffs, base: BasePoint, pp: PrimePowerModulus) -> 
     if s == 0:
         return direct_full_sum(f, pp)
     return direct_full_sum(f, pp, range(1, pp.p)) / pp.p**s
+
+
+def direct_E(k1, k2, x3, coeffs, pp: PrimePowerModulus, base: BasePoint = None) -> complex:
+    """The family sum E(k1,k2,x3;p^n) by direct summation: closed_form_E's twin.
+
+    Case II sums layer 0 through base (find_base_point's when None) over all t.
+    Case I sums layer 0 at -x3 through conic.case1_base_point over the
+    admissible classes and ignores base. A mixed pattern is a ValueError, as
+    case1_base_point refuses it.
+    """
+    if case_tag(coeffs, pp.p) == CASE_II:
+        if base is None:
+            base = find_base_point(coeffs, pp)
+        return layer_sum(0, k1, k2, x3, coeffs, base, pp)
+    f = family_case2(0, k1, k2, -x3, coeffs, case1_base_point(coeffs, pp), pp)
+    return direct_full_sum(f, pp, case1_admissible_alphas(coeffs, pp.p))
 
 
 def _split_common_power(k1, k2, p, n):
@@ -356,7 +360,7 @@ def closed_form_E(k1, k2, x3, coeffs, pp: PrimePowerModulus, base: BasePoint = N
     l2*a1*a - l1*a2*b = 0 at the base point; through (0, -b) it is l1*a2*b, a
     unit). A mixed residue pattern is a ValueError: normalize_to_case1
     permutes it into Case I. base is the Case II base point (find_base_point's
-    when None); Case I ignores it.
+    when None); Case I ignores it. direct_E sums the same E directly.
     """
     c = validate_coeffs(coeffs, pp.p)
     p, n = pp.p, pp.n

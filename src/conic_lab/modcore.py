@@ -5,7 +5,7 @@ Newton lift of a simple polynomial root, integer polynomials mod q (by Horner
 at a point, by baby and giant steps on a residue class t = alpha mod p), the one
 class evaluator of ratios mod q (ratio_mod_class), the one exactly rounded
 exponential sum (exp_sum, for the Gauss sums and expsum's direct sums), and the
-structural constants s_p / C_p. All functions are pure and thread-safe.
+residue pattern and structural constants s_p / C_p. All are pure and thread-safe.
 """
 
 import math
@@ -364,19 +364,19 @@ def gauss_sum_unit(q: int) -> complex:
     return 1.0j
 
 
+def residue_pattern(coeffs, p: int) -> tuple:
+    """The triple of Legendre symbols ((-a1a2/p), (-a1a3/p), (-a2a3/p))."""
+    a1, a2, a3 = validate_coeffs(coeffs, p)
+    return (jacobi(-a1 * a2, p), jacobi(-a1 * a3, p), jacobi(-a2 * a3, p))
+
+
 def s_p(coeffs, p: int) -> int:
     """Number of excluded parameter classes mod p for the coefficient triple.
 
     Equals 2 + (-a1*a2/p) + (-a1*a3/p) + (-a2*a3/p); the prime-level solution
     count of the congruence is (p-1)(p - s_p).
     """
-    a1, a2, a3 = validate_coeffs(coeffs, p)
-    return (
-        2
-        + jacobi(-a1 * a2, p)
-        + jacobi(-a1 * a3, p)
-        + jacobi(-a2 * a3, p)
-    )
+    return 2 + sum(residue_pattern(coeffs, p))
 
 
 def main_constant(coeffs, p: int) -> Fraction:

@@ -142,8 +142,8 @@ def _random_amplitude(rng, p, n, pp, source):
         tag = conic.case_tag(coeffs, p)
         k1, k2, x3 = rng.randrange(1, pp.q), rng.randrange(1, pp.q), rng.randrange(1, p)
         if source == "case1" and tag == conic.CASE_I:
-            b = conic.case1_slope_base(coeffs, pp)
-            return expsum.family_case1(k1, k2, x3, coeffs, b, pp)
+            base = conic.case1_base_point(coeffs, pp)
+            return expsum.family_case2(0, k1, k2, -x3, coeffs, base, pp)
         if source == "case2" and tag == conic.CASE_II:
             base = conic.find_base_point(coeffs, pp)
             return expsum.family_case2(rng.choice([0, 0, 1]), k1, k2, x3, coeffs, base, pp)
@@ -201,14 +201,8 @@ def test_criterion_06_closed_form_E():
                 k2 = p**r * rng.randrange(1, p)
                 x3 = rng.randrange(1, p)
                 try:
-                    if tag == conic.CASE_I:
-                        got = expsum.closed_form_E(k1, k2, x3, coeffs, pp)
-                        b = conic.case1_slope_base(coeffs, pp)
-                        want = expsum.direct_E_case1(k1, k2, x3, coeffs, b, pp)
-                    else:
-                        base = conic.find_base_point(coeffs, pp)
-                        got = expsum.closed_form_E(k1, k2, x3, coeffs, pp, base=base)
-                        want = expsum.layer_sum(0, k1, k2, x3, coeffs, base, pp)
+                    got = expsum.closed_form_E(k1, k2, x3, coeffs, pp)
+                    want = expsum.direct_E(k1, k2, x3, coeffs, pp)
                 except expsum.UnsupportedCaseError:
                     continue
                 assert abs(got - want) / max(1.0, abs(want)) < 1e-6, (p, n, tag, coeffs)

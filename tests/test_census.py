@@ -16,6 +16,7 @@ from conic_lab.census import (
     count_sharp,
     count_smoothed,
     count_unit_circle,
+    estimate_count_work,
     estimate_scan_work,
     poisson_selfcheck,
     predict_main_term,
@@ -365,6 +366,29 @@ def test_estimate_scan_work():
     N = math.ceil(49**0.62)
     assert estimate_scan_work(7, [2], 0.62) == (6 * N) ** 2
     assert estimate_scan_work(7, [2], 0.62, sharp=True) == N**2
+
+
+def test_estimate_count_work_refuses_what_the_count_refuses():
+    assert estimate_count_work(2.5) == 15**2
+    assert estimate_count_work(2.5, sharp=True) == 2**2
+    assert estimate_count_work(0, sharp=True) == 0
+    pp = PrimePowerModulus(7, 2)
+    kernels = {False: count_smoothed, True: count_sharp}
+    for sharp, kernel in kernels.items():
+        for N in (-1, 0, 0.5, 1, 2.5, math.nan, math.inf):
+            try:
+                kernel((1, 2, 3), pp, N)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    estimate_count_work(N, sharp)
+            else:
+                assert estimate_count_work(N, sharp) == int((1 if sharp else 6) * N) ** 2
+    with pytest.raises(ValueError, match="finite"):
+        estimate_count_work(math.nan)
+    # a finite N whose Gaussian box overflows; the sharp one is left to the budget
+    with pytest.raises(ValueError, match="overflows"):
+        estimate_count_work(1e308)
+    assert estimate_count_work(1e308, sharp=True) == int(1e308) ** 2
 
 
 def test_poisson_selfcheck():

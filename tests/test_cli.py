@@ -108,6 +108,63 @@ def test_scan_sharp_jsonl_rows_pinned(capsys):
         assert obs == float(census.count_sharp((1, 2, 3), PrimePowerModulus(7, n), N))
 
 
+def test_count_dry_run_refuses_the_N_the_run_refuses(capsys):
+    argv = ["count", "--p", "7", "--n", "3", "--coeffs", "1,2,3"]
+    for box in ("0", "0.5"):
+        run_out = run_capture(argv + ["--N", box], capsys)
+        dry_out = run_capture(argv + ["--N", box, "--dry-run"], capsys)
+        assert run_out == dry_out, box
+        code, out, err = run_out
+        assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    sharp = argv + ["--N", "0", "--sharp"]
+    assert run_capture(sharp, capsys)[0] == 0
+    assert run_capture(sharp + ["--dry-run"], capsys) == (
+        0, "dry-run: estimated work units = 0 (budget 1000000000)\n", "")
+
+
+def test_expsum_check_rows_pinned(capsys):
+    # case1, case2 and poly rows, ok and unsupported; JSONL writes rel_err by repr
+    rows = {
+        "--p 3 --n 4": (81, [
+            ("poly", 68, 1, 1, 1, "ok", 2.1810241646309623e-15),
+            ("poly", 22, 58, 2, 2, "ok", 2.346177427711248e-15),
+            ("poly", 12, 33, 1, 2, "ok", 2.0978538233556412e-15),
+            ("case2", 45, 18, 1, None, "unsupported", None),
+            ("poly", 58, 41, 1, 2, "ok", 2.0978538233556412e-15),
+            ("case1", 60, 66, 2, None, "unsupported", None),
+            ("poly", 60, 12, 2, 2, "ok", 2.0344741326765495e-16),
+            ("poly", 36, 9, 2, 0, "ok", 4.9343245538895856e-17),
+            ("case2", 18, 9, 1, None, "ok", 3.715902885216904e-16),
+            ("poly", 72, 72, 2, 0, "ok", 2.3275162370418975e-16),
+            ("case1", 45, 63, 2, None, "ok", 0.0),
+            ("poly", 61, 41, 2, 2, "ok", 2.0978538233556412e-15),
+        ]),
+        "--p 7 --n 3": (343, [
+            ("poly", 273, 105, 5, 3, "ok", 6.537510719609172e-15),
+            ("poly", 22, 255, 4, 0, "ok", 6.128422296602568e-15),
+            ("poly", 56, 189, 3, 3, "ok", 6.537510719609172e-15),
+            ("poly", 106, 179, 5, 3, "ok", 6.3631255597111804e-15),
+            ("poly", 140, 231, 4, 3, "ok", 6.128422296602568e-15),
+            ("poly", 17, 171, 4, 1, "ok", 6.3631255597111804e-15),
+            ("case2", 42, 329, 1, None, "ok", 1.6145206551530857e-15),
+            ("poly", 284, 244, 6, 2, "ok", 6.128422296602568e-15),
+            ("case1", 107, 120, 6, None, "ok", 2.418868662917648e-14),
+            ("case1", 143, 103, 5, None, "unsupported", None),
+            ("poly", 133, 140, 6, 6, "ok", 6.202735634387225e-15),
+            ("case1", 336, 161, 6, None, "ok", 2.5008628462156143e-14),
+        ]),
+    }
+    for args, (q, expected) in rows.items():
+        p, n = args.split()[1::2]
+        want = "".join(
+            json.dumps(dict(p=int(p), n=int(n), q=q, source=source, k1=k1, k2=k2, x3=x3, alpha=alpha,
+                            status=status, rel_err=rel, schema_version=1)) + "\n"
+            for source, k1, k2, x3, alpha, status, rel in expected
+        )
+        argv = ["expsum-check", *args.split(), "--count", "12", "--seed", "1", "--format", "jsonl"]
+        assert run_capture(argv, capsys) == (0, want, "")
+
+
 def test_exit_codes(capsys):
     code, _, err = run_capture(
         ["count", "--p", "4", "--n", "1", "--coeffs", "1,1,-1", "--N", "2"], capsys

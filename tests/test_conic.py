@@ -11,14 +11,12 @@ from conic_lab.conic import (
     BasePoint,
     build_case1_family,
     build_case2_family,
-    case1_admissible_alphas,
-    case1_slope_base,
+    case1_base_point,
     case_tag,
     enumerate_pair_solutions,
     find_base_point,
     lift_triple,
     normalize_to_case1,
-    param_case1,
 )
 
 import oracles
@@ -93,37 +91,11 @@ def test_find_base_point_matches_brute_force():
     assert (bp.a**2 + bp.b**2 + 1) % pp.q == 0
 
 
-def test_param_case1_examples():
-    pp = PrimePowerModulus(7, 1)
-    assert tuple(param_case1(2, 1, (1, 1, -1), pp)) == (2, 2)
-    assert tuple(param_case1(3, 1, (1, 1, -1), pp)) == (5, 5)
-    with pytest.raises(ValueError):
-        param_case1(0, 1, (1, 1, -1), pp)
-    with pytest.raises(ValueError):
-        param_case1(2, 2, (1, 1, -1), pp)  # b^2 != -a3/a2
-    with pytest.raises(ValueError):
-        param_case1(2, 1, (1, 1, 1), PrimePowerModulus(7, 1))  # Case II pattern
-
-
-def test_param_case1_satisfies_congruence():
-    rng = random.Random(3)
-    done = 0
-    while done < 60:
-        p = rng.choice([5, 7, 11, 13])
-        n = rng.randint(1, 3)
-        pp = PrimePowerModulus(p, n)
-        coeffs = tuple(rng.randrange(1, p) for _ in range(3))
-        if case_tag(coeffs, p) != CASE_I:
-            continue
-        b = case1_slope_base(coeffs, pp)
-        t = rng.randrange(pp.q)
-        a1, a2, a3 = coeffs
-        if (t * (a1 - a2 * t * t) * (a1 + a2 * t * t)) % p == 0:
-            continue
-        y1, y2 = param_case1(t, b, coeffs, pp)
-        assert (a1 * y1 * y1 + a2 * y2 * y2 + a3) % pp.q == 0
-        assert y1 % p and y2 % p
-        done += 1
+def test_case1_base_point_examples():
+    # (0, -b) with b the smaller root of b^2 = -a3/a2, left unreduced
+    assert case1_base_point((1, 1, -1), PrimePowerModulus(7, 1)) == BasePoint(0, -1)
+    with pytest.raises(ValueError, match="Case I"):
+        case1_base_point((1, 1, 1), PrimePowerModulus(7, 1))  # Case II pattern
 
 
 def test_case1_family_size_injectivity_and_coverage():
@@ -181,22 +153,19 @@ def _plain_pair(pair):
 
 @st.composite
 def case1_instances(draw):
-    """(coeffs, pp, t): a Case I unit triple mod p^n, q <= 7^4, and an admissible t or None."""
+    """(coeffs, pp): a Case I unit triple mod p^n, q <= 7^4."""
     p, n_max = draw(st.sampled_from([(3, 7), (5, 4), (7, 4), (11, 3), (13, 3), (41, 2)]))
     pp = PrimePowerModulus(p, draw(st.integers(1, n_max)))
     unit = st.integers(1, pp.q - 1).filter(lambda a: a % p)
     a1, a2 = draw(unit), draw(unit)
     a3 = draw(unit.filter(lambda a: jacobi(-a2 * a, p) == 1))
-    alphas = case1_admissible_alphas((a1, a2, a3), p)
-    if not alphas:
-        return (a1, a2, a3), pp, None
-    return (a1, a2, a3), pp, draw(st.sampled_from(alphas)) + p * draw(st.integers(0, pp.q // p - 1))
+    return (a1, a2, a3), pp
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(case1_instances())
 def test_case1_family_property(instance):
-    coeffs, pp, t = instance
+    coeffs, pp = instance
     p = pp.p
     assert case_tag(coeffs, p) == CASE_I
     fam = build_case1_family(coeffs, pp)
@@ -204,9 +173,6 @@ def test_case1_family_property(instance):
     assert fam.pairs == frozenset(units)
     assert len(fam.pairs) == p ** (pp.n - 1) * (p - s_p(coeffs, p))
     assert all(map(_plain_pair, fam.pairs)) and all(map(_plain_pair, units))
-    if t is not None:
-        pair = param_case1(t, case1_slope_base(coeffs, pp), coeffs, pp)
-        assert _plain_pair(pair) and pair in fam.pairs
 
 
 @st.composite

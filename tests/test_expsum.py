@@ -13,12 +13,12 @@ from conic_lab.conic import (
     CASE_I,
     CASE_II,
     BasePoint,
+    build_case1_family,
     build_case2_family,
     case1_admissible_alphas,
-    case1_slope_base,
+    case1_base_point,
     case_tag,
     find_base_point,
-    param_case1,
 )
 from conic_lab.expsum import (
     IntRationalFunction,
@@ -27,10 +27,9 @@ from conic_lab.expsum import (
     analyze_critical_points,
     closed_form_E,
     cochrane_evaluate,
-    direct_E_case1,
+    direct_E,
     direct_S_alpha,
     direct_full_sum,
-    family_case1,
     family_case2,
     layer_sum,
 )
@@ -310,9 +309,11 @@ def test_analyze_critical_points():
 def test_family_case1_structure():
     pp = PrimePowerModulus(7, 3)
     coeffs = (1, 1, -1)
-    b = case1_slope_base(coeffs, pp)
+    base = case1_base_point(coeffs, pp)
+    b = -base.b
+    # the Case I family is layer 0 at -x3 through (0, -b)
     # k1 = k2 = 0: the zero amplitude; every class sums to p^(n-1)
-    f0 = family_case1(0, 0, 1, coeffs, b, pp)
+    f0 = family_case2(0, 0, 0, -1, coeffs, base, pp)
     assert f0.is_zero()
     for alpha in range(1, 7):
         assert abs(direct_S_alpha(f0, alpha, pp) - 49) < 1e-9
@@ -321,7 +322,7 @@ def test_family_case1_structure():
     big = 2**61 - 1
     for _ in range(20):
         k1, k2, x3 = rng.randrange(1, 343), rng.randrange(1, 343), rng.randrange(1, 7)
-        f = family_case1(k1, k2, x3, coeffs, b, pp)
+        f = family_case2(0, k1, k2, -x3, coeffs, base, pp)
         df = f.derivative()
         for _ in range(3):
             t = rng.randrange(big)
@@ -337,15 +338,14 @@ def test_family_case1_structure():
 def test_family_case1_gcd_mismatch_vanishes():
     pp = PrimePowerModulus(7, 3)
     coeffs = (1, 1, -1)
-    b = case1_slope_base(coeffs, pp)
     rng = random.Random(4)
     for _ in range(10):
         l1 = rng.randrange(1, 343)
         l2 = rng.randrange(1, 343)
         if l1 % 7 == 0 or l2 % 7 == 0:
             continue
-        assert abs(direct_E_case1(l1, 7 * l2, rng.randrange(1, 7), coeffs, b, pp)) < 1e-9
-        assert abs(direct_E_case1(7 * l1, l2, rng.randrange(1, 7), coeffs, b, pp)) < 1e-9
+        assert abs(direct_E(l1, 7 * l2, rng.randrange(1, 7), coeffs, pp)) < 1e-9
+        assert abs(direct_E(7 * l1, l2, rng.randrange(1, 7), coeffs, pp)) < 1e-9
 
 
 def test_family_case2_layer_sums():
@@ -388,20 +388,21 @@ def test_family_case2_s0_discriminant_obstruction():
 
 
 def test_families_are_the_conic_maps():
-    # family_case1 at x3 = -1 and family_case2 at x3 = 1, with (k1, k2) a unit
-    # vector, are the coordinates y1, y2 of conic's pairs
+    # family_case2 at x3 = -1 through case1_base_point (Case I) and at x3 = 1
+    # (Case II), with (k1, k2) a unit vector, are the coordinates y1, y2 of
+    # conic's pairs
     rng = random.Random(8)
     for p, n in [(3, 2), (5, 2), (7, 1), (7, 2), (11, 1), (13, 2)]:
         pp = PrimePowerModulus(p, n)
         q = pp.q
         coeffs = _sample_case_coeffs(rng, p, CASE_I)
         coeffs = (coeffs[0] - 2 * q, coeffs[1] + q, coeffs[2] + 3 * q)
-        b = case1_slope_base(coeffs, pp)
-        f1 = family_case1(1, 0, -1, coeffs, b, pp)
-        f2 = family_case1(0, 1, -1, coeffs, b, pp)
-        for alpha in case1_admissible_alphas(coeffs, p):
-            for t in range(alpha, q, p):
-                assert (f1.eval_mod(t, q), f2.eval_mod(t, q)) == param_case1(t, b, coeffs, pp)
+        base = case1_base_point(coeffs, pp)
+        f1 = family_case2(0, 1, 0, -1, coeffs, base, pp)
+        f2 = family_case2(0, 0, 1, -1, coeffs, base, pp)
+        ts = [t for alpha in case1_admissible_alphas(coeffs, p) for t in range(alpha, q, p)]
+        pairs = {(f1.eval_mod(t, q), f2.eval_mod(t, q)) for t in ts}
+        assert pairs == build_case1_family(coeffs, pp).layers[0]
         if p % 4 == 1:
             continue  # no Case II triple: -1 is a square, so one -ai*aj is too
         coeffs = _sample_case_coeffs(rng, p, CASE_II)
@@ -432,7 +433,6 @@ def test_closed_form_E_matches_direct_case1():
     checked = 0
     while checked < 25:
         coeffs = _sample_case_coeffs(rng, 7, CASE_I)
-        b = case1_slope_base(coeffs, pp)
         r = rng.choice([0, 1])
         k1, k2 = 7**r * rng.randrange(1, 7), 7**r * rng.randrange(1, 7)
         x3 = rng.randrange(1, 7)
@@ -440,7 +440,7 @@ def test_closed_form_E_matches_direct_case1():
             got = closed_form_E(k1, k2, x3, coeffs, pp)
         except UnsupportedCaseError:
             continue
-        want = direct_E_case1(k1, k2, x3, coeffs, b, pp)
+        want = direct_E(k1, k2, x3, coeffs, pp)
         assert abs(got - want) / max(1.0, abs(want)) < 1e-6
         # triangle-inequality magnitude bound from the two-term form
         assert abs(got) <= 2 * 7 ** ((3 + r) / 2) + 1e-6
@@ -462,7 +462,7 @@ def test_closed_form_E_matches_direct_case2():
             got = closed_form_E(k1, k2, x3, coeffs, pp, base=base)
         except UnsupportedCaseError:
             continue
-        want = layer_sum(0, k1, k2, x3, coeffs, base, pp)
+        want = direct_E(k1, k2, x3, coeffs, pp, base=base)
         assert abs(got - want) / max(1.0, abs(want)) < 1e-6
         checked += 1
 
@@ -470,7 +470,6 @@ def test_closed_form_E_matches_direct_case2():
 def test_closed_form_E_nonresidue_D_is_zero():
     pp = PrimePowerModulus(7, 3)
     coeffs = (1, 1, -1)
-    b = case1_slope_base(coeffs, pp)
     found = 0
     for l1 in range(1, 7):
         for l2 in range(1, 7):
@@ -479,7 +478,7 @@ def test_closed_form_E_nonresidue_D_is_zero():
                 continue
             got = closed_form_E(l1, l2, 1, coeffs, pp)
             assert got == 0
-            assert abs(direct_E_case1(l1, l2, 1, coeffs, b, pp)) < 1e-9
+            assert abs(direct_E(l1, l2, 1, coeffs, pp)) < 1e-9
             found += 1
     assert found > 0
 
@@ -505,11 +504,13 @@ def test_closed_form_E_degenerate_cases_raise():
     assert case_tag((-1, 1, 1), 7) == "mixed"
     with pytest.raises(ValueError, match="mixed"):
         closed_form_E(1, 1, 1, (-1, 1, 1), pp)
+    with pytest.raises(ValueError, match="no Case I base point"):
+        direct_E(1, 1, 1, (-1, 1, 1), pp)
 
 
 @st.composite
 def closed_form_instances(draw):
-    """(p, n, tag, coeffs, r, l1, l2, x3): a Case I triple, or Case II where p = 3 mod 4."""
+    """(p, n, coeffs, r, l1, l2, x3): a Case I triple, or Case II where p = 3 mod 4."""
     p = draw(st.sampled_from([5, 7, 11, 13]))
     n = draw(st.sampled_from([2, 3, 4]))
     tag = draw(st.sampled_from([CASE_I, CASE_II] if p % 4 == 3 else [CASE_I]))
@@ -520,24 +521,19 @@ def closed_form_instances(draw):
     def unit(bound):
         return draw(st.integers(1, bound - 1).filter(lambda u: u % p))
 
-    return p, n, tag, coeffs, r, unit(p ** (n - r)), unit(p ** (n - r)), unit(p)
+    return p, n, coeffs, r, unit(p ** (n - r)), unit(p ** (n - r)), unit(p)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(closed_form_instances())
 def test_closed_form_E_matches_direct_sums(instance):
     # one sqrt(D) expression serves both cases; every parity of n - r occurs
-    p, n, tag, coeffs, r, l1, l2, x3 = instance
+    p, n, coeffs, r, l1, l2, x3 = instance
     pp = PrimePowerModulus(p, n)
     k1, k2 = p**r * l1, p**r * l2
-    if tag == CASE_I:
-        want = direct_E_case1(k1, k2, x3, coeffs, case1_slope_base(coeffs, pp), pp)
-        base = None
-    else:
-        base = find_base_point(coeffs, pp)
-        want = layer_sum(0, k1, k2, x3, coeffs, base, pp)
+    want = direct_E(k1, k2, x3, coeffs, pp)
     try:
-        got = closed_form_E(k1, k2, x3, coeffs, pp, base=base)
+        got = closed_form_E(k1, k2, x3, coeffs, pp)
     except UnsupportedCaseError:
         return
     assert abs(got - want) / max(1.0, abs(want)) < 1e-6, (got, want)

@@ -17,9 +17,25 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
+def dead_private_definitions(source: str) -> list:
+    """Module-level `_`-prefixed functions and classes that the module never names."""
+    tree = ast.parse(source)
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defined = [(node.lineno, node.name) for node in tree.body
+               if isinstance(node, kinds) and node.name.startswith("_") and not node.name.endswith("__")]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in defined if name not in used]
+
+
 def test_unused_imports_detector():
     src = "import os, re\nfrom a.b import c as d, e\nimport x.y\nre.sub; e(x.y)\n"
     assert unused_imports(src) == [(1, "os"), (2, "d")]
+
+
+def test_dead_private_definitions_detector():
+    src = ("def _used(): pass\ndef _dead(): pass\nclass _Gone: pass\n"
+           "def __getattr__(name): pass\ndef public():\n    def _inner(): pass\n    return _used()\n")
+    assert dead_private_definitions(src) == [(2, "_dead"), (3, "_Gone")]
 
 
 def test_no_unused_imports():
@@ -28,4 +44,12 @@ def test_no_unused_imports():
     files += sorted((ROOT / "tests").glob("*.py"))
     found = [f"{f.relative_to(ROOT)}:{line}: {name}"
              for f in files for line, name in unused_imports(f.read_text())]
+    assert not found, found
+
+
+def test_no_dead_private_definitions():
+    # a private helper nothing in its module calls is left over from a deletion
+    found = [f"{f.relative_to(ROOT)}:{line}: {name}"
+             for f in sorted((ROOT / "src" / "conic_lab").glob("*.py"))
+             for line, name in dead_private_definitions(f.read_text())]
     assert not found, found
