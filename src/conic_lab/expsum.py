@@ -316,18 +316,22 @@ def layer_sum(s, k1, k2, x3, coeffs, base: BasePoint, pp: PrimePowerModulus) -> 
     return direct_full_sum(f, pp, range(1, pp.p)) / pp.p**s
 
 
-def direct_E(k1, k2, x3, coeffs, pp: PrimePowerModulus, base: BasePoint = None) -> complex:
+def _family_tag(coeffs, p) -> str:
+    """case_tag of a family's coefficients; a mixed pattern is a ValueError."""
+    tag = case_tag(coeffs, p)
+    if tag == "mixed":
+        raise ValueError("a mixed residue pattern has no family sum; permute it into Case I")
+    return tag
+
+
+def direct_E(k1, k2, x3, coeffs, pp: PrimePowerModulus) -> complex:
     """The family sum E(k1,k2,x3;p^n) by direct summation: closed_form_E's twin.
 
-    Case II sums layer 0 through base (find_base_point's when None) over all t.
-    Case I sums layer 0 at -x3 through conic.case1_base_point over the
-    admissible classes and ignores base. A mixed pattern is a ValueError, as
-    case1_base_point refuses it.
+    Case II sums layer 0 through find_base_point over all t, Case I layer 0 at
+    -x3 through conic.case1_base_point over the admissible classes.
     """
-    if case_tag(coeffs, pp.p) == CASE_II:
-        if base is None:
-            base = find_base_point(coeffs, pp)
-        return layer_sum(0, k1, k2, x3, coeffs, base, pp)
+    if _family_tag(coeffs, pp.p) == CASE_II:
+        return layer_sum(0, k1, k2, x3, coeffs, find_base_point(coeffs, pp), pp)
     f = family_case2(0, k1, k2, -x3, coeffs, case1_base_point(coeffs, pp), pp)
     return direct_full_sum(f, pp, case1_admissible_alphas(coeffs, pp.p))
 
@@ -370,10 +374,7 @@ def closed_form_E(k1, k2, x3, coeffs, pp: PrimePowerModulus, base: BasePoint = N
     if l1 % p == 0 or l2 % p == 0:
         raise ValueError("k1 and k2 must share the same exact power of p")
     _check_evaluable(p, n, r)
-    tag = case_tag(c, p)
-    if tag == "mixed":
-        raise ValueError("a mixed residue pattern has no closed form; permute it into Case I")
-    if tag == CASE_II:
+    if _family_tag(c, p) == CASE_II:
         if base is None:
             base = find_base_point(coeffs, pp)
         if (l2 * c.a1 * base.a - l1 * c.a2 * base.b) % p == 0:
