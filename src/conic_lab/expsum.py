@@ -4,8 +4,13 @@ Three routes to the same values, kept deliberately separate so they can be
 played against each other:
 
 * direct_S_alpha: brute summation over a residue class t = alpha mod p, by
-  modcore's one class evaluator and one exactly rounded exponential sum;
-  direct_E, closed_form_E's twin, sums the family sum E this way;
+  modcore's one class evaluator and one exactly rounded exponential sum. It
+  sums one period of f: a numerator with p-content p^s gives values p^s w
+  with w periodic mod p^(n-s), so the class's terms are the period's terms
+  each taken p^s times, and exp_sum weights the period's exact total by p^s
+  before it rounds (the same float, bit for bit). It does not use the
+  critical-point lemma that cochrane_evaluate is checked against. direct_E,
+  closed_form_E's twin, sums the family sum E this way;
 * cochrane_evaluate: the critical-point evaluation (zero away from critical
   points of p^(-r) f', a single Gauss-sum-normalized term at simple ones);
 * closed_form_E: the two-critical-point closed form for the chord-slope
@@ -23,6 +28,7 @@ import numpy as np
 
 from .modcore import (
     PrimePowerModulus,
+    check_table_q,
     exp_sum,
     gauss_sum_unit,
     jacobi,
@@ -169,15 +175,30 @@ def _e_q(value: int, q: int) -> complex:
 
 
 def direct_S_alpha(f: IntRationalFunction, alpha: int, pp: PrimePowerModulus) -> complex:
-    """S_alpha(f; p^n) = sum over t = alpha mod p, t in [1, p^n] of e_q(f(t)).
+    """S_alpha(f; p^n) = sum over t = alpha mod p, t in [1, p^n] of e_q(f(t)), over one period of f.
 
-    Values by modcore.ratio_mod_class, rounded by modcore.exp_sum.
+    With s = min(v_p(content of f.numer), n - 1) (n - 1 for a zero numer), f(t) mod q is
+    p^s w(t) for w = (numer / p^s) / denom mod p^(n-s), and w depends on t mod p^(n-s) only.
+    As t runs over the class alpha mod p in [0, q), t mod p^(n-s) runs over that class in
+    [0, p^(n-s)) and meets each point exactly p^s times. So the terms cos and sin of
+    2 pi p^s w / q on those p^(n-s-1) points, each taken p^s times, are the same multiset of
+    floats as the p^(n-1) terms of the full class. The values come from
+    modcore.ratio_mod_class mod p^(n-s), and modcore.exp_sum rounds them with multiplicity
+    p^s: it multiplies the exact total before its one rounding, so the result is bit for bit
+    the full class's. q itself is held to TABLE_Q_MAX, however small p^(n-s) is.
     """
-    p, q = pp.p, pp.q
+    p, n, q = pp.p, pp.n, pp.q
     alpha %= p
     if poly_eval_mod(f.denom, alpha, p) == 0:
         raise NonUnitDenominatorError(f"denominator vanishes on the class {alpha} mod {p}")
-    return exp_sum(ratio_mod_class((f.numer,), f.denom, (alpha,), pp.n - 1, pp)[0], q)
+    check_table_q(q)
+    v = _poly_valuation(f.numer, p)
+    s = n - 1 if v is None else min(v, n - 1)
+    ps = p**s
+    numer = _poly_strip(f.numer, p, s)
+    w = ratio_mod_class((numer,), f.denom, (alpha,), n - s - 1, PrimePowerModulus(p, n - s))[0]
+    w *= ps  # in place: one class-length array alive, not two
+    return exp_sum(w, q, multiplicity=ps)
 
 
 def direct_full_sum(f: IntRationalFunction, pp: PrimePowerModulus, alphas=None) -> complex:

@@ -263,27 +263,33 @@ def ratio_mod_class(numers, denom, alphas, e: int, pp: PrimePowerModulus) -> lis
     """numer(t) / denom(t) mod q on t = alpha + p j, j < p^e, alpha in alphas: an int64 array per numer.
 
     poly_eval_mod_class values, so q <= TABLE_Q_MAX is checked first; a constant denominator
-    is inverted by one pow, any other by one inv_mod_array tree (a non-unit is a ValueError).
+    is inverted by one pow and folded into each numer's coefficients (the same residues, one
+    array pass fewer), any other by one inv_mod_array tree (a non-unit is a ValueError).
     """
-    check_table_q(pp.q)
+    q = pp.q
+    check_table_q(q)
 
     def values(f):  # one class uncopied; np.array, not concatenate: no classes is an empty array
         rows = [poly_eval_mod_class(f, a, e, pp) for a in alphas]
         return rows[0] if len(rows) == 1 else np.array(rows, np.int64).ravel()
 
-    dinv = pow(denom[0], -1, pp.q) if len(denom) == 1 else inv_mod_array(values(denom), pp)
-    return [values(f) * dinv % pp.q for f in numers]
+    if len(denom) == 1:
+        dinv = pow(denom[0], -1, q)
+        return [values([c * dinv % q for c in f]) for f in numers]
+    dinv = inv_mod_array(values(denom), pp)
+    return [values(f) * dinv % q for f in numers]
 
 
-def _exact_sum(x: np.ndarray) -> float:
-    """fsum(x), bit for bit, for terms x on the grid 2^-76 Z within [-1, 1].
+def _exact_sum(x: np.ndarray, multiplicity: int = 1) -> float:
+    """fsum(x repeated multiplicity times), bit for bit, for terms x on the grid 2^-76 Z in [-1, 1].
 
     exp_sum's cos and sin terms lie on it: q is odd and at most TABLE_Q_MAX, so a nonzero
     one is at least sin(pi/(2q)) > 2^-23 in size. Each term splits exactly into whole floats
     hi = floor(x 2^38), |hi| <= 2^38, and lo = (x - hi 2^-38) 2^76 in [0, 2^38). Summed with
     dtype=int64 (exact per term, no int64 copy) in blocks of 2^17 terms, which bound the
-    temporaries, both stay below 2^56; Python ints add the blocks, and int true division
-    rounds the exact total once, half to even, as fsum does.
+    temporaries, both stay below 2^56; Python ints add the blocks and multiply the exact total
+    by multiplicity (a rounded float times it would not be fsum's value), and int true
+    division rounds it once, half to even, as fsum does.
     """
     total = 0
     for i in range(0, len(x), 1 << 17):
@@ -292,17 +298,19 @@ def _exact_sum(x: np.ndarray) -> float:
         y -= hi
         y *= 2.0**38
         total += (int(hi.sum(dtype=np.int64)) << 38) + int(y.sum(dtype=np.int64))
-    return total / (1 << 76)
+    return total * multiplicity / (1 << 76)
 
 
-def exp_sum(vals: np.ndarray, q: int, chi: Optional[np.ndarray] = None) -> complex:
+def exp_sum(vals: np.ndarray, q: int, chi: Optional[np.ndarray] = None, multiplicity: int = 1) -> complex:
     """sum of chi(v) e(v/q) over the residues vals (q odd <= TABLE_Q_MAX, chi = 1 if None).
 
-    _exact_sum rounds the float terms chi cos(2 pi v/q), then chi sin(2 pi v/q), once each.
+    _exact_sum rounds the float terms chi cos(2 pi v/q), then chi sin(2 pi v/q), once each,
+    after it multiplies their exact totals by multiplicity: the sum over vals repeated that
+    many times, bit for bit.
     """
     ang = vals * (2.0 * np.pi / q)
     parts = (trig(ang) if chi is None else trig(ang) * chi for trig in (np.cos, np.sin))
-    return complex(*map(_exact_sum, parts))  # one full-length part alive at a time
+    return complex(*(_exact_sum(x, multiplicity) for x in parts))  # one full-length part alive at a time
 
 
 def gauss_sum(q: int) -> complex:

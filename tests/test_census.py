@@ -414,6 +414,8 @@ def test_table_cap_checked_before_allocation():
         "build_case2_family": lambda: conic.build_case2_family((1, 1, 1), pp),
         "enumerate_pair_solutions": lambda: conic.enumerate_pair_solutions((1, 2, 3), pp),
         "direct_S_alpha": lambda: expsum.direct_S_alpha(t2, 1, pp),
+        # numer content 7^3: one period mod 7^6 is under the budget, but the sum is mod q
+        "direct_S_alpha 7^3 t^2": lambda: expsum.direct_S_alpha(expsum.IntRationalFunction((0, 0, 343)), 1, pp),
         "gauss_sum": lambda: modcore.gauss_sum(q),
         "gauss_sum_character": lambda: modcore.gauss_sum_character(q),
         "jacobi_table": lambda: modcore.jacobi_table(q),

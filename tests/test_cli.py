@@ -153,6 +153,21 @@ def test_expsum_check_rows_pinned(capsys):
             ("poly", 133, 140, 6, 6, "ok", 6.202735634387225e-15),
             ("case1", 336, 161, 6, None, "ok", 2.5008628462156143e-14),
         ]),
+        # the case1 row's k1, k2 share 5^4: its direct sum runs over one period mod 5^2
+        "--p 5 --n 6": (15625, [
+            ("poly", 3060, 480, 3, 1, "ok", 7.67386154620908e-16),
+            ("poly", 4525, 11775, 4, 4, "unsupported", None),
+            ("poly", 615, 9270, 3, 1, "ok", 9.035783704478896e-14),
+            ("poly", 648, 4079, 3, 3, "ok", 9.035783704478896e-14),
+            ("poly", 2500, 11250, 4, 3, "ok", 8.927332275437445e-14),
+            ("poly", 6165, 1705, 2, 4, "ok", 8.749145300857107e-14),
+            ("poly", 560, 5335, 2, 2, "ok", 8.927332275437445e-14),
+            ("poly", 12900, 13550, 4, 2, "ok", 8.603205202215516e-14),
+            ("poly", 6875, 1875, 1, 1, "ok", 8.927332275437445e-14),
+            ("poly", 13125, 4375, 4, 4, "ok", 8.906749319982756e-14),
+            ("case1", 15000, 2500, 2, None, "ok", 0.0),
+            ("poly", 6488, 7384, 3, 4, "ok", 1.1368683772161615e-15),
+        ]),
     }
     for args, (q, expected) in rows.items():
         p, n = args.split()[1::2]

@@ -201,6 +201,13 @@ def test_exact_sum_low_limbs_sum_exactly():
         assert _same_float(_exact_sum(terms), 2.0**-76)
 
 
+def _fsum_of_the_terms(f, a, pp):
+    """fsum of the float cos and sin terms of all p^(n-1) points of the class a mod p."""
+    vals = _ref_values(f, pp.q, range(a, pp.q, pp.p))
+    ang = np.array(vals, dtype=np.int64) * (2.0 * np.pi / pp.q)
+    return complex(math.fsum(np.cos(ang).tolist()), math.fsum(np.sin(ang).tolist()))
+
+
 def test_direct_S_alpha_equals_fsum_of_the_terms():
     # bit for bit the per-class fsum of the float cos and sin terms
     rng = random.Random(8)
@@ -213,10 +220,29 @@ def test_direct_S_alpha_equals_fsum_of_the_terms():
             for a in rng.sample(range(p), min(p, 3)):
                 if _ref_eval(f.denom, a) % p == 0:
                     continue
-                vals = _ref_values(f, pp.q, range(a, pp.q, p))
-                ang = np.array(vals, dtype=np.int64) * (2.0 * np.pi / pp.q)
-                want = complex(math.fsum(np.cos(ang).tolist()), math.fsum(np.sin(ang).tolist()))
-                assert direct_S_alpha(f, a, pp) == want
+                assert direct_S_alpha(f, a, pp) == _fsum_of_the_terms(f, a, pp)
+
+
+def test_direct_S_alpha_over_one_period_equals_fsum_of_the_terms():
+    # a numer with content exactly p^s is summed over one period mod p^(n - min(s, n-1))
+    # and weighted by p^min(s, n-1); still bit for bit the fsum of all p^(n-1) terms
+    rng = random.Random(20)
+    for p, n in ((3, 5), (5, 4), (7, 3), (11, 3)):
+        pp = PrimePowerModulus(p, n)
+        for s in (*range(n + 2), None):  # None: the zero numerator
+            numer = (0,)
+            if s is not None:
+                coeffs = [rng.randint(-50, 50) for _ in range(rng.randint(1, 4))]
+                unit = rng.choice((1, -1)) * rng.randrange(1, p) + p * rng.randint(-5, 5)
+                coeffs[rng.randrange(len(coeffs))] = unit  # the content is exactly p^s
+                numer = tuple(p**s * c for c in coeffs)
+            constant = rng.randrange(1, p) + p * rng.randint(-9, 9)
+            for denom in ((constant,), (rng.randint(1, 9), rng.randint(-9, 9), 1)):
+                f = IntRationalFunction(numer, denom)
+                for a in rng.sample(range(p), min(p, 3)):
+                    if _ref_eval(f.denom, a) % p == 0:
+                        continue
+                    assert direct_S_alpha(f, a, pp) == _fsum_of_the_terms(f, a, pp), (p, n, s, f, a)
 
 
 def test_direct_S_alpha_memory_peak():
