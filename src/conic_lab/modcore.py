@@ -281,7 +281,7 @@ def ratio_mod_class(numers, denom, alphas, e: int, pp: PrimePowerModulus) -> lis
 
 
 def _exact_sum(x: np.ndarray, multiplicity: int = 1) -> float:
-    """fsum(x repeated multiplicity times), bit for bit, for terms x on the grid 2^-76 Z in [-1, 1].
+    """fsum(x repeated multiplicity times), bit for bit, for x on the grid 2^-76 Z in [-1, 1].
 
     exp_sum's cos and sin terms lie on it: q is odd and at most TABLE_Q_MAX, so a nonzero
     one is at least sin(pi/(2q)) > 2^-23 in size. Each term splits exactly into whole floats
