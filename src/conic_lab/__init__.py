@@ -7,7 +7,7 @@ else is imported from its module (conic_lab.census, conic_lab.expsum, ...)."""
 
 from .modcore import PrimePowerModulus, main_constant, s_p
 from .census import count_sharp, smallest_solution
-from .conic import build_case2_family
+from .conic import build_family
 from .expsum import IntRationalFunction, cochrane_evaluate
 from .dioph import dirichlet_approx
 

@@ -278,16 +278,12 @@ def _run_param_check(args, rng):
     rows = []
     for coeffs in triples:
         tag = conic.case_tag(coeffs, pp.p)
-        if tag != conic.CASE_II:
-            # a mixed triple is permuted into Case I; its row keeps the given order
-            case1, _ = conic.normalize_to_case1(coeffs, pp.p)
-            fam = conic.build_case1_family(case1, pp)
-            reference = conic.enumerate_pair_solutions(case1, pp, units_only=True)
-            expected = pp.q // pp.p * (pp.p - modcore.s_p(case1, pp.p))
-        else:
-            fam = conic.build_case2_family(coeffs, pp)
-            reference = conic.enumerate_pair_solutions(coeffs, pp, units_only=False)
-            expected = pp.q + pp.q // pp.p
+        # a mixed triple is permuted into Case I; its row keeps the given order
+        fam_coeffs = conic.normalize_to_case1(coeffs, pp.p) if tag == "mixed" else coeffs
+        fam = conic.build_family(fam_coeffs, pp)
+        # Case I covers the unit solutions, Case II all of them, which are units
+        reference = conic.enumerate_pair_solutions(fam_coeffs, pp, units_only=True)
+        expected = pp.q // pp.p * (pp.p - modcore.s_p(fam_coeffs, pp.p))  # s_p = -1 in Case II
         rows.append(_row(pp, coeffs, case=tag, family_size=len(fam.pairs),
                          expected_size=expected,
                          matches_enumeration=fam.pairs == frozenset(reference)))
@@ -369,9 +365,9 @@ def _run_selftest(args, rng):
         for c in [(1, 1, 1), (1, 1, 6), (2, 3, 5), (1, 2, 3)]))
     check("unit-circle", lambda: census.count_unit_circle(1, 1, PrimePowerModulus(3, 2)) == 12)
     check("gauss-sum", lambda: abs(abs(modcore.gauss_sum(49)) - 7.0) < 1e-9)
-    check("case1-coverage", lambda: conic.build_case1_family((1, 1, -1), pp72).pairs
+    check("case1-coverage", lambda: conic.build_family((1, 1, -1), pp72).pairs
           == frozenset(conic.enumerate_pair_solutions((1, 1, -1), pp72)))
-    check("case2-coverage", lambda: len(conic.build_case2_family((1, 1, 1),
+    check("case2-coverage", lambda: len(conic.build_family((1, 1, 1),
           PrimePowerModulus(3, 2)).pairs) == 12)
     check("hensel-lifts", lambda: len(conic.lift_triple((3, 4, 5), (1, 1, -1),
           PrimePowerModulus(7, 1))) == 49)

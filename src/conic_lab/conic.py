@@ -2,23 +2,24 @@
 
 Two regimes, decided by the residue pattern of the -ai*aj mod p:
 
-* Case I  (-a2*a3 is a residue): chord slopes through case1_base_point
-  (0, -b), b^2 = -a3/a2, parametrize the unit solutions; the map t -> (y1, y2)
-  is injective on the p^(n-1)*(p - s_p) t in the admissible classes mod p.
+* Case I  (-a2*a3 is a residue): chord slopes through (0, b), b^2 = -a3/a2,
+  parametrize the unit solutions; the map t -> (y1, y2) is injective on the
+  p^(n-1)*(p - s_p) t in the admissible classes mod p.
 * Case II (no -ai*aj is a residue): the slope line is layered into sets M_s,
   s = 0..n, which together cover all p^n + p^(n-1) solutions exactly.
 
 Both regimes are one chord-slope map, written once as the form k1*y1 + k2*y2
-(slope_form): Case II is its layers s through a base point, Case I its layer 0
-through case1_base_point. The family builders run one layer loop that
-evaluates it class by class (modcore.ratio_mod_class); expsum's amplitudes
-scale it by x3. Pairs are plain (y1, y2) tuples of ints.
+(slope_form), and family_plan is the one place that maps a case to its base
+point and its layers: Case II is the layers s through find_base_point's
+point, Case I layer 0 through (0, b). build_family runs one layer loop that
+evaluates the map class by class (modcore.ratio_mod_class); expsum's
+amplitudes scale it by x3. Pairs are plain (y1, y2) tuples of ints.
 
 Also: base-point search and Hensel lifting of full solution triples.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,25 +59,18 @@ def case_tag(coeffs, p: int) -> str:
     return "mixed"
 
 
-def normalize_to_case1(coeffs, p: int):
-    """Permute coordinates so that -a2*a3 is a residue mod p.
+def normalize_to_case1(coeffs, p: int) -> CoefficientTriple:
+    """The first of (a1,a2,a3), (a2,a1,a3), (a3,a1,a2) that case_tag calls Case I.
 
-    Returns (permuted_coeffs, perm) with permuted_coeffs[i] = coeffs[perm[i]];
-    a solution (x1, x2, x3) of the original congruence corresponds to
-    (x[perm[0]], x[perm[1]], x[perm[2]]) for the permuted one. Raises if no
-    -ai*aj is a residue (Case II).
+    A solution (x1, x2, x3) of the original congruence, with its coordinates
+    permuted the same way, solves the permuted one. Raises if no -ai*aj is a
+    residue (Case II).
     """
-    c = validate_coeffs(coeffs, p)
-    s12, s13, s23 = residue_pattern(coeffs, p)
-    if s23 == 1:
-        perm = (0, 1, 2)
-    elif s13 == 1:
-        perm = (1, 0, 2)
-    elif s12 == 1:
-        perm = (2, 0, 1)
-    else:
-        raise ValueError("no -ai*aj is a residue: Case II pattern")
-    return CoefficientTriple(*(c[i] for i in perm)), perm
+    a1, a2, a3 = validate_coeffs(coeffs, p)
+    for perm in ((a1, a2, a3), (a2, a1, a3), (a3, a1, a2)):
+        if case_tag(perm, p) == CASE_I:
+            return CoefficientTriple(*perm)
+    raise ValueError("no -ai*aj is a residue: Case II pattern")
 
 
 def find_base_point(coeffs, pp: PrimePowerModulus) -> BasePoint:
@@ -111,27 +105,13 @@ def find_base_point(coeffs, pp: PrimePowerModulus) -> BasePoint:
     return BasePoint(a, b)
 
 
-def case1_base_point(coeffs, pp: PrimePowerModulus) -> BasePoint:
-    """The Case I base point (0, -b), b the smaller root of b^2 = -a3/a2 mod q.
-
-    -b is left unreduced: the amplitudes through it are the integer
-    polynomials of the Case I family. Requires the Case I pattern.
-    """
-    c = validate_coeffs(coeffs, pp.p)
-    if case_tag(c, pp.p) != CASE_I:
-        raise ValueError("-a2*a3 is not a residue mod p: no Case I base point")
-    b = sqrt_mod_prime_power((-c.a3 * mod_inverse(c.a2, pp.q)) % pp.q, pp)
-    assert b is not None
-    return BasePoint(0, -b)
-
-
 def slope_form(k1, k2, s, base, coeffs, p: int):
     """k1*y1 + k2*y2 of the chord-slope map at t / p^s, as ascending integer (numer, denom).
 
     The chord of slope t / p^s through the base point (a, b) meets the conic again at
       y1 = a - 2 a2 (a t^2 - b t p^s) / (a1 p^(2s) + a2 t^2)
       y2 = -b - 2 a1 p^s (a t - b p^s) / (a1 p^(2s) + a2 t^2).
-    Case II uses layers s = 0..n; Case I is layer 0 through case1_base_point.
+    family_plan gives the base point and the layers s of each case.
     """
     a, b = base
     a1, a2, _ = coeffs
@@ -157,6 +137,29 @@ def case1_admissible_alphas(coeffs, p: int):
     return [a for a in range(1, p) if (c.a1 - c.a2 * a * a) % p and (c.a1 + c.a2 * a * a) % p]
 
 
+def family_plan(coeffs, pp: PrimePowerModulus):
+    """The case's chord-slope family: (base point, layers (s, alphas, e)).
+
+    Layer s is slope_form's map at t / p^s for t = alpha + p j, alpha in
+    alphas and j < p^e. Case I is (0, b), b the smaller root of
+    b^2 = -a3/a2 mod q, with layer 0 on the admissible classes. Case II is
+    find_base_point's point with the layers M_s: all t mod q at s = 0 (t = 0
+    stands for t = p^n), the units t in 1..p^(n-s) at 0 < s < n, and t = 1
+    alone at s = n; every denominator is a unit mod q. A mixed pattern is a
+    ValueError: normalize_to_case1 permutes it into Case I.
+    """
+    c = validate_coeffs(coeffs, pp.p)
+    p, n, q = pp.p, pp.n, pp.q
+    tag = case_tag(c, p)
+    if tag == CASE_I:
+        b = sqrt_mod_prime_power(-c.a3 * mod_inverse(c.a2, q) % q, pp)
+        return BasePoint(0, b), [(0, case1_admissible_alphas(c, p), n - 1)]
+    if tag == CASE_II:
+        layers = [(0, range(p), n - 1), *((s, range(1, p), n - s - 1) for s in range(1, n)), (n, [1], 0)]
+        return find_base_point(c, pp), layers
+    raise ValueError("a mixed residue pattern has no family sum; permute it into Case I")
+
+
 @dataclass(frozen=True)
 class ParamFamily:
     """A materialized parametrization family.
@@ -171,15 +174,19 @@ class ParamFamily:
     pairs: frozenset
 
 
-def _family(coeffs, base: BasePoint, plan, pp: PrimePowerModulus) -> ParamFamily:
-    """The family of the layers (s, alphas, e) of plan, each of its full size len(alphas) p^e.
+def build_family(coeffs, pp: PrimePowerModulus) -> ParamFamily:
+    """Materialize the layers (s, alphas, e) of family_plan, after checking the table budget.
 
-    A layer whose map is not injective, or that meets an earlier layer, is an
-    AssertionError.
+    Case I gives the unit solutions, Case II all p^n + p^(n-1) solutions. A
+    layer that is not of its full size len(alphas) p^e (its map is not
+    injective), or that meets an earlier layer, is an AssertionError.
     """
+    c = validate_coeffs(coeffs, pp.p)
+    check_table_q(pp.q)
+    base, plan = family_plan(c, pp)
     layers, seen = {}, set()
     for s, alphas, e in plan:
-        pairs = _map_pairs(coeffs, s, base, alphas, e, pp)
+        pairs = _map_pairs(c, s, base, alphas, e, pp)
         expected = len(alphas) * pp.p**e
         if len(pairs) != expected:
             raise AssertionError(f"layer {s} has {len(pairs)} pairs, expected {expected}")
@@ -188,41 +195,6 @@ def _family(coeffs, base: BasePoint, plan, pp: PrimePowerModulus) -> ParamFamily
         seen |= pairs
         layers[s] = frozenset(pairs)
     return ParamFamily(layers, frozenset(seen))
-
-
-def build_case1_family(coeffs, pp: PrimePowerModulus) -> ParamFamily:
-    """Materialize the Case I image: layer 0 through case1_base_point on the admissible classes."""
-    c = validate_coeffs(coeffs, pp.p)
-    check_table_q(pp.q)
-    return _family(c, case1_base_point(c, pp), [(0, case1_admissible_alphas(c, pp.p), pp.n - 1)], pp)
-
-
-def build_case2_family(
-    coeffs, pp: PrimePowerModulus, base: Optional[BasePoint] = None
-) -> ParamFamily:
-    """Materialize the layered sets M_s covering all solutions in Case II.
-
-    Layer s evaluates slope_form's map at t / p^s, for t = 0..p^n - 1 at
-    s = 0 (t = 0 stands for t = p^n, equal mod q) and the units t in
-    1..p^(n-s) otherwise (t = 1 alone at s = n); the denominators are units
-    mod q. Layer sizes |M_0| = p^n, |M_n| = 1, |M_s| = p^(n-s) - p^(n-s-1)
-    otherwise are enforced, as is pairwise disjointness; the union has
-    exactly p^n + p^(n-1) distinct pairs.
-    """
-    c = validate_coeffs(coeffs, pp.p)
-    p, n, q = pp.p, pp.n, pp.q
-    if case_tag(coeffs, p) != CASE_II:
-        raise ValueError("residue pattern is not Case II")
-    check_table_q(q)
-    if base is None:
-        base = find_base_point(coeffs, pp)
-    a, b = base.a % q, base.b % q
-    if (c.a1 * a * a + c.a2 * b * b + c.a3) % q != 0:
-        raise ValueError("base point does not lie on the conic mod q")
-    plan = [(0, range(p), n - 1), *((s, range(1, p), n - s - 1) for s in range(1, n)), (n, [1], 0)]
-    fam = _family(c, BasePoint(a, b), plan, pp)
-    assert len(fam.pairs) == q + q // p
-    return fam
 
 
 def lift_triple(x, coeffs, pp: PrimePowerModulus) -> list:

@@ -14,8 +14,8 @@ played against each other:
 * cochrane_evaluate: the critical-point evaluation (zero away from critical
   points of p^(-r) f', a single Gauss-sum-normalized term at simple ones);
 * closed_form_E: the two-critical-point closed form for the chord-slope
-  amplitude families (x3 times conic.slope_form; Case I is the Case II
-  layer 0 through (0, -b)), one sqrt(D) expression for both cases.
+  amplitude families (x3 times conic.slope_form through conic.family_plan's
+  base point), one sqrt(D) expression for both cases.
 
 Polynomial arithmetic is exact over Python integers; reduction mod q happens
 only at evaluation time.
@@ -39,15 +39,7 @@ from .modcore import (
     sqrt_mod_prime_power,
     validate_coeffs,
 )
-from .conic import (
-    BasePoint,
-    case1_admissible_alphas,
-    case1_base_point,
-    case_tag,
-    find_base_point,
-    slope_form,
-    CASE_II,
-)
+from .conic import BasePoint, family_plan, slope_form
 
 
 class NonUnitDenominatorError(ValueError):
@@ -306,13 +298,12 @@ def cochrane_evaluate(f: IntRationalFunction, alpha: int, pp: PrimePowerModulus)
 # the chord-slope amplitude families
 
 
-def family_case2(s, k1, k2, x3, coeffs, base: BasePoint, pp: PrimePowerModulus) -> IntRationalFunction:
+def family_amplitude(s, k1, k2, x3, coeffs, base: BasePoint, pp: PrimePowerModulus) -> IntRationalFunction:
     """Amplitude x3*(k1 y1(t/p^s) + k2 y2(t/p^s)) with denominators cleared.
 
-    Layer s of the Case II family: conic.slope_form at (x3 k1, x3 k2), with
-    exact integer coefficients. It also serves Case I, whose amplitude (the
-    phase after Poisson summation in x1, x2) is layer 0 at -x3 through
-    conic.case1_base_point.
+    Layer s of the chord-slope family through base (conic.family_plan's in
+    both cases): conic.slope_form at (x3 k1, x3 k2), with exact integer
+    coefficients.
     """
     c = validate_coeffs(coeffs, pp.p)
     if not 0 <= s <= pp.n:
@@ -323,38 +314,33 @@ def family_case2(s, k1, k2, x3, coeffs, base: BasePoint, pp: PrimePowerModulus) 
     return IntRationalFunction(*slope_form(x3 * k1, x3 * k2, s, base, c, pp.p))
 
 
-def layer_sum(s, k1, k2, x3, coeffs, base: BasePoint, pp: PrimePowerModulus) -> complex:
-    """Layer-s contribution: the unit-t sum of the layer amplitude over 1/p^s.
+def layer_sum(s, k1, k2, x3, coeffs, pp: PrimePowerModulus) -> complex:
+    """Layer s of conic.family_plan: the amplitude summed over the layer's t.
 
-    At k1 = k2 = 0 this recovers the layer size (p^(n-s) - p^(n-s-1) for
-    1 <= s <= n-1, p^n at s=0, where the s=0 sum runs over all t). For
-    s >= 1 the sum vanishes whenever ord_p of the amplitude derivative is
-    at most n-2, because unit critical points would force t = 0 mod p.
+    The class sums run over all p^(n-1) t of each class mod q, while the
+    layer amplitude depends on t mod p^(e+1) only (it is constant at s = n),
+    so they meet each of the layer's t = alpha + p j, j < p^e, p^(n-1-e)
+    times and are divided by that. At k1 = k2 = 0 this recovers the layer
+    size: p^n at s = 0 of Case II, p^(n-s) - p^(n-s-1) at 0 < s < n, 1 at
+    s = n, and p^(n-1)(p - s_p) at s = 0 of Case I. For s >= 1 the sum
+    vanishes whenever ord_p of the amplitude derivative is at most n-2,
+    because unit critical points would force t = 0 mod p.
     """
-    f = family_case2(s, k1, k2, x3, coeffs, base, pp)
-    if s == 0:
-        return direct_full_sum(f, pp)
-    return direct_full_sum(f, pp, range(1, pp.p)) / pp.p**s
-
-
-def _family_tag(coeffs, p) -> str:
-    """case_tag of a family's coefficients; a mixed pattern is a ValueError."""
-    tag = case_tag(coeffs, p)
-    if tag == "mixed":
-        raise ValueError("a mixed residue pattern has no family sum; permute it into Case I")
-    return tag
+    base, layers = family_plan(coeffs, pp)
+    if not 0 <= s < len(layers):
+        raise ValueError(f"the family has no layer {s}")
+    _, alphas, e = layers[s]
+    f = family_amplitude(s, k1, k2, x3, coeffs, base, pp)
+    return direct_full_sum(f, pp, alphas) / pp.p ** (pp.n - 1 - e)
 
 
 def direct_E(k1, k2, x3, coeffs, pp: PrimePowerModulus) -> complex:
     """The family sum E(k1,k2,x3;p^n) by direct summation: closed_form_E's twin.
 
-    Case II sums layer 0 through find_base_point over all t, Case I layer 0 at
-    -x3 through conic.case1_base_point over the admissible classes.
+    It is layer 0 of conic.family_plan: all t through find_base_point's point
+    in Case II, the admissible classes through (0, b) in Case I.
     """
-    if _family_tag(coeffs, pp.p) == CASE_II:
-        return layer_sum(0, k1, k2, x3, coeffs, find_base_point(coeffs, pp), pp)
-    f = family_case2(0, k1, k2, -x3, coeffs, case1_base_point(coeffs, pp), pp)
-    return direct_full_sum(f, pp, case1_admissible_alphas(coeffs, pp.p))
+    return layer_sum(0, k1, k2, x3, coeffs, pp)
 
 
 def _split_common_power(k1, k2, p, n):
@@ -366,7 +352,7 @@ def _split_common_power(k1, k2, p, n):
     return k1, k2, r
 
 
-def closed_form_E(k1, k2, x3, coeffs, pp: PrimePowerModulus, base: BasePoint = None) -> complex:
+def closed_form_E(k1, k2, x3, coeffs, pp: PrimePowerModulus) -> complex:
     """The sqrt(D) closed form of the family sum E(k1,k2,x3;p^n).
 
     Writing (k1,k2) = p^r (l1,l2) with l1, l2 units and
@@ -376,16 +362,15 @@ def closed_form_E(k1, k2, x3, coeffs, pp: PrimePowerModulus, base: BasePoint = N
         p^((n+r)/2) * sum_{eps = +-1} e(eps * (x3/a1) * sqrt(D) / p^(n-r)) * K(eps)
 
     with K(eps) = 1 for n-r even and (-2*x3*a2*eps*sqrt(D) / p) * G_p/sqrt(p)
-    for n-r odd. Both cases (case_tag of the coefficients) share it: the Case I
-    family is the Case II layer 0 through (0, -b), b^2 = -a3/a2, whose
-    (eps, sqrt(D)) run over the same two critical points. The Legendre factor
-    is attached per critical point, which makes the expression independent of
-    the sqrt(D) branch. Unsupported: r > n-2, D = 0 mod p, and Case II
-    instances whose critical quadratic degenerates mod p (leading coefficient
-    l2*a1*a - l1*a2*b = 0 at the base point; through (0, -b) it is l1*a2*b, a
-    unit). A mixed residue pattern is a ValueError: normalize_to_case1
-    permutes it into Case I. base is the Case II base point (find_base_point's
-    when None); Case I ignores it. direct_E sums the same E directly.
+    for n-r odd. Both cases share it: each family is layer 0 through
+    conic.family_plan's base point, and (eps, sqrt(D)) run over its two
+    critical points. The Legendre factor is attached per critical point, which
+    makes the expression independent of the sqrt(D) branch. Unsupported:
+    r > n-2, D = 0 mod p, and a critical quadratic that degenerates mod p
+    (leading coefficient l2*a1*a - l1*a2*b = 0 at the base point (a, b); in
+    Case I, where a = 0 and b is a unit, it cannot). A mixed residue pattern
+    is a ValueError: normalize_to_case1 permutes it into Case I. direct_E
+    sums the same E directly.
     """
     c = validate_coeffs(coeffs, pp.p)
     p, n = pp.p, pp.n
@@ -395,11 +380,9 @@ def closed_form_E(k1, k2, x3, coeffs, pp: PrimePowerModulus, base: BasePoint = N
     if l1 % p == 0 or l2 % p == 0:
         raise ValueError("k1 and k2 must share the same exact power of p")
     _check_evaluable(p, n, r)
-    if _family_tag(c, p) == CASE_II:
-        if base is None:
-            base = find_base_point(coeffs, pp)
-        if (l2 * c.a1 * base.a - l1 * c.a2 * base.b) % p == 0:
-            raise UnsupportedCaseError("critical quadratic degenerates mod p")
+    (a, b), _ = family_plan(c, pp)
+    if (l2 * c.a1 * a - l1 * c.a2 * b) % p == 0:
+        raise UnsupportedCaseError("critical quadratic degenerates mod p")
     nr = n - r
     mod_nr = p**nr
     core = c.a1 * c.a2 * l1 * l1 + c.a1 * c.a1 * l2 * l2

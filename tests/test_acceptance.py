@@ -87,13 +87,13 @@ def test_criterion_03_parametrization_coverage():
                 coeffs = tuple(rng.randrange(1, p) for _ in range(3))
                 tag = conic.case_tag(coeffs, p)
                 if tag == conic.CASE_I and case1 < 60:
-                    fam = conic.build_case1_family(coeffs, pp)
+                    fam = conic.build_family(coeffs, pp)
                     expect = p ** (n - 1) * (p - modcore.s_p(coeffs, p))
                     assert len(fam.layers[0]) == expect  # the admissible classes' image
                     assert len(fam.pairs) == expect  # injective image
                     case1 += 1
                 elif tag == conic.CASE_II and case2 < 60:
-                    fam = conic.build_case2_family(coeffs, pp)
+                    fam = conic.build_family(coeffs, pp)
                     assert len(fam.pairs) == pp.q + pp.q // p
                     sols = conic.enumerate_pair_solutions(coeffs, pp, units_only=False)
                     assert fam.pairs == frozenset(sols)
@@ -142,11 +142,11 @@ def _random_amplitude(rng, p, n, pp, source):
         tag = conic.case_tag(coeffs, p)
         k1, k2, x3 = rng.randrange(1, pp.q), rng.randrange(1, pp.q), rng.randrange(1, p)
         if source == "case1" and tag == conic.CASE_I:
-            base = conic.case1_base_point(coeffs, pp)
-            return expsum.family_case2(0, k1, k2, -x3, coeffs, base, pp)
+            base, _ = conic.family_plan(coeffs, pp)
+            return expsum.family_amplitude(0, k1, k2, x3, coeffs, base, pp)
         if source == "case2" and tag == conic.CASE_II:
-            base = conic.find_base_point(coeffs, pp)
-            return expsum.family_case2(rng.choice([0, 0, 1]), k1, k2, x3, coeffs, base, pp)
+            base, _ = conic.family_plan(coeffs, pp)
+            return expsum.family_amplitude(rng.choice([0, 0, 1]), k1, k2, x3, coeffs, base, pp)
 
 
 def test_criterion_05_cochrane_formula():

@@ -410,8 +410,8 @@ def test_table_cap_checked_before_allocation():
         "sqrt_count_table": lambda: sqrt_count_table(pp),
         "count_unit_circle": lambda: count_unit_circle(1, 1, pp),
         "smallest_solution": lambda: smallest_solution((1, 2, 3), pp),
-        "build_case1_family": lambda: conic.build_case1_family((1, 1, -1), pp),
-        "build_case2_family": lambda: conic.build_case2_family((1, 1, 1), pp),
+        "build_family Case I": lambda: conic.build_family((1, 1, -1), pp),
+        "build_family Case II": lambda: conic.build_family((1, 1, 1), pp),
         "enumerate_pair_solutions": lambda: conic.enumerate_pair_solutions((1, 2, 3), pp),
         "direct_S_alpha": lambda: expsum.direct_S_alpha(t2, 1, pp),
         # numer content 7^3: one period mod 7^6 is under the budget, but the sum is mod q

@@ -4,16 +4,15 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conic_lab.modcore import PrimePowerModulus, jacobi, s_p
+from conic_lab.modcore import PrimePowerModulus, jacobi, residue_pattern, s_p
 from conic_lab.conic import (
     CASE_I,
     CASE_II,
     BasePoint,
-    build_case1_family,
-    build_case2_family,
-    case1_base_point,
+    build_family,
     case_tag,
     enumerate_pair_solutions,
+    family_plan,
     find_base_point,
     lift_triple,
     normalize_to_case1,
@@ -45,10 +44,13 @@ def test_normalize_to_case1():
             with pytest.raises(ValueError):
                 normalize_to_case1(coeffs, p)
             continue
-        fixed, perm = normalize_to_case1(coeffs, p)
+        fixed = normalize_to_case1(coeffs, p)
         assert case_tag(fixed, p) == CASE_I
-        assert sorted(perm) == [0, 1, 2]
-        assert tuple(coeffs[i] for i in perm) == tuple(fixed)
+        # the first residue among -a2*a3, -a1*a3, -a1*a2 picks the order
+        a1, a2, a3 = coeffs
+        s12, s13, s23 = residue_pattern(coeffs, p)
+        want = (a1, a2, a3) if s23 == 1 else (a2, a1, a3) if s13 == 1 else (a3, a1, a2)
+        assert fixed == want
         done += 1
 
 
@@ -91,11 +93,19 @@ def test_find_base_point_matches_brute_force():
     assert (bp.a**2 + bp.b**2 + 1) % pp.q == 0
 
 
-def test_case1_base_point_examples():
-    # (0, -b) with b the smaller root of b^2 = -a3/a2, left unreduced
-    assert case1_base_point((1, 1, -1), PrimePowerModulus(7, 1)) == BasePoint(0, -1)
-    with pytest.raises(ValueError, match="Case I"):
-        case1_base_point((1, 1, 1), PrimePowerModulus(7, 1))  # Case II pattern
+def test_family_plan_examples():
+    # Case I: (0, b) with b the smaller root of b^2 = -a3/a2, layer 0 on the admissible classes
+    assert family_plan((1, 1, -1), PrimePowerModulus(7, 1)) == (BasePoint(0, 1), [(0, [2, 3, 4, 5], 0)])
+    pp = PrimePowerModulus(7, 3)
+    (a, b), _ = family_plan((3, 2, -1), pp)
+    assert a == 0 and (2 * b * b - 1) % pp.q == 0 and b < pp.q - b
+    # Case II: find_base_point's point and the layers M_0..M_n
+    pp = PrimePowerModulus(3, 2)
+    base, layers = family_plan((1, 1, 1), pp)
+    assert base == find_base_point((1, 1, 1), pp)
+    assert [(s, list(alphas), e) for s, alphas, e in layers] == [(0, [0, 1, 2], 1), (1, [1, 2], 0), (2, [1], 0)]
+    with pytest.raises(ValueError, match="mixed residue pattern"):
+        family_plan((-1, 1, 1), PrimePowerModulus(7, 1))
 
 
 def test_case1_family_size_injectivity_and_coverage():
@@ -108,7 +118,7 @@ def test_case1_family_size_injectivity_and_coverage():
         coeffs = tuple(rng.randrange(1, p) for _ in range(3))
         if case_tag(coeffs, p) != CASE_I:
             continue
-        fam = build_case1_family(coeffs, pp)
+        fam = build_family(coeffs, pp)
         expected = p ** (n - 1) * (p - s_p(coeffs, p))
         assert len(fam.pairs) == expected
         assert len(fam.layers[0]) == expected  # the admissible classes' image
@@ -118,13 +128,13 @@ def test_case1_family_size_injectivity_and_coverage():
 
 def test_case2_family_layers_and_equality():
     pp32 = PrimePowerModulus(3, 2)
-    fam = build_case2_family((1, 1, 1), pp32, BasePoint(2, 2))
+    fam = build_family((1, 1, 1), pp32)
     assert len(fam.pairs) == 12
     assert {s: len(v) for s, v in fam.layers.items()} == {0: 9, 1: 2, 2: 1}
-    fam31 = build_case2_family((1, 1, 1), PrimePowerModulus(3, 1))
+    fam31 = build_family((1, 1, 1), PrimePowerModulus(3, 1))
     assert len(fam31.pairs) == 4
-    with pytest.raises(ValueError):
-        build_case2_family((1, 1, -1), PrimePowerModulus(7, 1))
+    with pytest.raises(ValueError, match="mixed residue pattern"):
+        build_family((-1, 1, 1), PrimePowerModulus(7, 1))
 
 
 def test_case2_family_matches_enumeration_sweep():
@@ -137,7 +147,7 @@ def test_case2_family_matches_enumeration_sweep():
         coeffs = tuple(rng.randrange(1, p) for _ in range(3))
         if case_tag(coeffs, p) != CASE_II:
             continue
-        fam = build_case2_family(coeffs, pp)
+        fam = build_family(coeffs, pp)
         assert len(fam.pairs) == pp.q + pp.q // p
         units = enumerate_pair_solutions(coeffs, pp, units_only=True)
         every = enumerate_pair_solutions(coeffs, pp, units_only=False)
@@ -168,7 +178,7 @@ def test_case1_family_property(instance):
     coeffs, pp = instance
     p = pp.p
     assert case_tag(coeffs, p) == CASE_I
-    fam = build_case1_family(coeffs, pp)
+    fam = build_family(coeffs, pp)
     units = enumerate_pair_solutions(coeffs, pp, units_only=True)
     assert fam.pairs == frozenset(units)
     assert len(fam.pairs) == p ** (pp.n - 1) * (p - s_p(coeffs, p))
@@ -194,7 +204,7 @@ def case2_instances(draw):
 def test_case2_family_size_property(instance):
     coeffs, pp = instance
     assert case_tag(coeffs, pp.p) == CASE_II
-    fam = build_case2_family(coeffs, pp)
+    fam = build_family(coeffs, pp)
     assert len(fam.pairs) == pp.q + pp.q // pp.p
     assert fam.pairs == frozenset(enumerate_pair_solutions(coeffs, pp, units_only=False))
     assert all(map(_plain_pair, fam.pairs))

@@ -12,12 +12,10 @@ from conic_lab.modcore import TABLE_Q_MAX, PrimePowerModulus, _exact_sum, jacobi
 from conic_lab.conic import (
     CASE_I,
     CASE_II,
-    BasePoint,
-    build_case1_family,
-    build_case2_family,
+    build_family,
     case1_admissible_alphas,
-    case1_base_point,
     case_tag,
+    family_plan,
     find_base_point,
 )
 from conic_lab.expsum import (
@@ -30,7 +28,7 @@ from conic_lab.expsum import (
     direct_E,
     direct_S_alpha,
     direct_full_sum,
-    family_case2,
+    family_amplitude,
     layer_sum,
 )
 
@@ -335,11 +333,11 @@ def test_analyze_critical_points():
 def test_family_case1_structure():
     pp = PrimePowerModulus(7, 3)
     coeffs = (1, 1, -1)
-    base = case1_base_point(coeffs, pp)
-    b = -base.b
-    # the Case I family is layer 0 at -x3 through (0, -b)
+    base, _ = family_plan(coeffs, pp)
+    b = base.b
+    # the Case I family is layer 0 through (0, b)
     # k1 = k2 = 0: the zero amplitude; every class sums to p^(n-1)
-    f0 = family_case2(0, 0, 0, -1, coeffs, base, pp)
+    f0 = family_amplitude(0, 0, 0, 1, coeffs, base, pp)
     assert f0.is_zero()
     for alpha in range(1, 7):
         assert abs(direct_S_alpha(f0, alpha, pp) - 49) < 1e-9
@@ -348,7 +346,7 @@ def test_family_case1_structure():
     big = 2**61 - 1
     for _ in range(20):
         k1, k2, x3 = rng.randrange(1, 343), rng.randrange(1, 343), rng.randrange(1, 7)
-        f = family_case2(0, k1, k2, -x3, coeffs, base, pp)
+        f = family_amplitude(0, k1, k2, x3, coeffs, base, pp)
         df = f.derivative()
         for _ in range(3):
             t = rng.randrange(big)
@@ -375,13 +373,17 @@ def test_family_case1_gcd_mismatch_vanishes():
 
 
 def test_family_case2_layer_sums():
+    # k1 = k2 = 0 recovers the layer sizes, the one pair of M_n included
+    for p, n in ((3, 3), (7, 3), (11, 2)):
+        pp = PrimePowerModulus(p, n)
+        for coeffs in ((1, 1, 1), (1, 1, -1)):  # Case II, Case I
+            fam = build_family(coeffs, pp)
+            assert len(fam.layers) == (n + 1 if coeffs == (1, 1, 1) else 1)
+            for s, pairs in fam.layers.items():
+                assert abs(layer_sum(s, 0, 0, 1, coeffs, pp) - len(pairs)) < 1e-9
     pp = PrimePowerModulus(3, 3)
     coeffs = (1, 1, 1)
-    base = find_base_point(coeffs, pp)
-    # k1 = k2 = 0 recovers the layer sizes
-    assert abs(layer_sum(0, 0, 0, 1, coeffs, base, pp) - 27) < 1e-9
-    assert abs(layer_sum(1, 0, 0, 1, coeffs, base, pp) - 6) < 1e-9
-    assert abs(layer_sum(2, 0, 0, 1, coeffs, base, pp) - 2) < 1e-9
+    base, _ = family_plan(coeffs, pp)
     # unit (k1, k2): layers with ord_p(f') <= n-2 vanish (critical points
     # would need t = 0 mod p); deeper layers need not vanish.
     rng = random.Random(5)
@@ -391,9 +393,9 @@ def test_family_case2_layer_sums():
         if k1 % 3 == 0 or k2 % 3 == 0:
             continue
         for s in (1, 2):
-            f = family_case2(s, k1, k2, 1, coeffs, base, pp)
+            f = family_amplitude(s, k1, k2, 1, coeffs, base, pp)
             if f.derivative().stripped(3)[1] <= pp.n - 2:
-                assert abs(layer_sum(s, k1, k2, 1, coeffs, base, pp)) < 1e-6
+                assert abs(layer_sum(s, k1, k2, 1, coeffs, pp)) < 1e-6
                 checked += 1
     assert checked >= 10
 
@@ -403,44 +405,42 @@ def test_family_case2_s0_discriminant_obstruction():
     # congruence's discriminant is -4*a2*a3 (or -4*a1*a3), a non-residue
     pp = PrimePowerModulus(3, 3)
     coeffs = (1, 1, 1)
-    base = find_base_point(coeffs, pp)
     rng = random.Random(6)
     for _ in range(10):
         l1, l2 = rng.randrange(1, 27), rng.randrange(1, 27)
         if l1 % 3 == 0 or l2 % 3 == 0:
             continue
-        assert abs(layer_sum(0, 3 * l1, l2, 1, coeffs, base, pp)) < 1e-9
-        assert abs(layer_sum(0, l1, 3 * l2, 1, coeffs, base, pp)) < 1e-9
+        assert abs(layer_sum(0, 3 * l1, l2, 1, coeffs, pp)) < 1e-9
+        assert abs(layer_sum(0, l1, 3 * l2, 1, coeffs, pp)) < 1e-9
 
 
 def test_families_are_the_conic_maps():
-    # family_case2 at x3 = -1 through case1_base_point (Case I) and at x3 = 1
-    # (Case II), with (k1, k2) a unit vector, are the coordinates y1, y2 of
-    # conic's pairs
+    # family_amplitude at x3 = 1 through family_plan's base point, with
+    # (k1, k2) a unit vector, gives the coordinates y1, y2 of conic's pairs
     rng = random.Random(8)
     for p, n in [(3, 2), (5, 2), (7, 1), (7, 2), (11, 1), (13, 2)]:
         pp = PrimePowerModulus(p, n)
         q = pp.q
         coeffs = _sample_case_coeffs(rng, p, CASE_I)
         coeffs = (coeffs[0] - 2 * q, coeffs[1] + q, coeffs[2] + 3 * q)
-        base = case1_base_point(coeffs, pp)
-        f1 = family_case2(0, 1, 0, -1, coeffs, base, pp)
-        f2 = family_case2(0, 0, 1, -1, coeffs, base, pp)
+        base, _ = family_plan(coeffs, pp)
+        f1 = family_amplitude(0, 1, 0, 1, coeffs, base, pp)
+        f2 = family_amplitude(0, 0, 1, 1, coeffs, base, pp)
         ts = [t for alpha in case1_admissible_alphas(coeffs, p) for t in range(alpha, q, p)]
         pairs = {(f1.eval_mod(t, q), f2.eval_mod(t, q)) for t in ts}
-        assert pairs == build_case1_family(coeffs, pp).layers[0]
+        assert pairs == build_family(coeffs, pp).layers[0]
         if p % 4 == 1:
             continue  # no Case II triple: -1 is a square, so one -ai*aj is too
         coeffs = _sample_case_coeffs(rng, p, CASE_II)
         coeffs = (coeffs[0] + q, coeffs[1] - q, coeffs[2])
-        base = find_base_point(coeffs, pp)
-        fam = build_case2_family(coeffs, pp, base)
+        base, _ = family_plan(coeffs, pp)
+        fam = build_family(coeffs, pp)
         for s in range(n + 1):
             # layer 0 runs over t = 1..q, layer s >= 1 over the units in 1..p^(n-s),
             # which is t = 1 alone at s = n
             ts = range(1, q + 1) if s == 0 else [t for t in range(1, p ** (n - s) + 1) if t % p]
-            f1 = family_case2(s, 1, 0, 1, coeffs, base, pp)
-            f2 = family_case2(s, 0, 1, 1, coeffs, base, pp)
+            f1 = family_amplitude(s, 1, 0, 1, coeffs, base, pp)
+            f2 = family_amplitude(s, 0, 1, 1, coeffs, base, pp)
             pairs = {(f1.eval_mod(t, q), f2.eval_mod(t, q)) for t in ts}
             assert pairs == fam.layers[s]
         assert len(fam.layers[n]) == 1
@@ -479,18 +479,34 @@ def test_closed_form_E_matches_direct_case2():
     checked = 0
     while checked < 25:
         coeffs = _sample_case_coeffs(rng, 3, CASE_II)
-        base = find_base_point(coeffs, pp)
         k1, k2 = rng.randrange(1, 81), rng.randrange(1, 81)
         if k1 % 3 == 0 or k2 % 3 == 0:
             continue
         x3 = rng.randrange(1, 3)
         try:
-            got = closed_form_E(k1, k2, x3, coeffs, pp, base=base)
+            got = closed_form_E(k1, k2, x3, coeffs, pp)
         except UnsupportedCaseError:
             continue
         want = direct_E(k1, k2, x3, coeffs, pp)
         assert abs(got - want) / max(1.0, abs(want)) < 1e-6
         checked += 1
+
+
+def test_direct_E_matches_brute_force_case1():
+    # the Case I family sum runs once over every unit solution (y1, y2)
+    rng = random.Random(9)
+    for p, n in ((3, 2), (3, 5), (5, 3), (7, 2), (7, 3), (11, 2)):
+        pp = PrimePowerModulus(p, n)
+        q = pp.q
+        coeffs = _sample_case_coeffs(rng, p, CASE_I)
+        sols = oracles.brute_pair_solutions(coeffs, p, q, units_only=True)
+        for _ in range(6):
+            # valuations 0..n each, so k = 0 mod q occurs
+            k1, k2 = (p ** rng.randint(0, n) * rng.randrange(1, q) % q for _ in range(2))
+            x3 = rng.choice([x for x in range(1, q) if x % p])
+            phases = [2 * math.pi * (x3 * (k1 * y1 + k2 * y2) % q) / q for y1, y2 in sols]
+            want = complex(math.fsum(map(math.cos, phases)), math.fsum(map(math.sin, phases)))
+            assert abs(direct_E(k1, k2, x3, coeffs, pp) - want) < 1e-9, (p, n, coeffs, k1, k2, x3)
 
 
 def test_closed_form_E_nonresidue_D_is_zero():
@@ -521,11 +537,12 @@ def test_closed_form_E_degenerate_cases_raise():
     with pytest.raises(UnsupportedCaseError):
         # (1,2,1) is Case I mod 3 and D = 2 l1^2 + l2^2 = 0 mod 3 at l1 = l2 = 1
         closed_form_E(1, 1, 1, (1, 2, 1), pp3)
-    # Case II degenerate critical quadratic at a chosen base point
+    # Case II degenerate critical quadratic: l2*a1*a = l1*a2*b mod p at find_base_point's (a, b)
     pp33 = PrimePowerModulus(3, 3)
-    degenerate = BasePoint(1, 22)  # 1 - 22 = 0 mod 3 and on the conic
-    with pytest.raises(UnsupportedCaseError):
-        closed_form_E(1, 1, 1, (1, 1, 1), pp33, base=degenerate)
+    a, b = find_base_point((1, 1, 1), pp33)
+    assert a % 3 == b % 3 == 1
+    with pytest.raises(UnsupportedCaseError, match="degenerates"):
+        closed_form_E(1, 1, 1, (1, 1, 1), pp33)
     # a mixed residue pattern has no family sum until it is permuted into Case I;
     # the twins refuse it in the same words
     assert case_tag((-1, 1, 1), 7) == "mixed"

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,9 +28,27 @@ def dead_private_definitions(source: str) -> list:
     return [(line, name) for line, name in defined if name not in used]
 
 
+def named_identifiers(source: str) -> set:
+    """Every name a module reads, every attribute it takes and every name it imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
 def test_unused_imports_detector():
     src = "import os, re\nfrom a.b import c as d, e\nimport x.y\nre.sub; e(x.y)\n"
     assert unused_imports(src) == [(1, "os"), (2, "d")]
+
+
+def test_named_identifiers_detector():
+    src = "import x.y\nfrom a import b as c\ndef f(u):\n    \"\"\"g\"\"\"\n    return h(u).k\n"
+    assert named_identifiers(src) == {"y", "b", "h", "u", "k"}
 
 
 def test_dead_private_definitions_detector():
@@ -52,4 +71,18 @@ def test_no_dead_private_definitions():
     found = [f"{f.relative_to(ROOT)}:{line}: {name}"
              for f in sorted((ROOT / "src" / "conic_lab").glob("*.py"))
              for line, name in dead_private_definitions(f.read_text())]
+    assert not found, found
+
+
+def test_no_orphan_public_definitions():
+    # a public function or class that no code, test or README names is left over from a deletion;
+    # a docstring or comment that mentions it does not count
+    package = sorted((ROOT / "src" / "conic_lab").glob("*.py"))
+    named = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    for f in package + sorted((ROOT / "tests").glob("*.py")):
+        named |= named_identifiers(f.read_text())
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = [f"{f.relative_to(ROOT)}:{node.lineno}: {node.name}"
+             for f in package for node in ast.parse(f.read_text()).body
+             if isinstance(node, kinds) and not node.name.startswith("_") and node.name not in named]
     assert not found, found
