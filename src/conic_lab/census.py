@@ -236,32 +236,31 @@ def _box_minimum(k1: int, k2: int, pp: PrimePowerModulus, M: int):
     """Least (norm, (x1, x2, x3)) over unit solutions with 1 <= x1 <= M and
     |x2|, |x3| <= M, or None; the solutions are x3^2 = k1 x1^2 + k2 x2^2 mod q.
 
-    Each cell value is looked up among the sorted squares of the units r in
-    1..M, and x3 = +-r. Needs 2M < q, so that two different units in 1..M
-    never have equal squares and a cell has at most one match. int64
-    throughout: every factor is reduced below q <= TABLE_Q_MAX = 1e7 before
-    a product, so no product reaches q^2 <= 1e14 < 2^63.
+    x2 and x3 enter squared, so only the cells (x1, x2) with x2 in the units
+    1..M are joined, and a match r yields (x1, -x2, -r): the least of its four
+    sign variants under the (norm, x1, x2, x3) order. Each cell value is looked
+    up among the sorted squares of the units r in 1..M. Needs 2M < q, so that
+    two different units in 1..M never have equal squares and a cell has at
+    most one match. int64 throughout: every factor is reduced below
+    q <= TABLE_Q_MAX = 1e7 before a product, so no product reaches
+    q^2 <= 1e14 < 2^63.
     """
     p, q = pp.p, pp.q
-    x1_all, sq = _unit_squares(p, q, M)
+    xs, sq = _unit_squares(p, q, M)
     order = np.argsort(sq)
-    roots, keys = x1_all[order], sq[order]
-    t1_all = k1 * sq % q
-    x2 = np.concatenate((-x1_all[::-1], x1_all))
-    t2 = k2 * np.concatenate((sq[::-1], sq)) % q
-    rows = max(1, BOX_BLOCK_CELLS // len(x2))
+    roots, keys = xs[order], sq[order]
+    t1_all, t2 = k1 * sq % q, k2 * sq % q
+    rows = max(1, BOX_BLOCK_CELLS // len(xs))
     best = None
-    for start in range(0, len(x1_all), rows):
-        x1 = x1_all[start : start + rows]
+    for start in range(0, len(xs), rows):
         cval = t1_all[start : start + rows, None] + t2
         cval[cval >= q] -= q
         at = np.minimum(np.searchsorted(keys, cval), len(keys) - 1)
         i1, i2 = np.nonzero(keys[at] == cval)
         if len(i1) == 0:
             continue
-        r = roots[at[i1, i2]]
-        a, b, c = x1[np.tile(i1, 2)], x2[np.tile(i2, 2)], np.concatenate((r, -r))
-        norm = np.maximum(np.maximum(a, np.abs(b)), np.abs(c))
+        a, b, c = xs[start + i1], -xs[i2], -roots[at[i1, i2]]
+        norm = np.maximum(np.maximum(a, -b), -c)
         j = np.lexsort((c, b, a, norm))[0]
         cand = (int(norm[j]), (int(a[j]), int(b[j]), int(c[j])))
         if best is None or cand < best:
@@ -276,9 +275,10 @@ def smallest_solution(coeffs, pp: PrimePowerModulus):
     x1 >= 1, as 0 is not a unit) and lexicographically least among the
     max-norm-m solutions; None when p <= s_p, in which case no unit
     solution exists mod p and hence none mod q. Searches the boxes
-    |x_i| <= M for M = 1, 2, 4, ...; the first box that holds a solution
-    holds the minimal one. The last box, M = (q-1)/2, holds a representative
-    of every residue triple.
+    |x_i| <= M from the last box that estimate_smallest_work charges,
+    doubling up to M = (q-1)/2, which holds a representative of every
+    residue triple. Any start box is exact: a box either holds no solution
+    or holds every solution of norm <= M, so its minimum is the global one.
     """
     p, q = pp.p, pp.q
     c = validate_coeffs(coeffs, p)
@@ -287,9 +287,9 @@ def smallest_solution(coeffs, pp: PrimePowerModulus):
     check_table_q(q)  # the int64 bound of the box search
     inv3 = mod_inverse(c.a3, q)
     k1, k2 = -c.a1 * inv3 % q, -c.a2 * inv3 % q
+    first = max(_box_sizes(q, _expected_norm(coeffs, pp)))
     for M in _box_sizes(q, q):
-        found = _box_minimum(k1, k2, pp, M)
-        if found is not None:
+        if M >= first and (found := _box_minimum(k1, k2, pp, M)) is not None:
             return found
     raise AssertionError("box search overran the residue box")
 
@@ -305,18 +305,22 @@ def _box_sizes(q: int, stop: int):
         M = min(2 * M, cap)
 
 
-def estimate_smallest_work(coeffs, pp: PrimePowerModulus) -> int:
-    """(x1, x2) pair visits of the box search up to the expected norm.
-
-    The expected norm m_est = ceil((q / C_p)^(1/3)) (C_p floored at 0.05) is
-    where the main term C_p m^3 / q reaches 1; box M visits M (2M + 1)
-    pairs. 0 when C_p <= 0, as no search runs then.
-    """
+def _expected_norm(coeffs, pp: PrimePowerModulus) -> int:
+    """m_est = ceil((q / C_p)^(1/3)), C_p floored at 0.05: where C_p m^3 / q reaches 1."""
     cp = float(main_constant(coeffs, pp.p))
-    if cp <= 0:
+    return int(math.ceil((pp.q / max(cp, 0.05)) ** (1 / 3)))
+
+
+def estimate_smallest_work(coeffs, pp: PrimePowerModulus) -> int:
+    """(x1, x2) pairs M (2M + 1) summed over the boxes M = 1, 2, 4, ... up to m_est.
+
+    m_est is _expected_norm, where the main term C_p m^3 / q reaches 1. The
+    search starts at the last of these boxes, so the charge bounds the first
+    box it joins (at most M^2 cells). 0 when C_p <= 0, as no search runs then.
+    """
+    if main_constant(coeffs, pp.p) <= 0:
         return 0
-    m_est = int(math.ceil((pp.q / max(cp, 0.05)) ** (1 / 3)))
-    return sum(M * (2 * M + 1) for M in _box_sizes(pp.q, m_est))
+    return sum(M * (2 * M + 1) for M in _box_sizes(pp.q, _expected_norm(coeffs, pp)))
 
 
 def estimate_count_work(N: float, sharp: bool = False) -> int:

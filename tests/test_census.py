@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conic_lab import cli, conic, expsum, modcore
+from conic_lab import census, cli, conic, expsum, modcore
 from conic_lab.modcore import PrimePowerModulus, jacobi, s_p
 from conic_lab.census import (
     CountReport,
@@ -18,6 +19,7 @@ from conic_lab.census import (
     count_unit_circle,
     estimate_count_work,
     estimate_scan_work,
+    estimate_smallest_work,
     poisson_selfcheck,
     predict_main_term,
     prediction_is_vacuous,
@@ -346,6 +348,57 @@ def test_smallest_solution_property(pn, data):
     coeffs = (data.draw(unit), data.draw(unit), data.draw(unit))
     got = smallest_solution(coeffs, PrimePowerModulus(p, n))
     assert got == oracles.brute_smallest(coeffs, p, p**n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_SMALL_MODULI), st.data())
+def test_every_box_obeys_the_kernel_contract(pn, data):
+    # every box, from M = 1 up to (q-1)/2, whether or not the search would start there
+    p, n = pn
+    pp = PrimePowerModulus(p, n)
+    unit = st.integers(-3 * p, 3 * p).filter(lambda a: a % p != 0)
+    a1, a2, a3 = coeffs = (data.draw(unit), data.draw(unit), data.draw(unit))
+    inv3 = pow(a3, -1, pp.q)
+    k1, k2 = -a1 * inv3 % pp.q, -a2 * inv3 % pp.q
+    # no unit solution mod p when s_p >= p (count_mod_p = (p-1)(p - s_p))
+    want = oracles.brute_smallest(coeffs, p, pp.q) if s_p(coeffs, p) < p else None
+    for M in census._box_sizes(pp.q, pp.q):
+        got = census._box_minimum(k1, k2, pp, M)
+        assert got == (want if want is not None and M >= want[0] else None), (coeffs, M)
+
+
+def test_smallest_solution_start_box_far_above_m():
+    # With max|x_i| <= 5, x1^2 + x2^2 - x3^2 lies in [-23, 49]. For q > 49 a value
+    # that is 0 mod q is then 0, and (3, 4, 5) is the least Pythagorean triple of
+    # units mod 7 and 101; at q = 49 the value 49 adds only (5, 5, 1), with x1 = 5 > 3.
+    for pp in [PrimePowerModulus(7, n) for n in range(2, 9)] + [PrimePowerModulus(101, 3)]:
+        assert smallest_solution((1, 1, -1), pp) == (5, (3, -4, -5)), pp
+    assert census._expected_norm((1, 1, -1), PrimePowerModulus(7, 8)) > 200
+
+
+def test_smallest_search_starts_at_the_charged_box(monkeypatch):
+    boxes = []
+    box_minimum = census._box_minimum
+
+    def recording(k1, k2, pp, M):
+        boxes.append(M)
+        return box_minimum(k1, k2, pp, M)
+
+    monkeypatch.setattr(census, "_box_minimum", recording)
+    pp = PrimePowerModulus(7, 4)
+    # the charged boxes of (1,2,3) are M = 1, ..., 32 (2793 pairs, test_cli)
+    smallest_solution((1, 2, 3), pp)
+    assert boxes[0] == 32 == max(census._box_sizes(pp.q, census._expected_norm((1, 2, 3), pp)))
+    # The benchmark panel: every multiset of units 1..6 at 7^4, scaled by a unit and
+    # permuted, which keeps both m and the charge. The charge bounds the first box
+    # (cells (M - M//7)^2), and the whole search when m lies in that box.
+    for coeffs in itertools.combinations_with_replacement(range(1, 7), 3):
+        boxes.clear()
+        m, _ = smallest_solution(coeffs, pp)
+        assert boxes[0] == max(census._box_sizes(pp.q, census._expected_norm(coeffs, pp)))
+        assert (boxes[0] - boxes[0] // 7) ** 2 <= estimate_smallest_work(coeffs, pp), coeffs
+        if m <= boxes[0]:
+            assert len(boxes) == 1, coeffs
 
 
 def test_asymptotic_scan_shapes_and_budget():
