@@ -7,17 +7,14 @@ key names a flag ("dry_run" is --dry-run), true is the bare flag, false is
 dropped, and any other value is passed as --key=value. These tokens go
 before the explicit flags and the whole line is parsed again, so explicit
 flags win and config values are type-checked like flags.
---workers and $CONIC_LAB_THREADS must be integers and have no effect.
+--workers must be an integer and has no effect.
 
 Results are emitted as CSV or JSONL with a fixed column set per subcommand
 and a schema_version column; floats are printed with 12 significant digits.
 Work is estimated up front in (x1, x2)-pair-visit units and runs over the
-budget are refused. With r = census.GAUSSIAN_TAIL_RADIUS = 6 (1 for --sharp),
-the charges are: count floor(r*N)^2 per triple; scan the sum over n of
-floor(r*ceil(q^theta))^2 per triple; smallest the box pair visits
-sum M(2M+1) up to the expected norm, per triple; param-check q*p per triple;
-expsum-check count*q; dioph 2x+1 for --mode equation and a flat 10^6 for the
-other modes; predict and selftest nothing.
+budget are refused. The README tables the charge of each subcommand; count,
+scan and smallest charge census.estimate_count_work, estimate_scan_work and
+estimate_smallest_work, and the other handlers charge their own.
 
 Exit codes: 0 success, 2 invalid input, 1 internal assertion failure. The
 handlers do not translate errors: every ValueError, from the library's own
@@ -28,7 +25,6 @@ checks or from this module's ValidationError, reaches run, which prints one
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import census, conic, dioph, expsum, modcore
@@ -172,8 +168,7 @@ def _coeff_list(args, rng):
 # dioph mode -> (its flags, in the order the inputs column prints them; its result).
 # Each result looks its dioph function up when called, so a wrapped or patched one runs.
 DIOPH_MODES = {
-    "equation": (("A", "B", "C", "x"),
-                 lambda *v: dioph.count_equation_solutions(dioph.BinaryQuadraticInstance(*v))),
+    "equation": (("A", "B", "C", "x"), lambda *v: dioph.count_equation_solutions(*v)),
     "approx": (("beta", "q", "Q"),
                lambda *v: "a={0.a};r={0.r}".format(dioph.dirichlet_approx(*v))),
     "countf": (("b1", "b2", "X", "q"), lambda *v: dioph.count_F(*v)),
@@ -477,7 +472,7 @@ def _parse(argv):
     tokens = []
     for key, value in doc.items():
         # every subcommand flag --a-b stores to dest a_b
-        if key == "command" or key.replace("-", "_") not in vars(args):
+        if key in ("command", "config") or key.replace("-", "_") not in vars(args):
             raise ValidationError(f"config {args.config}: unknown field {key!r}")
         flag = "--" + key.replace("_", "-")
         if value is True:
@@ -487,16 +482,25 @@ def _parse(argv):
     return PARSER.parse_args([args.command, *tokens, *argv[1:]])
 
 
-def run(argv) -> int:
-    threads = os.environ.get("CONIC_LAB_THREADS", "1")
+def _write(args, records):
+    """Emit the records to --output, or to stdout; a file that cannot be written is a ValueError."""
+    seed = args.seed if getattr(args, "sample", None) else None
+    if not args.output:
+        emit(records, FIELDS[args.command], args.format, sys.stdout, seed=seed)
+        return
     try:
-        int(threads)
-    except ValueError:
-        print(f"error: CONIC_LAB_THREADS must be an integer, got {threads!r}", file=sys.stderr)
-        return 2
+        with open(args.output, "w") as fh:
+            emit(records, FIELDS[args.command], args.format, fh, seed=seed)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {args.output}: {exc}")
+
+
+def run(argv) -> int:
     try:
         args = _parse(argv)
         records = HANDLERS[args.command](args, Splitmix64(args.seed))
+        if not args.dry_run:
+            _write(args, records)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     except ValueError as exc:
@@ -505,18 +509,6 @@ def run(argv) -> int:
     except AssertionError as exc:
         print(f"internal assertion failure: {exc}", file=sys.stderr)
         return 1
-    if args.dry_run:
-        return 0
-    seed = args.seed if getattr(args, "sample", None) else None
-    if args.output:
-        try:
-            with open(args.output, "w") as fh:
-                emit(records, FIELDS[args.command], args.format, fh, seed=seed)
-        except OSError as exc:
-            print(f"error writing {args.output}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        emit(records, FIELDS[args.command], args.format, sys.stdout, seed=seed)
     return 0
 
 

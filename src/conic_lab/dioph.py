@@ -12,25 +12,12 @@ from fractions import Fraction
 from .modcore import mod_inverse
 
 
-@dataclass(frozen=True)
-class BinaryQuadraticInstance:
-    """The equation A X^2 + B Y^2 = C restricted to |X|, |Y| <= x."""
-
-    A: int
-    B: int
-    C: int
-    x: int
-
-    def __post_init__(self):
-        if self.A == 0 or self.B == 0 or self.C == 0:
-            raise ValueError("A, B, C must be nonzero")
-        if self.x < 1:
-            raise ValueError("box half-width x must be >= 1")
-
-
-def count_equation_solutions(inst: BinaryQuadraticInstance) -> int:
-    """Exact number of integer pairs (X, Y) in the box solving the equation."""
-    A, B, C, x = inst.A, inst.B, inst.C, inst.x
+def count_equation_solutions(A: int, B: int, C: int, x: int) -> int:
+    """Exact number of integer pairs (X, Y) with |X|, |Y| <= x solving A X^2 + B Y^2 = C."""
+    if A == 0 or B == 0 or C == 0:
+        raise ValueError("A, B, C must be nonzero")
+    if x < 1:
+        raise ValueError("box half-width x must be >= 1")
     total = 0
     for X in range(-x, x + 1):
         rem = C - A * X * X
@@ -220,16 +207,15 @@ def _ceil_fifth_root(num: int, den: int) -> int:
     return r
 
 
-def error_term_parameters(p: int, r: int, q: int, N: float, eps: float = 0.0):
+def error_term_parameters(p: int, r: int, q: int, N: float):
     """Derived experiment parameters (L_r, q_r) of the dual-count cascade.
 
-    L_r = p^(-r) q^(1+eps) / N is the cutoff of the dual coefficient range
-    and q_r = p^(-r-1) q the dual modulus; eps is a configuration knob that
-    defaults to 0.
+    L_r = p^(-r) q / N is the cutoff of the dual coefficient range and
+    q_r = p^(-r-1) q the dual modulus.
     """
     if r < 0 or q % p**(r + 1):
         raise ValueError("need r >= 0 and p^(r+1) dividing q")
-    return q ** (1.0 + eps) / (p**r * N), q // p ** (r + 1)
+    return float(q) / (p**r * N), q // p ** (r + 1)
 
 
 def choose_parameters(q: int, M: int):

@@ -39,7 +39,7 @@ from .modcore import (
     sqrt_mod_prime_power,
     validate_coeffs,
 )
-from .conic import BasePoint, family_plan, slope_form
+from .conic import family_plan, slope_form
 
 
 class NonUnitDenominatorError(ValueError):
@@ -193,13 +193,6 @@ def direct_S_alpha(f: IntRationalFunction, alpha: int, pp: PrimePowerModulus) ->
     return exp_sum(w, q, multiplicity=ps)
 
 
-def direct_full_sum(f: IntRationalFunction, pp: PrimePowerModulus, alphas=None) -> complex:
-    """Sum of S_alpha over the given residue classes (default: all of them)."""
-    if alphas is None:
-        alphas = range(pp.p)
-    return sum((direct_S_alpha(f, a, pp) for a in alphas), start=0j)
-
-
 # ---------------------------------------------------------------------------
 # critical points and the Cochrane evaluation
 
@@ -298,20 +291,17 @@ def cochrane_evaluate(f: IntRationalFunction, alpha: int, pp: PrimePowerModulus)
 # the chord-slope amplitude families
 
 
-def family_amplitude(s, k1, k2, x3, coeffs, base: BasePoint, pp: PrimePowerModulus) -> IntRationalFunction:
+def family_amplitude(s, k1, k2, x3, coeffs, pp: PrimePowerModulus) -> IntRationalFunction:
     """Amplitude x3*(k1 y1(t/p^s) + k2 y2(t/p^s)) with denominators cleared.
 
-    Layer s of the chord-slope family through base (conic.family_plan's in
-    both cases): conic.slope_form at (x3 k1, x3 k2), with exact integer
-    coefficients.
+    Layer s of the chord-slope family through conic.family_plan's base point
+    (in both cases): conic.slope_form at (x3 k1, x3 k2), with exact integer
+    coefficients. Refuses a layer the plan does not have, as layer_sum does.
     """
-    c = validate_coeffs(coeffs, pp.p)
-    if not 0 <= s <= pp.n:
-        raise ValueError(f"layer index s={s} out of range 0..{pp.n}")
-    a, b = base
-    if (c.a1 * a * a + c.a2 * b * b + c.a3) % pp.q != 0:
-        raise ValueError("base point does not lie on the conic mod q")
-    return IntRationalFunction(*slope_form(x3 * k1, x3 * k2, s, base, c, pp.p))
+    base, layers = family_plan(coeffs, pp)
+    if not 0 <= s < len(layers):
+        raise ValueError(f"the family has no layer {s}")
+    return IntRationalFunction(*slope_form(x3 * k1, x3 * k2, s, base, validate_coeffs(coeffs, pp.p), pp.p))
 
 
 def layer_sum(s, k1, k2, x3, coeffs, pp: PrimePowerModulus) -> complex:
@@ -326,12 +316,9 @@ def layer_sum(s, k1, k2, x3, coeffs, pp: PrimePowerModulus) -> complex:
     vanishes whenever ord_p of the amplitude derivative is at most n-2,
     because unit critical points would force t = 0 mod p.
     """
-    base, layers = family_plan(coeffs, pp)
-    if not 0 <= s < len(layers):
-        raise ValueError(f"the family has no layer {s}")
-    _, alphas, e = layers[s]
-    f = family_amplitude(s, k1, k2, x3, coeffs, base, pp)
-    return direct_full_sum(f, pp, alphas) / pp.p ** (pp.n - 1 - e)
+    f = family_amplitude(s, k1, k2, x3, coeffs, pp)  # refuses a layer the plan does not have
+    _, alphas, e = family_plan(coeffs, pp)[1][s]
+    return sum((direct_S_alpha(f, a, pp) for a in alphas), start=0j) / pp.p ** (pp.n - 1 - e)
 
 
 def direct_E(k1, k2, x3, coeffs, pp: PrimePowerModulus) -> complex:

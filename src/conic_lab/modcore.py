@@ -15,8 +15,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-# Residues are conceptually 64-bit; constructors cap q so that downstream
-# kernels may assume q*q fits comfortably in signed 128-bit products.
+# The cap on q. Residues are Python ints and the int64 kernels have their own
+# TABLE_Q_MAX cap, so no product needs this one. It keeps every accepted p below
+# 3.3e24, where is_prime's Miller-Rabin bases are deterministic, and q inside a
+# signed 64-bit integer, and lets PrimePowerModulus refuse n > 62 before p**n.
 Q_MAX = 2**62
 
 # The one cap on size-q work: residue tables, materialized families, direct
@@ -232,8 +234,7 @@ def inv_mod_array(d: np.ndarray, pp: PrimePowerModulus) -> np.ndarray:
     level by level up to one root, a single pow(root, -1, q), then inv[2k] = up d[2k+1]
     and inv[2k+1] = up d[2k] on the way down, about 3 mulmods per entry. A non-unit
     entry makes the root a non-unit: ValueError. int64 is safe for q <= 1e7: every
-    factor lies in [0, q), so products stay < 1e14. An object array of Python ints
-    is exact for any q.
+    factor lies in [0, q), so products stay < 1e14.
     """
     q = pp.q
     levels, x = [], d

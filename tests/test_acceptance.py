@@ -142,11 +142,9 @@ def _random_amplitude(rng, p, n, pp, source):
         tag = conic.case_tag(coeffs, p)
         k1, k2, x3 = rng.randrange(1, pp.q), rng.randrange(1, pp.q), rng.randrange(1, p)
         if source == "case1" and tag == conic.CASE_I:
-            base, _ = conic.family_plan(coeffs, pp)
-            return expsum.family_amplitude(0, k1, k2, x3, coeffs, base, pp)
+            return expsum.family_amplitude(0, k1, k2, x3, coeffs, pp)
         if source == "case2" and tag == conic.CASE_II:
-            base, _ = conic.family_plan(coeffs, pp)
-            return expsum.family_amplitude(rng.choice([0, 0, 1]), k1, k2, x3, coeffs, base, pp)
+            return expsum.family_amplitude(rng.choice([0, 0, 1]), k1, k2, x3, coeffs, pp)
 
 
 def test_criterion_05_cochrane_formula():
@@ -328,9 +326,7 @@ def test_criterion_11_diophantine_toolkit():
         B = rng.choice([v for v in range(-20, 21) if v])
         C = rng.choice([v for v in range(-20, 21) if v])
         x = rng.randint(1, 50)
-        assert dioph.count_equation_solutions(
-            dioph.BinaryQuadraticInstance(A, B, C, x)
-        ) == oracles.brute_equation_count(A, B, C, x)
+        assert dioph.count_equation_solutions(A, B, C, x) == oracles.brute_equation_count(A, B, C, x)
     # Dirichlet bound on 10^4 random inputs
     from fractions import Fraction
 

@@ -360,13 +360,17 @@ def test_hostile_flags_exit_0_or_2(argv):
         assert out.getvalue() == "", argv
 
 
-def test_bad_thread_env_exits_2(capsys, monkeypatch):
-    # the shared parser from a good call must not bypass the env check
-    assert run_capture(["selftest"], capsys)[0] == 0
-    monkeypatch.setenv("CONIC_LAB_THREADS", "abc")
-    code, out, err = run_capture(["selftest"], capsys)
+def test_output_file(capsys, tmp_path):
+    argv = ["count", "--p", "7", "--n", "2", "--coeffs", "1,1,-1", "--N", "5", "--sharp"]
+    code, want, _ = run_capture(argv, capsys)
+    assert code == 0
+    path = tmp_path / "out.csv"
+    assert run_capture(argv + ["--output", str(path)], capsys) == (0, "", "")
+    assert path.read_text() == want
+    # a path that cannot be written is invalid input like any other: one error line, exit 2
+    code, out, err = run_capture(argv + ["--output", str(tmp_path)], capsys)
     assert code == 2 and out == ""
-    assert "CONIC_LAB_THREADS" in err and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_dry_run(capsys):
@@ -439,7 +443,8 @@ def test_config_flag_precedence(capsys, tmp_path):
                             "--N", "3", "--sharp"], capsys)
     cfg.write_text(json.dumps({"p": "7", "n": 1, "coeffs": "1,1,-1", "N": 3, "sharp": True}))
     assert run_capture(["count", "--config", str(cfg)], capsys) == explicit
-    for doc in ({"p": 7.5}, {"seed": None}, [{"p": 7}], {"command": "nope"}):
+    nested = {"config": "missing.json", "p": 7, "n": 1, "coeffs": "1,1,-1", "N": 3}
+    for doc in ({"p": 7.5}, {"seed": None}, [{"p": 7}], {"command": "nope"}, nested):
         cfg.write_text(json.dumps(doc))
         code, out, err = run_capture(["count", "--config", str(cfg), "--p", "7", "--n", "1",
                                       "--coeffs", "1,1,-1", "--N", "1"], capsys)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conic_lab.dioph import (
-    BinaryQuadraticInstance,
     choose_parameters,
     convergents,
     count_F,
@@ -21,13 +20,13 @@ import oracles
 
 
 def test_equation_examples():
-    assert count_equation_solutions(BinaryQuadraticInstance(1, 1, 25, 5)) == 12
-    assert count_equation_solutions(BinaryQuadraticInstance(1, -2, 1, 10)) == 6
-    assert count_equation_solutions(BinaryQuadraticInstance(1, 1, -1, 5)) == 0
+    assert count_equation_solutions(1, 1, 25, 5) == 12
+    assert count_equation_solutions(1, -2, 1, 10) == 6
+    assert count_equation_solutions(1, 1, -1, 5) == 0
     with pytest.raises(ValueError):
-        BinaryQuadraticInstance(0, 1, 1, 5)
+        count_equation_solutions(0, 1, 1, 5)
     with pytest.raises(ValueError):
-        BinaryQuadraticInstance(1, 1, 1, 0)
+        count_equation_solutions(1, 1, 1, 0)
 
 
 def test_equation_vs_brute_sweep():
@@ -37,7 +36,7 @@ def test_equation_vs_brute_sweep():
         B = rng.choice([v for v in range(-20, 21) if v])
         C = rng.choice([v for v in range(-20, 21) if v])
         x = rng.randint(1, 50)
-        got = count_equation_solutions(BinaryQuadraticInstance(A, B, C, x))
+        got = count_equation_solutions(A, B, C, x)
         assert got == oracles.brute_equation_count(A, B, C, x)
 
 

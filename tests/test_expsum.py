@@ -27,7 +27,6 @@ from conic_lab.expsum import (
     cochrane_evaluate,
     direct_E,
     direct_S_alpha,
-    direct_full_sum,
     family_amplitude,
     layer_sum,
 )
@@ -102,7 +101,7 @@ def test_direct_S_alpha_partition_identity():
         n = rng.randint(2, 4)
         pp = PrimePowerModulus(p, n)
         f = IntRationalFunction(tuple(rng.randint(-9, 9) for _ in range(4)) or (1,))
-        total = direct_full_sum(f, pp)
+        total = sum(direct_S_alpha(f, a, pp) for a in range(p))
         want = oracles.direct_exp_sum(
             (f.eval_mod(t, pp.q) for t in range(pp.q)), pp.q
         )
@@ -136,7 +135,7 @@ def test_direct_sums_rational_denominator():
                 assert abs(direct_S_alpha(f, a, pp) - want) < 1e-9
             ts = [t for t in range(pp.q) if t % p in alphas]
             want = oracles.direct_exp_sum(_ref_values(f, pp.q, ts), pp.q)
-            assert abs(direct_full_sum(f, pp, alphas) - want) < 1e-9
+            assert abs(sum(direct_S_alpha(f, a, pp) for a in alphas) - want) < 1e-9
 
 
 def _same_float(a, b):
@@ -337,7 +336,7 @@ def test_family_case1_structure():
     b = base.b
     # the Case I family is layer 0 through (0, b)
     # k1 = k2 = 0: the zero amplitude; every class sums to p^(n-1)
-    f0 = family_amplitude(0, 0, 0, 1, coeffs, base, pp)
+    f0 = family_amplitude(0, 0, 0, 1, coeffs, pp)
     assert f0.is_zero()
     for alpha in range(1, 7):
         assert abs(direct_S_alpha(f0, alpha, pp) - 49) < 1e-9
@@ -346,7 +345,7 @@ def test_family_case1_structure():
     big = 2**61 - 1
     for _ in range(20):
         k1, k2, x3 = rng.randrange(1, 343), rng.randrange(1, 343), rng.randrange(1, 7)
-        f = family_amplitude(0, k1, k2, x3, coeffs, base, pp)
+        f = family_amplitude(0, k1, k2, x3, coeffs, pp)
         df = f.derivative()
         for _ in range(3):
             t = rng.randrange(big)
@@ -381,9 +380,14 @@ def test_family_case2_layer_sums():
             assert len(fam.layers) == (n + 1 if coeffs == (1, 1, 1) else 1)
             for s, pairs in fam.layers.items():
                 assert abs(layer_sum(s, 0, 0, 1, coeffs, pp) - len(pairs)) < 1e-9
+            # both read family_plan's layers, so they refuse the same s (Case I: s >= 1)
+            for s in (-1, len(fam.layers)):
+                with pytest.raises(ValueError, match="no layer"):
+                    family_amplitude(s, 1, 2, 3, coeffs, pp)
+                with pytest.raises(ValueError, match="no layer"):
+                    layer_sum(s, 1, 2, 3, coeffs, pp)
     pp = PrimePowerModulus(3, 3)
     coeffs = (1, 1, 1)
-    base, _ = family_plan(coeffs, pp)
     # unit (k1, k2): layers with ord_p(f') <= n-2 vanish (critical points
     # would need t = 0 mod p); deeper layers need not vanish.
     rng = random.Random(5)
@@ -393,7 +397,7 @@ def test_family_case2_layer_sums():
         if k1 % 3 == 0 or k2 % 3 == 0:
             continue
         for s in (1, 2):
-            f = family_amplitude(s, k1, k2, 1, coeffs, base, pp)
+            f = family_amplitude(s, k1, k2, 1, coeffs, pp)
             if f.derivative().stripped(3)[1] <= pp.n - 2:
                 assert abs(layer_sum(s, k1, k2, 1, coeffs, pp)) < 1e-6
                 checked += 1
@@ -423,9 +427,8 @@ def test_families_are_the_conic_maps():
         q = pp.q
         coeffs = _sample_case_coeffs(rng, p, CASE_I)
         coeffs = (coeffs[0] - 2 * q, coeffs[1] + q, coeffs[2] + 3 * q)
-        base, _ = family_plan(coeffs, pp)
-        f1 = family_amplitude(0, 1, 0, 1, coeffs, base, pp)
-        f2 = family_amplitude(0, 0, 1, 1, coeffs, base, pp)
+        f1 = family_amplitude(0, 1, 0, 1, coeffs, pp)
+        f2 = family_amplitude(0, 0, 1, 1, coeffs, pp)
         ts = [t for alpha in case1_admissible_alphas(coeffs, p) for t in range(alpha, q, p)]
         pairs = {(f1.eval_mod(t, q), f2.eval_mod(t, q)) for t in ts}
         assert pairs == build_family(coeffs, pp).layers[0]
@@ -433,14 +436,13 @@ def test_families_are_the_conic_maps():
             continue  # no Case II triple: -1 is a square, so one -ai*aj is too
         coeffs = _sample_case_coeffs(rng, p, CASE_II)
         coeffs = (coeffs[0] + q, coeffs[1] - q, coeffs[2])
-        base, _ = family_plan(coeffs, pp)
         fam = build_family(coeffs, pp)
         for s in range(n + 1):
             # layer 0 runs over t = 1..q, layer s >= 1 over the units in 1..p^(n-s),
             # which is t = 1 alone at s = n
             ts = range(1, q + 1) if s == 0 else [t for t in range(1, p ** (n - s) + 1) if t % p]
-            f1 = family_amplitude(s, 1, 0, 1, coeffs, base, pp)
-            f2 = family_amplitude(s, 0, 1, 1, coeffs, base, pp)
+            f1 = family_amplitude(s, 1, 0, 1, coeffs, pp)
+            f2 = family_amplitude(s, 0, 1, 1, coeffs, pp)
             pairs = {(f1.eval_mod(t, q), f2.eval_mod(t, q)) for t in ts}
             assert pairs == fam.layers[s]
         assert len(fam.layers[n]) == 1

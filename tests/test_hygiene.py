@@ -41,6 +41,21 @@ def named_identifiers(source: str) -> set:
     return names
 
 
+def environ_reads(source: str) -> set:
+    """The names a module reads by os.environ[...], os.environ.get(...) or os.getenv(...)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript) and ast.unparse(node.value) == "os.environ":
+            key = node.slice
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in ("os.environ.get", "os.getenv") and node.args:
+            key = node.args[0]
+        else:
+            continue
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            names.add(key.value)
+    return names
+
+
 def test_unused_imports_detector():
     src = "import os, re\nfrom a.b import c as d, e\nimport x.y\nre.sub; e(x.y)\n"
     assert unused_imports(src) == [(1, "os"), (2, "d")]
@@ -49,6 +64,11 @@ def test_unused_imports_detector():
 def test_named_identifiers_detector():
     src = "import x.y\nfrom a import b as c\ndef f(u):\n    \"\"\"g\"\"\"\n    return h(u).k\n"
     assert named_identifiers(src) == {"y", "b", "h", "u", "k"}
+
+
+def test_environ_reads_detector():
+    src = 'import os\nos.environ.get("A", "1"); os.environ["B"]; os.getenv("C"); os.environ.get(k); d.get("E")\n'
+    assert environ_reads(src) == {"A", "B", "C"}
 
 
 def test_dead_private_definitions_detector():
@@ -86,3 +106,12 @@ def test_no_orphan_public_definitions():
              for f in package for node in ast.parse(f.read_text()).body
              if isinstance(node, kinds) and not node.name.startswith("_") and node.name not in named]
     assert not found, found
+
+
+def test_readme_env_vars_are_read():
+    # an environment variable the README documents is one the package reads
+    read = set()
+    for f in sorted((ROOT / "src" / "conic_lab").glob("*.py")):
+        read |= environ_reads(f.read_text())
+    documented = set(re.findall(r"\$([A-Z_][A-Z0-9_]*)", (ROOT / "README.md").read_text()))
+    assert documented <= read, sorted(documented - read)
