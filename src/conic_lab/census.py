@@ -268,17 +268,17 @@ def _box_minimum(k1: int, k2: int, pp: PrimePowerModulus, M: int):
     return best
 
 
-def smallest_solution(coeffs, pp: PrimePowerModulus):
+def smallest_solution(coeffs, pp: PrimePowerModulus, budget: int = 10**9):
     """Minimal max-norm unit solution of the congruence, or None.
 
     Returns (m, witness) with the witness normalized to x1 >= 0 (hence
     x1 >= 1, as 0 is not a unit) and lexicographically least among the
-    max-norm-m solutions; None when p <= s_p, in which case no unit
-    solution exists mod p and hence none mod q. Searches the boxes
-    |x_i| <= M from the last box that estimate_smallest_work charges,
-    doubling up to M = (q-1)/2, which holds a representative of every
-    residue triple. Any start box is exact: a box either holds no solution
-    or holds every solution of norm <= M, so its minimum is the global one.
+    max-norm-m solutions; None when p <= s_p (no unit solution mod p, so
+    none mod q). Searches the boxes |x_i| <= M from the last box that
+    estimate_smallest_work charges, doubling up to M = (q-1)/2, which holds
+    every residue triple; a box whose M (2M + 1) takes the charge over budget
+    is a ValueError. Any start box is exact: a box holds no solution or every
+    solution of norm <= M, so its minimum is the global one.
     """
     p, q = pp.p, pp.q
     c = validate_coeffs(coeffs, p)
@@ -287,8 +287,10 @@ def smallest_solution(coeffs, pp: PrimePowerModulus):
     check_table_q(q)  # the int64 bound of the box search
     inv3 = mod_inverse(c.a3, q)
     k1, k2 = -c.a1 * inv3 % q, -c.a2 * inv3 % q
-    first = max(_box_sizes(q, _expected_norm(coeffs, pp)))
-    for M in _box_sizes(q, q):
+    first, work = max(_box_sizes(q, _expected_norm(coeffs, pp))), 0
+    for M in _box_sizes(q, q):  # work sums M (2M + 1) from M = 1, as the charge does
+        if (work := work + M * (2 * M + 1)) > budget and M > first:
+            raise ValueError(f"smallest needs ~{work} pair visits by box {M}, over the budget {budget}")
         if M >= first and (found := _box_minimum(k1, k2, pp, M)) is not None:
             return found
     raise AssertionError("box search overran the residue box")

@@ -13,7 +13,8 @@ Both regimes are one chord-slope map, written once as the form k1*y1 + k2*y2
 point and its layers: Case II is the layers s through find_base_point's
 point, Case I layer 0 through (0, b). build_family runs one layer loop that
 evaluates the map class by class (modcore.ratio_mod_class); expsum's
-amplitudes scale it by x3. Pairs are plain (y1, y2) tuples of ints.
+amplitudes scale it by x3. A pair set mod q is a read-only int64 (k, 2) array
+of rows (y1, y2) strictly increasing in the key y1*q + y2 < q^2 <= 1e14 < 2^63.
 
 Also: base-point search and Hensel lifting of full solution triples.
 """
@@ -120,15 +121,23 @@ def slope_form(k1, k2, s, base, coeffs, p: int):
     return (a1 * ps * ps * d, 2 * ps * (b * a2 * k1 - a * a1 * k2), -a2 * d), (a1 * ps * ps, 0, a2)
 
 
-def _map_pairs(coeffs, s, base, alphas, e, pp: PrimePowerModulus) -> set:
-    """The pairs (y1, y2) of slope_form's map at t / p^s mod q, t = alpha + p j for j < p^e.
+def _pair_rows(keys, q: int) -> np.ndarray:
+    """The pair set of the int64 keys y1*q + y2: sorted, repeats masked out (np.unique is ~15x slower)."""
+    keys = np.sort(keys)
+    rows = np.stack(np.divmod(keys[np.diff(keys, prepend=-1) != 0], q), axis=1)
+    rows.flags.writeable = False
+    return rows
+
+
+def _map_pairs(coeffs, s, base, alphas, e, pp: PrimePowerModulus) -> np.ndarray:
+    """The distinct pairs (y1, y2) of slope_form's map at t / p^s mod q, t = alpha + p j for j < p^e.
 
     By modcore.ratio_mod_class (q <= TABLE_Q_MAX); the denominator must be a unit.
     """
     num1, den = slope_form(1, 0, s, base, coeffs, pp.p)
     num2, _ = slope_form(0, 1, s, base, coeffs, pp.p)
     y1, y2 = ratio_mod_class((num1, num2), den, alphas, e, pp)
-    return set(zip(y1.tolist(), y2.tolist()))
+    return _pair_rows(y1 * pp.q + y2, pp.q)
 
 
 def case1_admissible_alphas(coeffs, p: int):
@@ -162,7 +171,7 @@ def family_plan(coeffs, pp: PrimePowerModulus):
 
 @dataclass(frozen=True)
 class ParamFamily:
-    """A materialized parametrization family.
+    """A materialized parametrization family, its pair sets in the module's sorted-array format.
 
     layers[s] is the pair set of layer s of slope_form's map and pairs is their
     disjoint union. CASE_II has the sets M_s, s = 0..n, of total size
@@ -171,30 +180,30 @@ class ParamFamily:
     """
 
     layers: dict
-    pairs: frozenset
+    pairs: np.ndarray
 
 
 def build_family(coeffs, pp: PrimePowerModulus) -> ParamFamily:
     """Materialize the layers (s, alphas, e) of family_plan, after checking the table budget.
 
     Case I gives the unit solutions, Case II all p^n + p^(n-1) solutions. A
-    layer that is not of its full size len(alphas) p^e (its map is not
-    injective), or that meets an earlier layer, is an AssertionError.
+    layer with fewer than len(alphas) p^e distinct pairs (its map is not
+    injective), or with a pair of an earlier layer (a key repeated in the
+    merged, sorted layers), is an AssertionError.
     """
     c = validate_coeffs(coeffs, pp.p)
     check_table_q(pp.q)
     base, plan = family_plan(c, pp)
-    layers, seen = {}, set()
+    layers, seen = {}, np.empty(0, np.int64)
     for s, alphas, e in plan:
-        pairs = _map_pairs(c, s, base, alphas, e, pp)
+        layers[s] = pairs = _map_pairs(c, s, base, alphas, e, pp)
         expected = len(alphas) * pp.p**e
         if len(pairs) != expected:
             raise AssertionError(f"layer {s} has {len(pairs)} pairs, expected {expected}")
-        if seen & pairs:
+        seen = np.sort(np.concatenate((seen, pairs[:, 0] * pp.q + pairs[:, 1])))
+        if (seen[1:] == seen[:-1]).any():
             raise AssertionError(f"layer {s} overlaps an earlier layer")
-        seen |= pairs
-        layers[s] = frozenset(pairs)
-    return ParamFamily(layers, frozenset(seen))
+    return ParamFamily(layers, _pair_rows(seen, pp.q))
 
 
 def lift_triple(x, coeffs, pp: PrimePowerModulus) -> list:
@@ -219,21 +228,19 @@ def lift_triple(x, coeffs, pp: PrimePowerModulus) -> list:
     for k2 in range(p):
         for k3 in range(p):
             k1 = (-(carry + 2 * c.a2 * x2 * k2 + 2 * c.a3 * x3 * k3) * inv1) % p
-            lifts.append(
-                ((x1 + k1 * q) % up.q, (x2 + k2 * q) % up.q, (x3 + k3 * q) % up.q)
-            )
+            lifts.append(((x1 + k1 * q) % up.q, (x2 + k2 * q) % up.q, (x3 + k3 * q) % up.q))
     assert len(set(lifts)) == p * p
     return lifts
 
 
-def enumerate_pair_solutions(coeffs, pp: PrimePowerModulus, units_only: bool = True):
-    """Exhaustive solution set of a1*y1^2 + a2*y2^2 + a3 = 0 mod q.
+def enumerate_pair_solutions(coeffs, pp: PrimePowerModulus, units_only: bool = True) -> np.ndarray:
+    """Exhaustive solution set of a1*y1^2 + a2*y2^2 + a3 = 0 mod q, in the module's pair format.
 
     A sort-join over y in [0, q) (only the units when units_only is set):
     y1 pairs with y2 exactly when a1*y1^2 = -(a2*y2^2 + a3) mod q, so the
-    keys of both sides are sorted and matched with searchsorted.
-    O(q log q); int64 throughout, as y^2 < q^2 <= 1e14 < 2^63 and every
-    other product has both factors reduced below q.
+    keys of both sides are sorted and the sorted y1 keys are matched with
+    searchsorted. O(q log q); int64 throughout, as y^2 < q^2 <= 1e14 < 2^63
+    and every other product has both factors reduced below q.
     """
     c = validate_coeffs(coeffs, pp.p)
     p, q = pp.p, pp.q
@@ -244,11 +251,10 @@ def enumerate_pair_solutions(coeffs, pp: PrimePowerModulus, units_only: bool = T
     sq = ys * ys % q
     key1 = c.a1 % q * sq % q
     key2 = (-c.a3 % q - c.a2 % q * sq) % q
-    order = np.argsort(key2)
-    key2 = key2[order]
+    order1, order2 = np.argsort(key1), np.argsort(key2)
+    key1, key2 = key1[order1], key2[order2]
     lo = np.searchsorted(key2, key1, "left")
     cnt = np.searchsorted(key2, key1, "right") - lo
-    # match k of y1 = ys[i] is the sorted position lo[i] + k
-    i1 = np.repeat(np.arange(len(ys)), cnt)
-    pos = np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(len(i1))
-    return set(zip(ys[i1].tolist(), ys[order[pos]].tolist()))
+    # match k of the i-th smallest key1 is the sorted position lo[i] + k
+    pos = np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+    return _pair_rows(ys[np.repeat(order1, cnt)] * q + ys[order2[pos]], q)

@@ -401,6 +401,18 @@ def test_smallest_budget_summed_before_search(capsys, monkeypatch):
     assert code == 2 and out == "" and "33147" in err
 
 
+def test_smallest_budget_bounds_boxes_past_the_charge(capsys):
+    # (1,1,1) mod 7^4 is charged 713 (boxes up to M = 16), but its m = 36 needs
+    # the boxes 32 and 64 too: 713 + 32*65 = 2793 and 2793 + 64*129 = 11049
+    argv = ["smallest", "--p", "7", "--n", "4", "--coeffs", "1,1,1", "--budget"]
+    for budget, box, work in (("800", 32, 2793), ("11048", 64, 11049)):
+        code, out, err = run_capture(argv + [budget], capsys)
+        assert code == 2 and out == "" and err.count("\n") == 1, err
+        assert err == f"error: smallest needs ~{work} pair visits by box {box}, over the budget {budget}\n"
+    code, out, _ = run_capture(argv + ["11049"], capsys)
+    assert code == 0 and out.splitlines()[1] == "7,4,2401,1,1,1,36,4,-36,-33,1"
+
+
 def test_selftest(capsys):
     code, out, _ = run_capture(["selftest"], capsys)
     assert code == 0

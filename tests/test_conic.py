@@ -1,10 +1,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conic_lab.modcore import PrimePowerModulus, jacobi, residue_pattern, s_p
+from conic_lab import conic
 from conic_lab.conic import (
     CASE_I,
     CASE_II,
@@ -122,7 +124,7 @@ def test_case1_family_size_injectivity_and_coverage():
         expected = p ** (n - 1) * (p - s_p(coeffs, p))
         assert len(fam.pairs) == expected
         assert len(fam.layers[0]) == expected  # the admissible classes' image
-        assert fam.pairs == frozenset(enumerate_pair_solutions(coeffs, pp))
+        assert np.array_equal(fam.pairs, enumerate_pair_solutions(coeffs, pp))
         done += 1
 
 
@@ -152,13 +154,15 @@ def test_case2_family_matches_enumeration_sweep():
         units = enumerate_pair_solutions(coeffs, pp, units_only=True)
         every = enumerate_pair_solutions(coeffs, pp, units_only=False)
         # in Case II all solutions have unit coordinates automatically
-        assert frozenset(units) == frozenset(every) == fam.pairs
+        assert np.array_equal(units, every) and np.array_equal(every, fam.pairs)
         done += 1
 
 
-def _plain_pair(pair):
-    # a plain tuple of Python ints: no NamedTuple, no numpy scalar
-    return type(pair) is tuple and len(pair) == 2 and all(type(y) is int for y in pair)
+def _pair_array(a):
+    # the pair-set format: a read-only int64 (k, 2) array, rows strictly increasing
+    first, second = a[:-1], a[1:]
+    rising = (second[:, 0] > first[:, 0]) | ((second[:, 0] == first[:, 0]) & (second[:, 1] > first[:, 1]))
+    return a.dtype == np.int64 and a.ndim == 2 and a.shape[1] == 2 and not a.flags.writeable and rising.all()
 
 
 @st.composite
@@ -180,9 +184,9 @@ def test_case1_family_property(instance):
     assert case_tag(coeffs, p) == CASE_I
     fam = build_family(coeffs, pp)
     units = enumerate_pair_solutions(coeffs, pp, units_only=True)
-    assert fam.pairs == frozenset(units)
+    assert np.array_equal(fam.pairs, units)
     assert len(fam.pairs) == p ** (pp.n - 1) * (p - s_p(coeffs, p))
-    assert all(map(_plain_pair, fam.pairs)) and all(map(_plain_pair, units))
+    assert _pair_array(fam.pairs) and _pair_array(units) and _pair_array(fam.layers[0])
 
 
 @st.composite
@@ -206,8 +210,37 @@ def test_case2_family_size_property(instance):
     assert case_tag(coeffs, pp.p) == CASE_II
     fam = build_family(coeffs, pp)
     assert len(fam.pairs) == pp.q + pp.q // pp.p
-    assert fam.pairs == frozenset(enumerate_pair_solutions(coeffs, pp, units_only=False))
-    assert all(map(_plain_pair, fam.pairs))
+    assert np.array_equal(fam.pairs, enumerate_pair_solutions(coeffs, pp, units_only=False))
+    assert _pair_array(fam.pairs) and all(map(_pair_array, fam.layers.values()))
+
+
+def test_build_family_refuses_a_non_injective_layer(monkeypatch):
+    real = conic.ratio_mod_class
+
+    def repeat_a_pair(*args):
+        y1, y2 = (y.copy() for y in real(*args))
+        y1[1], y2[1] = y1[0], y2[0]
+        return y1, y2
+
+    monkeypatch.setattr(conic, "ratio_mod_class", repeat_a_pair)
+    with pytest.raises(AssertionError, match=r"^layer 0 has 27 pairs, expected 28$"):
+        build_family((1, 1, -1), PrimePowerModulus(7, 2))
+
+
+def test_build_family_refuses_overlapping_layers(monkeypatch):
+    real, layer0 = conic.ratio_mod_class, []
+
+    def reuse_a_layer0_pair(*args):
+        y1, y2 = (y.copy() for y in real(*args))
+        if not layer0:
+            layer0.append((y1[0], y2[0]))
+        else:  # layer s >= 1: no pair of it lies in layer 0, so its size stays full
+            y1[0], y2[0] = layer0[0]
+        return y1, y2
+
+    monkeypatch.setattr(conic, "ratio_mod_class", reuse_a_layer0_pair)
+    with pytest.raises(AssertionError, match=r"^layer 1 overlaps an earlier layer$"):
+        build_family((1, 1, 1), PrimePowerModulus(3, 2))
 
 
 def test_enumerate_examples():
@@ -226,7 +259,9 @@ def test_enumerate_vs_brute():
         pp = PrimePowerModulus(p, n)
         coeffs = tuple(rng.randrange(1, p) for _ in range(3))
         for flag in (True, False):
-            got = {tuple(s) for s in enumerate_pair_solutions(coeffs, pp, units_only=flag)}
+            sols = enumerate_pair_solutions(coeffs, pp, units_only=flag)
+            assert _pair_array(sols)
+            got = {tuple(s) for s in sols.tolist()}
             assert got == oracles.brute_pair_solutions(coeffs, p, pp.q, units_only=flag)
 
 
@@ -252,9 +287,9 @@ def test_lift_triple_random():
         pp = PrimePowerModulus(p, n)
         coeffs = tuple(rng.randrange(1, p) for _ in range(3))
         sols = enumerate_pair_solutions(coeffs, pp)
-        if not sols:
+        if len(sols) == 0:
             continue
-        y1, y2 = rng.choice(sorted(sols))
+        y1, y2 = rng.choice(sols.tolist())  # rows are sorted
         x3 = rng.randrange(1, pp.q)
         if x3 % p == 0:
             continue
