@@ -16,8 +16,11 @@ costs O(half + q log q) and agrees with direct summation to within a few ulps
 of the count (float64 FFT rounding); exponent bins round the h-sum exactly,
 equal to math.fsum. Sharp counts stay exact: blocks of (x1, x2) rows gather a
 histogram of a3 x3^2 in the narrowest unsigned dtype that holds its largest
-bin (bins <= 2(N/q + 1)) and sum it in int64. Both kernels run in one thread
-with a fixed operation order.
+bin (bins <= 2(N/q + 1)), laid out by residue class mod p. By Hensel a unit
+is a square mod p^n exactly when it is a residue mod p, so a row class whose
+cells fill an eighth of a block joins only the column classes that can meet a
+unit x3, the share (p - s_p)/(2(p - 1)) of the box. Both kernels run in one
+thread with a fixed operation order.
 """
 
 import math
@@ -108,7 +111,23 @@ def _float_sum(x: np.ndarray) -> float:
 def count_sharp(coeffs, pp: PrimePowerModulus, N: int) -> int:
     """Exact number of solutions with |x_i| <= N and all coordinates units.
 
-    Sums, over blocks of (x1, x2) rows, a narrow-table histogram of a3 x3^2 mod q.
+    A unit is a square mod p^n exactly when it is a quadratic residue mod p
+    (Hensel). So, with t_i = -a_i x_i^2 mod q and r_i = t_i mod p, the cell
+    (x1, x2) meets a unit x3 only when (r1 + r2)/a3 is a nonzero square mod p:
+    over a period, the share (p - s_p)/(2(p - 1)) of the cells, 2/3 or 1/3 at
+    p = 7. The rows t1 are grouped by r1; a class of at least
+    BOX_BLOCK_CELLS/8 cells joins only the columns t2 whose r2 passes, and the
+    smaller classes join every column together, as their own column arrays
+    would cost more than the cells they skip.
+
+    The table of a3 x3^2 over two periods is laid out by residue: v = r + p u
+    (v < 2q) sits at r W + u, W = 2q/p, so a class reads one dense W-entry
+    segment per target residue. With the keys r W + u of t1 and t2, the cell
+    sits at key1 + key2 - k (2q - 1), k = [r1 + r2 >= p], as p W = 2q; it is
+    inside its segment, as u1 + u2 + k < W, so below 2q <= 2e7. int64 holds
+    every key, index and sum: a%q * sq < q^2 <= 1e14 < 2^63. A row is summed
+    in the narrowest unsigned dtype that holds its length times the largest
+    bin, a block in int64.
     """
     if N < 0:
         raise ValueError("box half-width must be >= 0")
@@ -118,18 +137,36 @@ def count_sharp(coeffs, pp: PrimePowerModulus, N: int) -> int:
     _, sq = _unit_squares(p, q, N)
     # A bin is at most 2(N/q + 1) (two roots per unit square, each hit at most
     # N/q + 1 times in 1..N); the table takes the narrowest unsigned dtype that
-    # holds it, uint8 for N < q/2, twice over (2q entries) so t1 + t2 < 2q needs
-    # no reduction. int64: a%q * sq < q^2 <= 1e14; a block sums under 2e14 < 2^63.
+    # holds it, uint8 for N < q/2, and holds v and v + q, so t1 + t2 < 2q needs
+    # no reduction.
+    W = 2 * q // p
     vals, counts = np.unique(c.a3 % q * sq % q, return_counts=True)
-    hist = np.zeros(2 * q, dtype=np.min_scalar_type(counts.max(initial=0)))
-    hist[vals] = hist[vals + q] = counts
-    # sorted rows and columns keep a block's gathers in one band of the table
-    t1s = np.sort((-c.a1) % q * sq % q)
-    t2 = np.sort((-c.a2) % q * sq % q)
-    rows = max(1, BOX_BLOCK_CELLS // max(len(t2), 1))
-    total = 0
-    for start in range(0, len(t1s), rows):
-        total += int(hist[t1s[start : start + rows, None] + t2].sum(dtype=np.int64))
+    top = int(counts.max(initial=0))
+    hist = np.zeros(2 * q, dtype=np.min_scalar_type(top))
+    at = vals % p * W + vals // p
+    hist[at] = hist[at + q // p] = counts
+    # the residues mod p that the table holds: the classes a3 (unit square) it reaches
+    target = np.zeros(p, dtype=bool)
+    target[vals % p] = True
+    key1, key2 = (np.sort(t % p * W + t // p) for t in ((-c.a1) % q * sq % q, (-c.a2) % q * sq % q))
+    cls1, sizes = np.unique(key1 // W, return_counts=True)
+    joined = sizes * len(key2) >= BOX_BLOCK_CELLS // 8  # measured break-even, p = 7 to 1009
+    total, rest = 0, key1[np.repeat(~joined, sizes)]
+    step = max(1, BOX_BLOCK_CELLS // max(len(key2), 1))
+    for start in range(0, len(rest), step):
+        at = rest[start : start + step, None] + key2
+        np.subtract(at, 2 * q - 1, out=at, where=at >= 2 * q - 1)  # k = 1 exactly there
+        total += int(hist[at].sum(dtype=np.int64))
+    r2, ends = key2 // W, np.cumsum(sizes)
+    for i in np.flatnonzero(joined).tolist():
+        r1 = cls1[i]
+        cols = np.where(r2 >= p - r1, key2 - (2 * q - 1), key2)[np.take(target, r1 + r2, mode="wrap")]
+        rows = key1[ends[i] - sizes[i] : ends[i]]
+        sum_dtype = np.min_scalar_type(len(cols) * top)
+        step = max(1, BOX_BLOCK_CELLS // max(len(cols), 1))
+        for start in range(0, len(rows), step):
+            cells = hist[rows[start : start + step, None] + cols]
+            total += int(cells.sum(axis=1, dtype=sum_dtype).sum(dtype=np.int64))
     return 8 * total  # independent signs of x1, x2, x3
 
 
@@ -268,7 +305,7 @@ def _box_minimum(k1: int, k2: int, pp: PrimePowerModulus, M: int):
     return best
 
 
-def smallest_solution(coeffs, pp: PrimePowerModulus, budget: int = 10**9):
+def smallest_solution(coeffs, pp: PrimePowerModulus, budget: int = 10**9, spent: int = 0):
     """Minimal max-norm unit solution of the congruence, or None.
 
     Returns (m, witness) with the witness normalized to x1 >= 0 (hence
@@ -276,9 +313,11 @@ def smallest_solution(coeffs, pp: PrimePowerModulus, budget: int = 10**9):
     max-norm-m solutions; None when p <= s_p (no unit solution mod p, so
     none mod q). Searches the boxes |x_i| <= M from the last box that
     estimate_smallest_work charges, doubling up to M = (q-1)/2, which holds
-    every residue triple; a box whose M (2M + 1) takes the charge over budget
-    is a ValueError. Any start box is exact: a box holds no solution or every
-    solution of norm <= M, so its minimum is the global one.
+    every residue triple. The charge sums M (2M + 1) from M = 1 on top of the
+    pair visits already spent (by the earlier searches of a batch), and a box
+    that takes it over budget is a ValueError before it is searched. Any
+    start box is exact: a box holds no solution or every solution of norm
+    <= M, so its minimum is the global one.
     """
     p, q = pp.p, pp.q
     c = validate_coeffs(coeffs, p)
@@ -287,9 +326,9 @@ def smallest_solution(coeffs, pp: PrimePowerModulus, budget: int = 10**9):
     check_table_q(q)  # the int64 bound of the box search
     inv3 = mod_inverse(c.a3, q)
     k1, k2 = -c.a1 * inv3 % q, -c.a2 * inv3 % q
-    first, work = max(_box_sizes(q, _expected_norm(coeffs, pp))), 0
+    first, work = max(_box_sizes(q, _expected_norm(coeffs, pp))), spent
     for M in _box_sizes(q, q):  # work sums M (2M + 1) from M = 1, as the charge does
-        if (work := work + M * (2 * M + 1)) > budget and M > first:
+        if (work := work + M * (2 * M + 1)) > budget and M >= first:
             raise ValueError(f"smallest needs ~{work} pair visits by box {M}, over the budget {budget}")
         if M >= first and (found := _box_minimum(k1, k2, pp, M)) is not None:
             return found
@@ -313,16 +352,18 @@ def _expected_norm(coeffs, pp: PrimePowerModulus) -> int:
     return int(math.ceil((pp.q / max(cp, 0.05)) ** (1 / 3)))
 
 
-def estimate_smallest_work(coeffs, pp: PrimePowerModulus) -> int:
-    """(x1, x2) pairs M (2M + 1) summed over the boxes M = 1, 2, 4, ... up to m_est.
+def estimate_smallest_work(coeffs, pp: PrimePowerModulus, m: int = 0) -> int:
+    """(x1, x2) pairs M (2M + 1) summed over the boxes M = 1, 2, 4, ... up to max(m, m_est).
 
     m_est is _expected_norm, where the main term C_p m^3 / q reaches 1. The
-    search starts at the last of these boxes, so the charge bounds the first
-    box it joins (at most M^2 cells). 0 when C_p <= 0, as no search runs then.
+    search starts at the last of the boxes up to m_est, so the charge bounds
+    the first box it joins (at most M^2 cells); with m the minimum it found,
+    the sum is what the finished search charged. 0 when C_p <= 0, as no
+    search runs then.
     """
     if main_constant(coeffs, pp.p) <= 0:
         return 0
-    return sum(M * (2 * M + 1) for M in _box_sizes(pp.q, _expected_norm(coeffs, pp)))
+    return sum(M * (2 * M + 1) for M in _box_sizes(pp.q, max(m, _expected_norm(coeffs, pp))))
 
 
 def estimate_count_work(N: float, sharp: bool = False) -> int:

@@ -254,9 +254,11 @@ def _run_smallest(args, rng):
     units = sum(census.estimate_smallest_work(coeffs, pp) for coeffs in triples)
     if _budget_gate(args, units):
         return []
-    rows = []
-    for coeffs in triples:
-        found = census.smallest_solution(coeffs, pp, args.budget)
+    rows, spent = [], 0
+    for k, coeffs in enumerate(triples, start=1):
+        found = census.smallest_solution(coeffs, pp, args.budget, spent)
+        if k < len(triples):  # a search may run past its charge: the next gets what is left
+            spent += census.estimate_smallest_work(coeffs, pp, found[0] if found else 0)
         if found is None:
             # m = 0 encodes absence at this boundary only
             rows.append(_row(pp, coeffs, m=0, x1=None, x2=None, x3=None))

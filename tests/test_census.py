@@ -63,6 +63,19 @@ def test_count_sharp_vs_brute_sweep():
         coeffs = tuple(rng.choice([1, -1]) * rng.randrange(1, p) for _ in range(3))
         N = rng.randint(0, 30)
         assert count_sharp(coeffs, pp, N) == oracles.brute_count_triples_mesh(coeffs, p, pp.q, N)
+    # Residue patterns, in boxes whose classes (rows x columns) join class by class:
+    # Case I (s_p = 3), Case II (s_p = -1) and mixed (s_p = 3) mod 7^2, N = 200 > q;
+    # the vacuous (1,1,-1) mod 5^2 (s_p = p), which admits no column and counts 0;
+    # q = p; and the boxes N >= q/2, where bins reach 2, and N > q.
+    for coeffs, p, n, N, tag in [((1, 1, -1), 7, 2, 200, conic.CASE_I), ((1, 1, 1), 7, 2, 200, conic.CASE_II),
+                                 ((6, 1, 1), 7, 2, 200, "mixed"), ((1, 1, -1), 5, 2, 170, conic.CASE_I),
+                                 ((2, 3, 5), 13, 1, 6, None), ((1, 2, 3), 7, 2, 25, None),
+                                 ((3, 4, 6), 5, 2, 40, None), ((1, 2, 2), 3, 3, 150, None)]:
+        pp = PrimePowerModulus(p, n)
+        assert tag is None or conic.case_tag(coeffs, p) == tag
+        want = oracles.brute_count_triples_mesh(coeffs, p, pp.q, N)
+        assert count_sharp(coeffs, pp, N) == want, (coeffs, p, n, N)
+        assert want > 0 or s_p(coeffs, p) >= p
 
 
 @pytest.mark.parametrize("p, n, k", [(7, 1, 130), (5, 1, 140), (5, 2, 130)])
@@ -75,8 +88,11 @@ def test_count_sharp_periodicity_law(p, n, k):
     half = (pp.q - 1) // 2
     units = [a for a in range(-pp.q + 1, pp.q) if a % p]
     rng = random.Random(p * k)
-    for _ in range(3):
-        coeffs = tuple(rng.choice(units) for _ in range(3))
+    # three drawn triples, one of each residue pattern mod p, and (1,1,-1),
+    # vacuous at p = 5 (s_p = p)
+    drawn = [tuple(rng.choice(units) for _ in range(3)) for _ in range(3)]
+    patterns = {conic.case_tag(t, p): t for t in itertools.product(range(1, p), repeat=3)}
+    for coeffs in drawn + sorted(patterns.values()) + [(1, 1, -1)]:
         want = (2 * k + 1) ** 3 * count_sharp(coeffs, pp, half)
         assert count_sharp(coeffs, pp, k * pp.q + half) == want
         if n == 1:
@@ -97,9 +113,28 @@ def test_count_sharp_large_modulus_memory(capsys):
             "--N", str(N), "--sharp"]
     assert cli.run(argv) == 0
     assert capsys.readouterr().out.splitlines()[1].split(",")[8] == str(got)
-    # a uint8 table of 2q entries (1.6 MB) and 2^16-cell row blocks; the
-    # int64 table was 13 MB
+    # a uint8 table of 2q entries (1.6 MB), laid out by residue class mod p,
+    # and 2^16-cell row blocks; the int64 table was 13 MB
     assert peak < 4 * 10**6
+
+
+_SHARP_MODULI = [(p, n) for p in (3, 5, 7, 11, 13) for n in (1, 2, 3) if p**n <= 7**3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_SHARP_MODULI), st.data())
+def test_count_sharp_invariant_under_permutation_and_scaling(pn, data):
+    # Each order of (a1, a2, a3) puts another coefficient in the table and
+    # admits other class pairs; a unit lambda mod q scales the congruence.
+    p, n = pn
+    pp = PrimePowerModulus(p, n)
+    unit = st.integers(1, pp.q - 1).filter(lambda a: a % p != 0)
+    coeffs = (data.draw(unit), data.draw(unit), data.draw(unit))
+    lam, N = data.draw(unit), data.draw(st.integers(0, 2 * pp.q))
+    want = count_sharp(coeffs, pp, N)
+    for perm in itertools.permutations(coeffs):
+        assert count_sharp(perm, pp, N) == want, perm
+    assert count_sharp(tuple(lam * a % pp.q for a in coeffs), pp, N) == want
 
 
 def test_count_sharp_monotone_in_N():

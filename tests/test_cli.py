@@ -411,6 +411,14 @@ def test_smallest_budget_bounds_boxes_past_the_charge(capsys):
         assert err == f"error: smallest needs ~{work} pair visits by box {box}, over the budget {budget}\n"
     code, out, _ = run_capture(argv + ["11049"], capsys)
     assert code == 0 and out.splitlines()[1] == "7,4,2401,1,1,1,36,4,-36,-33,1"
+    # Two sampled triples are charged 2793 + 713 = 3506, but the second, (1,2,4),
+    # needs box 32 too: the run's boxes then total 2793 + 2793 = 5586.
+    argv = ["smallest", "--p", "7", "--n", "4", "--sample", "2", "--seed", "2", "--budget"]
+    code, out, err = run_capture(argv + ["3506"], capsys)
+    assert code == 2 and out == "" and err.count("\n") == 1, err
+    assert err == "error: smallest needs ~5586 pair visits by box 32, over the budget 3506\n"
+    code, out, _ = run_capture(argv + ["5586"], capsys)
+    assert code == 0 and out.splitlines()[2:] == ["7,4,2401,5,3,4,18,9,-18,-16,1", "7,4,2401,1,2,4,20,1,-20,-20,1"]
 
 
 def test_selftest(capsys):
