@@ -295,6 +295,7 @@ def _run_expsum_check(args, rng):
     count = args.count
     if count < 1:
         raise ValidationError("expsum-check requires --count >= 1")
+    modcore.check_table_q(pp.q)  # every row is a size-q sum: refuse before the gate, so --dry-run does too
     if _budget_gate(args, count * pp.q):
         return []
     rows = []

@@ -6,6 +6,13 @@ at a point, by baby and giant steps on a residue class t = alpha mod p), the one
 class evaluator of ratios mod q (ratio_mod_class), the one exactly rounded
 exponential sum (exp_sum, for the Gauss sums and expsum's direct sums), and the
 residue pattern and structural constants s_p / C_p. All are pure and thread-safe.
+
+The full-length int64 reductions of the array kernels go through _rem, which reduces
+in place by floor division: numpy divides an int64 array by one scalar about four
+times faster than % does (about 1.0 against 4.2 ns an entry on a 2-vCPU Xeon), and
+x - q (x // q) is x % q for every sign, with q (x // q) in (x - q, x]. exp_sum takes
+cos and sin of its angles in sorted order: the rounded total does not depend on the
+order of the terms, and sorted arguments keep numpy's range branches predictable.
 """
 
 import math
@@ -200,6 +207,18 @@ def lift_root(coeffs, alpha: int, p: int, target: int) -> int:
     return x
 
 
+def _rem(x: np.ndarray, q: int) -> np.ndarray:
+    """x % q in place, as x -= q (x // q), with one temporary; returns x.
+
+    Floor division makes this np.remainder for every sign of x. Nothing overflows for
+    x >= -2^63 + q: q (x // q) lies in (x - q, x]. Object arrays reduce the same way.
+    """
+    t = np.floor_divide(x, q)
+    t *= q
+    x -= t
+    return x
+
+
 def poly_eval_mod_class(coeffs, alpha: int, e: int, pp: PrimePowerModulus) -> np.ndarray:
     """coeffs(alpha + p j) mod q for j = 0..p^e - 1, e < n, as int64.
 
@@ -224,7 +243,7 @@ def poly_eval_mod_class(coeffs, alpha: int, e: int, pp: PrimePowerModulus) -> np
     u = powers((alpha % q + p * np.arange(big, dtype=np.int64)) % q)
     w = powers(p * big * np.arange(p**e // big, dtype=np.int64))  # p B k < p^(e+1) <= q
     m = [[c * math.comb(a + b, a) % q for b, c in enumerate(coeffs[a:])] + [0] * a for a in range(k)]
-    return (w @ (u @ np.array(m, dtype=np.int64) % q).T % q).ravel()
+    return _rem(w @ (u @ np.array(m, dtype=np.int64) % q).T, q).ravel()
 
 
 def inv_mod_array(d: np.ndarray, pp: PrimePowerModulus) -> np.ndarray:
@@ -242,7 +261,7 @@ def inv_mod_array(d: np.ndarray, pp: PrimePowerModulus) -> np.ndarray:
         levels.append(x)
         x = x[0::2].copy()  # an odd level carries its last entry up unpaired
         x[: len(levels[-1]) // 2] *= levels[-1][1::2]
-        x %= q
+        _rem(x, q)
     inv = x.copy()
     if len(inv):
         try:
@@ -255,8 +274,7 @@ def inv_mod_array(d: np.ndarray, pp: PrimePowerModulus) -> np.ndarray:
         up[0::2] = inv
         up[0 : len(x) - 1 : 2] *= x[1::2]
         np.multiply(inv[: len(x) // 2], x[0 : len(x) - 1 : 2], out=up[1::2])
-        up %= q
-        inv = up
+        inv = _rem(up, q)
     return inv
 
 
@@ -278,7 +296,7 @@ def ratio_mod_class(numers, denom, alphas, e: int, pp: PrimePowerModulus) -> lis
         dinv = pow(denom[0], -1, q)
         return [values([c * dinv % q for c in f]) for f in numers]
     dinv = inv_mod_array(values(denom), pp)
-    return [values(f) * dinv % q for f in numers]
+    return [_rem(values(f) * dinv, q) for f in numers]
 
 
 def _exact_sum(x: np.ndarray, multiplicity: int = 1) -> float:
@@ -308,8 +326,18 @@ def exp_sum(vals: np.ndarray, q: int, chi: Optional[np.ndarray] = None, multipli
     _exact_sum rounds the float terms chi cos(2 pi v/q), then chi sin(2 pi v/q), once each,
     after it multiplies their exact totals by multiplicity: the sum over vals repeated that
     many times, bit for bit.
+
+    Without chi the angles are sorted in place (a new array; vals is untouched) before cos
+    and sin. That is exact: _exact_sum rounds the exact total of the multiset of terms, and
+    np.cos and np.sin act element by element, so an angle gives the same float wherever it
+    sits. It is faster: their float64 loops branch on the argument's range, and sorted
+    arguments keep those branches predicted (on a 2-vCPU Xeon, 78,125 angles in [0, 2 pi)
+    took about 25 ns a cos in random order, 13 ns sorted, and 7 ns a term to sort). The
+    chi path, used only by gauss_sum_character, stays unsorted.
     """
     ang = vals * (2.0 * np.pi / q)
+    if chi is None:
+        ang.sort()
     parts = (trig(ang) if chi is None else trig(ang) * chi for trig in (np.cos, np.sin))
     return complex(*(_exact_sum(x, multiplicity) for x in parts))  # one full-length part alive at a time
 

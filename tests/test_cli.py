@@ -122,6 +122,16 @@ def test_count_dry_run_refuses_the_N_the_run_refuses(capsys):
         0, "dry-run: estimated work units = 0 (budget 1000000000)\n", "")
 
 
+def test_expsum_check_past_the_table_cap_exits_2(capsys):
+    # 3 rows at 7^9 pass the work budget (3 q = 1.2e8), but every row is a size-q sum
+    # over TABLE_Q_MAX: refused before any row, with --dry-run too, not printed as invalid
+    argv = ["expsum-check", "--p", "7", "--n", "9", "--count", "3"]
+    for dry in ([], ["--dry-run"]):
+        code, out, err = run_capture(argv + dry, capsys)
+        assert (code, out) == (2, ""), dry
+        assert err.startswith("error: ") and err.count("\n") == 1 and "table budget" in err, err
+
+
 def test_expsum_check_rows_pinned(capsys):
     # case1, case2 and poly rows, ok and unsupported; JSONL writes rel_err by repr
     rows = {

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from conic_lab.modcore import (
     TABLE_Q_MAX,
     PrimePowerModulus,
+    _rem,
+    exp_sum,
     gauss_sum,
     gauss_sum_character,
     gauss_sum_unit,
@@ -161,6 +163,51 @@ def test_gauss_sums_equal_fsum_of_the_terms():
         assert repr(gauss_sum(q)) == repr(want), q
         want = fsum_exp(np.arange(q, dtype=np.int64), q, jacobi_table(q).astype(np.float64))
         assert repr(gauss_sum_character(q)) == repr(want), q
+
+
+@st.composite
+def exp_sum_inputs(draw):
+    """(vals, perm, q, multiplicity): odd q = p^n <= 7^4, multiplicity 1, p or p^2."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    q = p ** draw(st.integers(1, int(math.log(7**4, p) + 1e-9)))
+    vals = draw(st.lists(st.integers(0, q - 1), max_size=400))
+    perm = draw(st.permutations(range(len(vals))))
+    multiplicity = draw(st.sampled_from([1, p, p * p]))
+    return np.array(vals, dtype=np.int64), np.array(perm, dtype=np.int64), q, multiplicity
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(exp_sum_inputs())
+def test_exp_sum_does_not_depend_on_order(instance):
+    # exp_sum sorts its angles before cos and sin: the order of vals must not show
+    vals, perm, q, multiplicity = instance
+    kept = vals.copy()
+    got = exp_sum(vals, q, multiplicity=multiplicity)
+    assert np.array_equal(vals, kept)
+    permuted = exp_sum(vals[perm], q, multiplicity=multiplicity)
+    assert (got.real.hex(), got.imag.hex()) == (permuted.real.hex(), permuted.imag.hex())
+    ang = vals * (2.0 * np.pi / q)  # the terms in the unsorted order, each taken multiplicity times
+    want = [math.fsum(trig(ang).tolist() * multiplicity) for trig in (np.cos, np.sin)]
+    assert (got.real.hex(), got.imag.hex()) == tuple(x.hex() for x in want)
+
+
+@st.composite
+def rem_inputs(draw):
+    """(x, q): odd q <= TABLE_Q_MAX, x in [-2^62, 2^62) with 0, q - 1, q and multiples of q."""
+    q = 2 * draw(st.integers(0, (TABLE_Q_MAX - 1) // 2)) + 1
+    edges = [0, q - 1, q, -q, -(q - 1), q * ((2**62 - 1) // q), -q * (2**62 // q), -(2**62), 2**62 - 1]
+    multiples = draw(st.lists(st.integers(-(2**62 // q), 2**62 // q - 1), max_size=20))
+    spread = draw(st.lists(st.integers(-(2**62), 2**62 - 1), max_size=50))
+    return np.array(edges + [q * k for k in multiples] + spread, dtype=np.int64), q
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(rem_inputs())
+def test_rem_is_np_remainder_in_place(instance):
+    x, q = instance
+    want = np.remainder(x, q)
+    assert _rem(x, q) is x
+    assert np.array_equal(x, want)
 
 
 def test_character_form_diverges_on_square_part():
