@@ -24,7 +24,7 @@ thread with a fixed operation order.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -60,16 +60,7 @@ class CountReport:
     box_half_width: float
     observed: float
     predicted: float
-    ratio: Optional[float] = field(default=None)
-
-    @staticmethod
-    def build(pp, n_box, observed, predicted) -> "CountReport":
-        ratio = observed / predicted if predicted > 0 else None
-        return CountReport(pp, n_box, observed, predicted, ratio)
-
-    @property
-    def valid(self) -> bool:
-        return self.ratio is not None
+    ratio: Optional[float]  # None when the prediction is not positive
 
 
 def _unit_squares(p: int, q: int, half: float):
@@ -214,7 +205,7 @@ def predict_main_term(coeffs, pp: PrimePowerModulus, N: float, sharp: bool = Fal
     and 2 for the sharp box [-1, 1], so the sharp prediction is 8 times the
     Gaussian one (each coordinate's box holds 2N integers, not N).
     Zero or negative C_p (s_p >= p) makes the prediction vacuous; the value
-    is returned as-is and report builders flag the ratio as invalid.
+    is returned as-is, and asymptotic_scan leaves such a report's ratio None.
     """
     cp = main_constant(coeffs, pp.p)
     try:
@@ -222,10 +213,6 @@ def predict_main_term(coeffs, pp: PrimePowerModulus, N: float, sharp: bool = Fal
     except OverflowError:
         raise ValueError(f"N={N} is too large: N^3 overflows a float") from None
     return (8.0 if sharp else 1.0) * float(cp) * cube / pp.q
-
-
-def prediction_is_vacuous(coeffs, p: int) -> bool:
-    return main_constant(coeffs, p) <= 0
 
 
 def count_mod_p(coeffs, p: int) -> int:
@@ -359,10 +346,12 @@ def estimate_smallest_work(coeffs, pp: PrimePowerModulus, m: int = 0) -> int:
     search starts at the last of the boxes up to m_est, so the charge bounds
     the first box it joins (at most M^2 cells); with m the minimum it found,
     the sum is what the finished search charged. 0 when C_p <= 0, as no
-    search runs then.
+    search runs then; otherwise a q over TABLE_Q_MAX is refused, as the search
+    refuses it.
     """
     if main_constant(coeffs, pp.p) <= 0:
         return 0
+    check_table_q(pp.q)
     return sum(M * (2 * M + 1) for M in _box_sizes(pp.q, max(m, _expected_norm(coeffs, pp))))
 
 
@@ -370,7 +359,8 @@ def estimate_count_work(N: float, sharp: bool = False) -> int:
     """Pair visits floor(r N)^2 of one count, r = GAUSSIAN_TAIL_RADIUS (1 if sharp).
 
     Refuses, before any work, the N that count refuses: a non-finite N, N < 1
-    (Gaussian) or N < 0 (sharp), and a box r N past the largest float.
+    (Gaussian) or N < 0 (sharp), a box r N past the largest float, and one
+    past TABLE_Q_MAX.
     """
     low = 0 if sharp else 1
     if not low <= N < math.inf:
@@ -378,18 +368,23 @@ def estimate_count_work(N: float, sharp: bool = False) -> int:
     radius = 1.0 if sharp else GAUSSIAN_TAIL_RADIUS
     if radius * N == math.inf:
         raise ValueError(f"count box {radius:g} * N overflows a float")
+    if radius * N > TABLE_Q_MAX:
+        raise ValueError(f"box half-width {radius * N} exceeds the table budget")
     return int(radius * N) ** 2
 
 
 def estimate_scan_work(p: int, n_values, theta: float, sharp: bool = False) -> int:
     """Pair visits the scan will perform: estimate_count_work at N = ceil(q^theta) per n.
 
-    Checks theta and each modulus first, so a bad scan is refused before any
-    work; with q <= Q_MAX and theta <= 1 no box overflows a float.
+    Checks theta and each modulus, against Q_MAX and TABLE_Q_MAX, first, so a
+    bad scan is refused before any count.
     """
     if not 0.5 < theta <= 1.0:
         raise ValueError("theta must lie in (0.5, 1]")
-    return sum(estimate_count_work(math.ceil(PrimePowerModulus(p, n).q**theta), sharp) for n in n_values)
+    qs = [PrimePowerModulus(p, n).q for n in n_values]
+    for q in qs:
+        check_table_q(q)
+    return sum(estimate_count_work(math.ceil(q**theta), sharp) for q in qs)
 
 
 def asymptotic_scan(coeffs, p: int, n_values, theta: float, sharp: bool = False, budget: int = 10**9) -> list:
@@ -407,7 +402,8 @@ def asymptotic_scan(coeffs, p: int, n_values, theta: float, sharp: bool = False,
         N = math.ceil(pp.q**theta)
         observed = float(count_sharp(coeffs, pp, N)) if sharp else count_smoothed(coeffs, pp, N)
         predicted = predict_main_term(coeffs, pp, N, sharp)
-        reports.append(CountReport.build(pp, N, observed, predicted))
+        ratio = observed / predicted if predicted > 0 else None
+        reports.append(CountReport(pp, N, observed, predicted, ratio))
     return reports
 
 

@@ -198,6 +198,7 @@ def _run_count(args, rng):
     pp = PrimePowerModulus(args.p, args.n)
     units = census.estimate_count_work(args.N, args.sharp)
     triples = _coeff_list(args, rng)
+    modcore.check_table_q(pp.q)
     if _budget_gate(args, units * len(triples)):
         return []
     rows = []
@@ -224,7 +225,7 @@ def _run_predict(args, rng):
     for coeffs in triples:
         pred = census.predict_main_term(coeffs, pp, args.N, args.sharp)
         rows.append(_row(pp, coeffs, N=args.N, weight=weight, predicted=pred,
-                         vacuous=census.prediction_is_vacuous(coeffs, pp.p)))
+                         vacuous=modcore.main_constant(coeffs, pp.p) <= 0))
     return rows
 
 
@@ -272,6 +273,7 @@ def _run_param_check(args, rng):
     _require(args, "p", "n")
     pp = PrimePowerModulus(args.p, args.n)
     triples = _coeff_list(args, rng)
+    modcore.check_table_q(pp.q)
     if _budget_gate(args, pp.q * pp.p * len(triples)):
         return []
     rows = []

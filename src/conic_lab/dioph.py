@@ -1,6 +1,6 @@
-"""Diophantine toolkit: binary quadratic equation counts, divisor counts,
-Dirichlet approximation by continued fractions, congruence-pair counts
-F_{b1,b2}(X, q), and the small-coefficient reduction of a unit congruence.
+"""Diophantine toolkit: binary quadratic equation counts, Dirichlet
+approximation by continued fractions, congruence-pair counts F_{b1,b2}(X, q),
+and the small-coefficient reduction of a unit congruence.
 
 Everything here is exact integer arithmetic.
 """
@@ -33,19 +33,6 @@ def count_equation_solutions(A: int, B: int, C: int, x: int) -> int:
             total += 1
         elif y <= x:
             total += 2
-    return total
-
-
-def divisor_count(k: int) -> int:
-    """tau(k) by trial division up to sqrt(k)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    total = 0
-    d = 1
-    while d * d <= k:
-        if k % d == 0:
-            total += 1 if d * d == k else 2
-        d += 1
     return total
 
 
@@ -205,17 +192,6 @@ def _ceil_fifth_root(num: int, den: int) -> int:
     while r**5 * den < num:
         r += 1
     return r
-
-
-def error_term_parameters(p: int, r: int, q: int, N: float):
-    """Derived experiment parameters (L_r, q_r) of the dual-count cascade.
-
-    L_r = p^(-r) q / N is the cutoff of the dual coefficient range and
-    q_r = p^(-r-1) q the dual modulus.
-    """
-    if r < 0 or q % p**(r + 1):
-        raise ValueError("need r >= 0 and p^(r+1) dividing q")
-    return float(q) / (p**r * N), q // p ** (r + 1)
 
 
 def choose_parameters(q: int, M: int):

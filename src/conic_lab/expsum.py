@@ -129,9 +129,6 @@ class IntRationalFunction:
     def __repr__(self):
         return f"IntRationalFunction({self.numer}, {self.denom})"
 
-    def is_zero(self):
-        return self.numer == (0,)
-
     def eval_mod(self, t, q):
         """numer(t) * inverse(denom(t)) mod q; denominator must be a unit."""
         dv = poly_eval_mod(self.denom, t, q)
@@ -214,15 +211,11 @@ class CriticalPointReport:
 
 
 def analyze_critical_points(
-    f: IntRationalFunction, pp: PrimePowerModulus, alphas=None
+    f: IntRationalFunction, pp: PrimePowerModulus, alphas
 ) -> CriticalPointReport:
-    """The roots mod p of g = p^(-r) f' where f is defined, with lifts and A(alpha).
-
-    Scans the classes alphas (default: all p of them; a full scan costs O(p)).
-    """
+    """The roots mod p of g = p^(-r) f' among the classes alphas where f is defined,
+    with lifts and A(alpha)."""
     p, n = pp.p, pp.n
-    if alphas is None:
-        alphas = range(p)
     g, r = f.derivative().stripped(p)
     lift_mod = p ** ((n - r + 1) // 2)
     roots, lifted, second = [], {}, {}

@@ -147,10 +147,6 @@ def brute_count_F(b1, b2, X, q):
     )
 
 
-def brute_divisors(k):
-    return sum(1 for d in range(1, k + 1) if k % d == 0)
-
-
 def direct_exp_sum(fvals, q):
     """sum of e(v/q) over an iterable of integer values, via math.fsum."""
     re = []

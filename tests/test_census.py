@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from conic_lab import census, cli, conic, expsum, modcore
 from conic_lab.modcore import PrimePowerModulus, jacobi, s_p
 from conic_lab.census import (
-    CountReport,
     _float_sum,
     asymptotic_scan,
     count_mod_p,
@@ -22,7 +21,6 @@ from conic_lab.census import (
     estimate_smallest_work,
     poisson_selfcheck,
     predict_main_term,
-    prediction_is_vacuous,
     smallest_solution,
     sqrt_count_table,
 )
@@ -222,15 +220,15 @@ def test_count_smoothed_nan_spectrum_raises(monkeypatch):
         count_smoothed((1, 2, 3), PrimePowerModulus(7, 3), 15)
 
 
-def test_predict_examples():
+def test_predict_examples(capsys):
     pp74 = PrimePowerModulus(7, 4)
     assert abs(predict_main_term((1, 1, -1), pp74, 100) - (24 / 49) * 1e6 / 2401) < 1e-9
     assert predict_main_term((1, 1, -1), pp74, 0, sharp=True) == 0
-    assert prediction_is_vacuous((1, 1, -1), 5)
-    assert not prediction_is_vacuous((1, 1, -1), 7)
-    rep = CountReport.build(PrimePowerModulus(5, 1), 3, 0.0,
-                            predict_main_term((1, 1, -1), PrimePowerModulus(5, 1), 3))
-    assert not rep.valid and rep.ratio is None
+    # C_p = 0 at p = 5 (s_p = p): the prediction is vacuous
+    for p, vacuous in ((5, "true"), (7, "false")):
+        argv = ["predict", "--p", str(p), "--n", "1", "--coeffs", "1,1,-1", "--N", "3", "--format", "jsonl"]
+        assert cli.run(argv) == 0
+        assert f'"vacuous": {vacuous}' in capsys.readouterr().out
 
 
 def test_count_mod_p_examples_and_law():
@@ -441,13 +439,22 @@ def test_asymptotic_scan_shapes_and_budget():
     assert [r.modulus.n for r in reports] == [2, 3]
     for r in reports:
         assert r.box_half_width == math.ceil(r.modulus.q**0.62)
-        assert r.valid and r.ratio == r.observed / r.predicted
+        assert r.ratio == r.observed / r.predicted
     with pytest.raises(ValueError):
         asymptotic_scan((1, 2, 3), 7, [2, 3], 0.45)
     with pytest.raises(ValueError):
         asymptotic_scan((1, 2, 3), 7, [8], 0.9, budget=10**4)
     vac = asymptotic_scan((1, 1, -1), 5, [2], 0.62)
-    assert not vac[0].valid
+    assert vac[0].ratio is None
+
+
+def test_asymptotic_scan_refuses_a_q_past_the_cap_before_any_count(monkeypatch):
+    def never(*args):
+        raise AssertionError("counted before the cap was checked")
+
+    monkeypatch.setattr(census, "count_smoothed", never)
+    with pytest.raises(ValueError, match="table budget"):
+        asymptotic_scan((1, 1, -1), 3, [14, 15], 0.51)
 
 
 def test_estimate_scan_work():
@@ -473,10 +480,12 @@ def test_estimate_count_work_refuses_what_the_count_refuses():
                 assert estimate_count_work(N, sharp) == int((1 if sharp else 6) * N) ** 2
     with pytest.raises(ValueError, match="finite"):
         estimate_count_work(math.nan)
-    # a finite N whose Gaussian box overflows; the sharp one is left to the budget
+    # a finite N whose Gaussian box overflows; the sharp box is past TABLE_Q_MAX, as count_sharp finds
     with pytest.raises(ValueError, match="overflows"):
         estimate_count_work(1e308)
-    assert estimate_count_work(1e308, sharp=True) == int(1e308) ** 2
+    with pytest.raises(ValueError, match="table budget"):
+        estimate_count_work(1e308, sharp=True)
+    assert estimate_count_work(modcore.TABLE_Q_MAX, sharp=True) == modcore.TABLE_Q_MAX**2
 
 
 def test_poisson_selfcheck():

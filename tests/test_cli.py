@@ -132,6 +132,25 @@ def test_expsum_check_past_the_table_cap_exits_2(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1 and "table budget" in err, err
 
 
+@pytest.mark.parametrize("argv", [
+    # q = 3^15 over TABLE_Q_MAX, each within the work budget
+    "param-check --p 3 --n 15 --coeffs 1,1,1",
+    "count --p 3 --n 15 --coeffs 1,1,1 --N 10",
+    "smallest --p 3 --n 15 --coeffs 1,1,1",
+    "scan --p 3 --n 15 --theta 0.51 --coeffs 1,1,-1",
+    # scan counts no n before it refuses the last
+    "scan --p 3 --n 14..15 --theta 0.51 --coeffs 1,1,-1",
+    # a box half-width over TABLE_Q_MAX at a small q, sharp and Gaussian
+    "count --p 7 --n 2 --coeffs 1,2,3 --N 20000000 --sharp --budget 1000000000000000",
+    "count --p 7 --n 2 --coeffs 1,2,3 --N 2000000 --budget 1000000000000000",
+])
+def test_past_the_table_cap_exits_2_dry_run_or_not(argv, capsys):
+    for dry in ([], ["--dry-run"]):
+        code, out, err = run_capture(argv.split() + dry, capsys)
+        assert (code, out) == (2, ""), dry
+        assert err.startswith("error: ") and err.count("\n") == 1 and "table budget" in err, err
+
+
 def test_expsum_check_rows_pinned(capsys):
     # case1, case2 and poly rows, ok and unsupported; JSONL writes rel_err by repr
     rows = {

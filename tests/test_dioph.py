@@ -11,7 +11,6 @@ from conic_lab.dioph import (
     count_F,
     count_equation_solutions,
     dirichlet_approx,
-    divisor_count,
     integer_nth_root,
     reduce_coefficients,
 )
@@ -38,16 +37,6 @@ def test_equation_vs_brute_sweep():
         x = rng.randint(1, 50)
         got = count_equation_solutions(A, B, C, x)
         assert got == oracles.brute_equation_count(A, B, C, x)
-
-
-def test_divisor_count():
-    assert divisor_count(1) == 1
-    assert divisor_count(12) == 6
-    assert divisor_count(49) == 3
-    for k in range(1, 200):
-        assert divisor_count(k) == oracles.brute_divisors(k)
-    with pytest.raises(ValueError):
-        divisor_count(0)
 
 
 def test_convergents_last_is_exact():
@@ -146,16 +135,6 @@ def test_reduce_coefficients_preserves_solutions():
         if rc.r % p != 0:
             assert orig == red
         done += 1
-
-
-def test_error_term_parameters():
-    from conic_lab.dioph import error_term_parameters
-
-    L, qr = error_term_parameters(7, 1, 7**5, 100.0)
-    assert qr == 7**3
-    assert abs(L - 7**5 / (7 * 100.0)) < 1e-12
-    with pytest.raises(ValueError):
-        error_term_parameters(7, 5, 7**5, 100.0)
 
 
 def test_integer_nth_root():

@@ -41,6 +41,17 @@ def named_identifiers(source: str) -> set:
     return names
 
 
+def unnamed_public_definitions(source: str, named: set) -> list:
+    """Module-level public functions and classes, and public methods of those classes, not in named."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = []
+    for node in ast.parse(source).body:
+        for d in [node, *(node.body if isinstance(node, ast.ClassDef) else [])]:
+            if isinstance(d, kinds) and not d.name.startswith("_") and d.name not in named:
+                found.append((d.lineno, d.name))
+    return found
+
+
 def environ_reads(source: str) -> set:
     """The names a module reads by os.environ[...], os.environ.get(...) or os.getenv(...)."""
     names = set()
@@ -71,6 +82,12 @@ def test_environ_reads_detector():
     assert environ_reads(src) == {"A", "B", "C"}
 
 
+def test_unnamed_public_definitions_detector():
+    src = ("def used(): pass\ndef unused(): pass\nclass K:\n    def m(self): pass\n"
+           "    def _p(self): pass\n    def __init__(self): pass\ndef _private(): pass\n")
+    assert unnamed_public_definitions(src, {"used", "K"}) == [(2, "unused"), (4, "m")]
+
+
 def test_dead_private_definitions_detector():
     src = ("def _used(): pass\ndef _dead(): pass\nclass _Gone: pass\n"
            "def __getattr__(name): pass\ndef public():\n    def _inner(): pass\n    return _used()\n")
@@ -94,17 +111,29 @@ def test_no_dead_private_definitions():
     assert not found, found
 
 
-def test_no_orphan_public_definitions():
-    # a public function or class that no code, test or README names is left over from a deletion;
-    # a docstring or comment that mentions it does not count
+def _unnamed_in_package(named: set) -> list:
     package = sorted((ROOT / "src" / "conic_lab").glob("*.py"))
-    named = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
-    for f in package + sorted((ROOT / "tests").glob("*.py")):
+    named = named | set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    for f in package:
         named |= named_identifiers(f.read_text())
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    found = [f"{f.relative_to(ROOT)}:{node.lineno}: {node.name}"
-             for f in package for node in ast.parse(f.read_text()).body
-             if isinstance(node, kinds) and not node.name.startswith("_") and node.name not in named]
+    return [f"{f.relative_to(ROOT)}:{line}: {name}"
+            for f in package for line, name in unnamed_public_definitions(f.read_text(), named)]
+
+
+def test_no_orphan_public_definitions():
+    # a public function, class or method that no code, test or README names is left over from a
+    # deletion; a docstring or comment that mentions it does not count
+    tests = set()
+    for f in sorted((ROOT / "tests").glob("*.py")):
+        tests |= named_identifiers(f.read_text())
+    found = _unnamed_in_package(tests)
+    assert not found, found
+
+
+def test_no_test_only_public_definitions():
+    # public API that only tests call is code the program does not need; gauss_sum_character
+    # stays, as acceptance criterion 07 checks the character form of the Gauss sum through it
+    found = _unnamed_in_package({"gauss_sum_character"})
     assert not found, found
 
 
