@@ -283,7 +283,7 @@ def _run_param_check(args, rng):
         fam_coeffs = conic.normalize_to_case1(coeffs, pp.p) if tag == "mixed" else coeffs
         fam = conic.build_family(fam_coeffs, pp)
         # Case I covers the unit solutions, Case II all of them, which are units
-        reference = conic.enumerate_pair_solutions(fam_coeffs, pp, units_only=True)
+        reference = conic.enumerate_pair_solutions(fam_coeffs, pp)
         expected = pp.q // pp.p * (pp.p - modcore.s_p(fam_coeffs, pp.p))  # s_p = -1 in Case II
         rows.append(_row(pp, coeffs, case=tag, family_size=len(fam.pairs),
                          expected_size=expected,
@@ -311,18 +311,22 @@ def _run_expsum_check(args, rng):
         k2 = shift * (rng.unit(pp.q) * pp.p + rng.unit(pp.p)) % pp.q
         x3 = rng.unit(pp.p)
         alpha = None
+        # The closed form runs first, so a row it refuses as unsupported skips the direct
+        # sum. No row moves from invalid to unsupported by the order: the direct sums raise
+        # no ValueError here, as case rows sum only admissible classes and poly rows have
+        # denominator 1.
         try:
             if source != "poly":
                 if conic.case_tag(coeffs, pp.p) != (conic.CASE_I if source == "case1" else conic.CASE_II):
                     continue
-                want = expsum.direct_E(k1, k2, x3, coeffs, pp)
                 got = expsum.closed_form_E(k1, k2, x3, coeffs, pp)
+                want = expsum.direct_E(k1, k2, x3, coeffs, pp)
             else:
                 coeffs_poly = tuple(1 + rng.below(pp.q - 1) for _ in range(4))
                 f = expsum.IntRationalFunction(coeffs_poly)
                 alpha = rng.below(pp.p)
-                want = expsum.direct_S_alpha(f, alpha, pp)
                 got = expsum.cochrane_evaluate(f, alpha, pp)
+                want = expsum.direct_S_alpha(f, alpha, pp)
             status = "ok"
             rel = abs(got - want) / max(1.0, abs(want))
         except expsum.UnsupportedCaseError:

@@ -12,9 +12,17 @@ Both regimes are one chord-slope map, written once as the form k1*y1 + k2*y2
 (slope_form), and family_plan is the one place that maps a case to its base
 point and its layers: Case II is the layers s through find_base_point's
 point, Case I layer 0 through (0, b). build_family runs one layer loop that
-evaluates the map class by class (modcore.ratio_mod_class); expsum's
-amplitudes scale it by x3. A pair set mod q is a read-only int64 (k, 2) array
-of rows (y1, y2) strictly increasing in the key y1*q + y2 < q^2 <= 1e14 < 2^63.
+evaluates the map on all of a layer's classes in one modcore.ratio_mod_class
+call, sorts each layer's keys once and merges the layers in one more sort;
+expsum's amplitudes scale the map by x3. A pair set mod q is a read-only int64
+(k, 2) array of rows (y1, y2) strictly increasing in the key
+y1*q + y2 < q^2 <= 1e14 < 2^63.
+
+The independent check is enumerate_pair_solutions, a join over the units y in
+1..(q-1)/2 alone: the units mod q (p odd) are a cyclic group, so a unit square
+has exactly the two unit roots +-y, and both keys a1*y^2 and -a3 - a2*y^2 are
+injective on the half range; each matched pair gives the four solutions
+(+-y1, +-y2). Its int64 products stay below q^2 <= 1e14 (y^2 < q^2).
 
 Also: base-point search and Hensel lifting of full solution triples.
 """
@@ -122,22 +130,24 @@ def slope_form(k1, k2, s, base, coeffs, p: int):
 
 
 def _pair_rows(keys, q: int) -> np.ndarray:
-    """The pair set of the int64 keys y1*q + y2: sorted, repeats masked out (np.unique is ~15x slower)."""
-    keys = np.sort(keys)
-    rows = np.stack(np.divmod(keys[np.diff(keys, prepend=-1) != 0], q), axis=1)
+    """The read-only pair rows of the sorted, distinct int64 keys y1*q + y2."""
+    rows = np.stack(np.divmod(keys, q), axis=1)
     rows.flags.writeable = False
     return rows
 
 
-def _map_pairs(coeffs, s, base, alphas, e, pp: PrimePowerModulus) -> np.ndarray:
-    """The distinct pairs (y1, y2) of slope_form's map at t / p^s mod q, t = alpha + p j for j < p^e.
+def _layer_keys(coeffs, s, base, alphas, e, pp: PrimePowerModulus) -> np.ndarray:
+    """The distinct keys y1*q + y2, sorted, of slope_form's map at t / p^s mod q, t = alpha + p j for j < p^e.
 
     By modcore.ratio_mod_class (q <= TABLE_Q_MAX); the denominator must be a unit.
+    Repeats are masked out of the sorted keys (np.unique is ~15x slower).
     """
     num1, den = slope_form(1, 0, s, base, coeffs, pp.p)
     num2, _ = slope_form(0, 1, s, base, coeffs, pp.p)
     y1, y2 = ratio_mod_class((num1, num2), den, alphas, e, pp)
-    return _pair_rows(y1 * pp.q + y2, pp.q)
+    keys = y1 * pp.q + y2
+    keys.sort()
+    return keys[np.diff(keys, prepend=-1) != 0]
 
 
 def case1_admissible_alphas(coeffs, p: int):
@@ -188,22 +198,31 @@ def build_family(coeffs, pp: PrimePowerModulus) -> ParamFamily:
 
     Case I gives the unit solutions, Case II all p^n + p^(n-1) solutions. A
     layer with fewer than len(alphas) p^e distinct pairs (its map is not
-    injective), or with a pair of an earlier layer (a key repeated in the
-    merged, sorted layers), is an AssertionError.
+    injective) is an AssertionError, checked layer by layer; so, after all of
+    them, is a pair in two layers (a key repeated in the layers' sorted keys,
+    merged by one stable sort of their sorted runs; Case I has one layer, and
+    nothing to merge), named by the first layer with a pair of an earlier one.
     """
     c = validate_coeffs(coeffs, pp.p)
     check_table_q(pp.q)
     base, plan = family_plan(c, pp)
-    layers, seen = {}, np.empty(0, np.int64)
+    keys = {}
     for s, alphas, e in plan:
-        layers[s] = pairs = _map_pairs(c, s, base, alphas, e, pp)
+        keys[s] = _layer_keys(c, s, base, alphas, e, pp)
         expected = len(alphas) * pp.p**e
-        if len(pairs) != expected:
-            raise AssertionError(f"layer {s} has {len(pairs)} pairs, expected {expected}")
-        seen = np.sort(np.concatenate((seen, pairs[:, 0] * pp.q + pairs[:, 1])))
-        if (seen[1:] == seen[:-1]).any():
-            raise AssertionError(f"layer {s} overlaps an earlier layer")
-    return ParamFamily(layers, _pair_rows(seen, pp.q))
+        if len(keys[s]) != expected:
+            raise AssertionError(f"layer {s} has {len(keys[s])} pairs, expected {expected}")
+    layers = {s: _pair_rows(k, pp.q) for s, k in keys.items()}
+    if len(layers) == 1:  # Case I's one layer 0: nothing to merge
+        return ParamFamily(layers, layers[0])
+    merged = np.sort(np.concatenate(list(keys.values())), kind="stable")
+    if (merged[1:] == merged[:-1]).any():
+        seen = np.empty(0, np.int64)
+        for s, k in keys.items():
+            if np.isin(k, seen).any():
+                raise AssertionError(f"layer {s} overlaps an earlier layer")
+            seen = np.concatenate((seen, k))
+    return ParamFamily(layers, _pair_rows(merged, pp.q))
 
 
 def lift_triple(x, coeffs, pp: PrimePowerModulus) -> list:
@@ -233,28 +252,37 @@ def lift_triple(x, coeffs, pp: PrimePowerModulus) -> list:
     return lifts
 
 
-def enumerate_pair_solutions(coeffs, pp: PrimePowerModulus, units_only: bool = True) -> np.ndarray:
-    """Exhaustive solution set of a1*y1^2 + a2*y2^2 + a3 = 0 mod q, in the module's pair format.
+def enumerate_pair_solutions(coeffs, pp: PrimePowerModulus) -> np.ndarray:
+    """The unit solutions of a1*y1^2 + a2*y2^2 + a3 = 0 mod q, in the module's pair format.
 
-    A sort-join over y in [0, q) (only the units when units_only is set):
-    y1 pairs with y2 exactly when a1*y1^2 = -(a2*y2^2 + a3) mod q, so the
-    keys of both sides are sorted and the sorted y1 keys are matched with
-    searchsorted. O(q log q); int64 throughout, as y^2 < q^2 <= 1e14 < 2^63
-    and every other product has both factors reduced below q.
+    A join over the units y in 1..(q-1)/2 only. The units mod q (p odd) are a cyclic
+    group, so a unit square has exactly the two unit roots +-y, one in each half of
+    [1, q): on the half range both keys a1*y^2 and -a3 - a2*y^2 are injective. So
+    y1 pairs with y2 exactly when a1*y1^2 = -a3 - a2*y2^2 mod q, and a direct-address
+    table over the residues mod q, filled with y2 at its key, gives each y1 its one
+    partner (or 0, which is no unit) without a sort. The solutions are the four sign
+    variants (+-y1, +-y2) of each such pair. They come out sorted: with y1 ascending,
+    the rows (y1, y2), (y1, q - y2) are the solutions with y1 < q/2 in order, and
+    (y1, y2) -> (q - y1, q - y2) reverses the order of rows of units, so the rest are
+    the first rows reversed and negated. O(q); int64 throughout, as
+    y^2 < q^2 <= 1e14 < 2^63 and every other product has both factors reduced below q;
+    the table is int32, as y < q <= 1e7 < 2^31.
     """
     c = validate_coeffs(coeffs, pp.p)
     p, q = pp.p, pp.q
     check_table_q(q)
-    ys = np.arange(q, dtype=np.int64)
-    if units_only:
-        ys = ys[ys % p != 0]
+    ys = np.arange(1, (q + 1) // 2, dtype=np.int64)
+    ys = ys[ys % p != 0]
     sq = ys * ys % q
-    key1 = c.a1 % q * sq % q
-    key2 = (-c.a3 % q - c.a2 % q * sq) % q
-    order1, order2 = np.argsort(key1), np.argsort(key2)
-    key1, key2 = key1[order1], key2[order2]
-    lo = np.searchsorted(key2, key1, "left")
-    cnt = np.searchsorted(key2, key1, "right") - lo
-    # match k of the i-th smallest key1 is the sorted position lo[i] + k
-    pos = np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
-    return _pair_rows(ys[np.repeat(order1, cnt)] * q + ys[order2[pos]], q)
+    partner = np.zeros(q, np.int32)
+    partner[(-c.a3 % q - c.a2 % q * sq) % q] = ys
+    y2 = partner[c.a1 % q * sq % q]
+    hit = y2 != 0
+    y2 = y2[hit]
+    low = np.empty((2 * len(y2), 2), np.int64)
+    low[:, 0] = np.repeat(ys[hit], 2)
+    low[0::2, 1] = y2
+    low[1::2, 1] = q - y2
+    rows = np.concatenate((low, q - low[::-1]))
+    rows.flags.writeable = False
+    return rows

@@ -2,10 +2,12 @@
 
 Jacobi symbols, inverses (of arrays by a product tree), square roots, the
 Newton lift of a simple polynomial root, integer polynomials mod q (by Horner
-at a point, by baby and giant steps on a residue class t = alpha mod p), the one
-class evaluator of ratios mod q (ratio_mod_class), the one exactly rounded
-exponential sum (exp_sum, for the Gauss sums and expsum's direct sums), and the
-residue pattern and structural constants s_p / C_p. All are pure and thread-safe.
+at a point, by baby and giant steps on residue classes t = alpha mod p), the one
+class evaluator of ratios mod q (ratio_mod_class: one call evaluates every class
+it is given, in one stacked matmul per polynomial and one inverse tree), the one
+exactly rounded exponential sum (exp_sum, for the Gauss sums and expsum's direct
+sums), and the residue pattern and structural constants s_p / C_p. All are pure
+and thread-safe.
 
 The full-length int64 reductions of the array kernels go through _rem, which reduces
 in place by floor division: numpy divides an int64 array by one scalar about four
@@ -219,14 +221,17 @@ def _rem(x: np.ndarray, q: int) -> np.ndarray:
     return x
 
 
-def poly_eval_mod_class(coeffs, alpha: int, e: int, pp: PrimePowerModulus) -> np.ndarray:
-    """coeffs(alpha + p j) mod q for j = 0..p^e - 1, e < n, as int64.
+def poly_eval_mod_class(coeffs, alphas, e: int, pp: PrimePowerModulus) -> np.ndarray:
+    """coeffs(alpha + p j) mod q for alpha in alphas, j = 0..p^e - 1, e < n: one int64 array, class by class.
 
     Baby and giant steps, one reduction per value: with j = i + B k, B = p^floor(e/2),
     u_i = alpha + p i and w_k = p B k, f(u + w) = sum_{a,b} c_(a+b) C(a+b, a) u^a w^b, so
     row k, column i of (W @ ((U @ M) % q).T) % q is index j, for U[i, a] = u_i^a and
-    W[k, b] = w_k^b. int64 is safe for q <= 1e7: each matmul sums d + 1 products of
-    factors below q, under (d + 1) 1e14 < 2^63 while d + 1 <= 92,000; more is refused.
+    W[k, b] = w_k^b. Every class is one slice of a stacked U, so all of them take one
+    matmul of shape (classes, G, B), G = p^e / B, whose transposed operand numpy's int64
+    matmul reads through its strides, uncopied. int64 is safe for q <= 1e7: each matmul
+    sums d + 1 products of factors below q, under (d + 1) 1e14 < 2^63 while
+    d + 1 <= 92,000; more is refused.
     """
     p, q = pp.p, pp.q
     k = len(coeffs)
@@ -235,15 +240,16 @@ def poly_eval_mod_class(coeffs, alpha: int, e: int, pp: PrimePowerModulus) -> np
     big = p ** (e // 2)
 
     def powers(x):
-        out = np.ones((len(x), k), dtype=np.int64)
+        out = np.ones(x.shape + (k,), dtype=np.int64)
         for a in range(1, k):
-            out[:, a] = out[:, a - 1] * x % q
+            out[..., a] = out[..., a - 1] * x % q
         return out
 
-    u = powers((alpha % q + p * np.arange(big, dtype=np.int64)) % q)
+    starts = np.array([a % q for a in alphas], dtype=np.int64).reshape(-1, 1)
+    u = powers((starts + p * np.arange(big, dtype=np.int64)) % q)
     w = powers(p * big * np.arange(p**e // big, dtype=np.int64))  # p B k < p^(e+1) <= q
     m = [[c * math.comb(a + b, a) % q for b, c in enumerate(coeffs[a:])] + [0] * a for a in range(k)]
-    return _rem(w @ (u @ np.array(m, dtype=np.int64) % q).T, q).ravel()
+    return _rem(w @ (u @ np.array(m, dtype=np.int64) % q).transpose(0, 2, 1), q).ravel()
 
 
 def inv_mod_array(d: np.ndarray, pp: PrimePowerModulus) -> np.ndarray:
@@ -281,22 +287,18 @@ def inv_mod_array(d: np.ndarray, pp: PrimePowerModulus) -> np.ndarray:
 def ratio_mod_class(numers, denom, alphas, e: int, pp: PrimePowerModulus) -> list:
     """numer(t) / denom(t) mod q on t = alpha + p j, j < p^e, alpha in alphas: an int64 array per numer.
 
-    poly_eval_mod_class values, so q <= TABLE_Q_MAX is checked first; a constant denominator
-    is inverted by one pow and folded into each numer's coefficients (the same residues, one
-    array pass fewer), any other by one inv_mod_array tree (a non-unit is a ValueError).
+    One poly_eval_mod_class call evaluates a polynomial on every class at once, so
+    q <= TABLE_Q_MAX is checked first; a constant denominator is inverted by one pow and
+    folded into each numer's coefficients (the same residues, one array pass fewer), any
+    other by one inv_mod_array tree over all the classes (a non-unit is a ValueError).
     """
     q = pp.q
     check_table_q(q)
-
-    def values(f):  # one class uncopied; np.array, not concatenate: no classes is an empty array
-        rows = [poly_eval_mod_class(f, a, e, pp) for a in alphas]
-        return rows[0] if len(rows) == 1 else np.array(rows, np.int64).ravel()
-
     if len(denom) == 1:
         dinv = pow(denom[0], -1, q)
-        return [values([c * dinv % q for c in f]) for f in numers]
-    dinv = inv_mod_array(values(denom), pp)
-    return [_rem(values(f) * dinv, q) for f in numers]
+        return [poly_eval_mod_class([c * dinv % q for c in f], alphas, e, pp) for f in numers]
+    dinv = inv_mod_array(poly_eval_mod_class(denom, alphas, e, pp), pp)
+    return [_rem(poly_eval_mod_class(f, alphas, e, pp) * dinv, q) for f in numers]
 
 
 def _exact_sum(x: np.ndarray, multiplicity: int = 1) -> float:

@@ -95,8 +95,11 @@ def test_criterion_03_parametrization_coverage():
                 elif tag == conic.CASE_II and case2 < 60:
                     fam = conic.build_family(coeffs, pp)
                     assert len(fam.pairs) == pp.q + pp.q // p
-                    sols = conic.enumerate_pair_solutions(coeffs, pp, units_only=False)
+                    sols = conic.enumerate_pair_solutions(coeffs, pp)
                     assert np.array_equal(fam.pairs, sols)
+                    if pp.q <= 7**3:  # the unit solutions are all the solutions
+                        every = oracles.brute_pair_solutions(coeffs, p, pp.q, units_only=False)
+                        assert set(map(tuple, sols.tolist())) == every
                     case2 += 1
     _report("criterion 03", case1 >= 50 and case2 >= 50,
             f"Case I x{case1} (size+injectivity), Case II x{case2} (exact set equality)")

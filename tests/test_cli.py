@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conic_lab import census
+from conic_lab import census, expsum
 from conic_lab.cli import DIOPH_MODES, FIELDS, Splitmix64, emit, run
 from conic_lab.modcore import PrimePowerModulus
 
@@ -207,6 +207,32 @@ def test_expsum_check_rows_pinned(capsys):
         )
         argv = ["expsum-check", *args.split(), "--count", "12", "--seed", "1", "--format", "jsonl"]
         assert run_capture(argv, capsys) == (0, want, "")
+
+
+def test_expsum_check_skips_the_direct_sum_of_an_unsupported_row(capsys, monkeypatch):
+    # the closed form runs first: the --p 7 --n 3 panel's unsupported case1 row sums nothing
+    calls, inside = [], []
+
+    def spy(real):  # records the outermost direct sums only: direct_E sums by direct_S_alpha
+        def call(*args):
+            if not inside:
+                calls.append(args)
+            inside.append(real)
+            try:
+                return real(*args)
+            finally:
+                inside.pop()
+        return call
+
+    for name in ("direct_E", "direct_S_alpha"):
+        monkeypatch.setattr(expsum, name, spy(getattr(expsum, name)))
+    argv = ["expsum-check", "--p", "7", "--n", "3", "--count", "12", "--seed", "1", "--format", "jsonl"]
+    code, out, _ = run_capture(argv, capsys)
+    rows = [json.loads(line) for line in out.splitlines()]
+    unsupported = [(r["k1"], r["k2"], r["x3"]) for r in rows if r["status"] == "unsupported"]
+    assert code == 0 and unsupported == [(143, 103, 5)]
+    assert len(calls) == sum(r["status"] == "ok" for r in rows) == 11
+    assert all(a[:3] != unsupported[0] for a in calls)
 
 
 def test_exit_codes(capsys):

@@ -151,10 +151,11 @@ def test_case2_family_matches_enumeration_sweep():
             continue
         fam = build_family(coeffs, pp)
         assert len(fam.pairs) == pp.q + pp.q // p
-        units = enumerate_pair_solutions(coeffs, pp, units_only=True)
-        every = enumerate_pair_solutions(coeffs, pp, units_only=False)
-        # in Case II all solutions have unit coordinates automatically
-        assert np.array_equal(units, every) and np.array_equal(every, fam.pairs)
+        units = enumerate_pair_solutions(coeffs, pp)
+        assert np.array_equal(units, fam.pairs)
+        if pp.q <= 7**3:  # in Case II all solutions have unit coordinates automatically
+            every = oracles.brute_pair_solutions(coeffs, p, pp.q, units_only=False)
+            assert set(map(tuple, units.tolist())) == every
         done += 1
 
 
@@ -183,7 +184,7 @@ def test_case1_family_property(instance):
     p = pp.p
     assert case_tag(coeffs, p) == CASE_I
     fam = build_family(coeffs, pp)
-    units = enumerate_pair_solutions(coeffs, pp, units_only=True)
+    units = enumerate_pair_solutions(coeffs, pp)
     assert np.array_equal(fam.pairs, units)
     assert len(fam.pairs) == p ** (pp.n - 1) * (p - s_p(coeffs, p))
     assert _pair_array(fam.pairs) and _pair_array(units) and _pair_array(fam.layers[0])
@@ -210,7 +211,7 @@ def test_case2_family_size_property(instance):
     assert case_tag(coeffs, pp.p) == CASE_II
     fam = build_family(coeffs, pp)
     assert len(fam.pairs) == pp.q + pp.q // pp.p
-    assert np.array_equal(fam.pairs, enumerate_pair_solutions(coeffs, pp, units_only=False))
+    assert np.array_equal(fam.pairs, enumerate_pair_solutions(coeffs, pp))
     assert _pair_array(fam.pairs) and all(map(_pair_array, fam.layers.values()))
 
 
@@ -248,7 +249,7 @@ def test_enumerate_examples():
     assert {tuple(s) for s in enumerate_pair_solutions((1, 1, -1), pp)} == {
         (2, 2), (2, 5), (5, 2), (5, 5),
     }
-    assert len(enumerate_pair_solutions((1, 1, 1), PrimePowerModulus(3, 1), units_only=False)) == 4
+    assert len(enumerate_pair_solutions((1, 1, 1), PrimePowerModulus(3, 1))) == 4
 
 
 def test_enumerate_vs_brute():
@@ -258,11 +259,48 @@ def test_enumerate_vs_brute():
     for p, n in moduli:
         pp = PrimePowerModulus(p, n)
         coeffs = tuple(rng.randrange(1, p) for _ in range(3))
-        for flag in (True, False):
-            sols = enumerate_pair_solutions(coeffs, pp, units_only=flag)
-            assert _pair_array(sols)
-            got = {tuple(s) for s in sols.tolist()}
-            assert got == oracles.brute_pair_solutions(coeffs, p, pp.q, units_only=flag)
+        sols = enumerate_pair_solutions(coeffs, pp)
+        assert _pair_array(sols)
+        assert {tuple(s) for s in sols.tolist()} == oracles.brute_pair_solutions(coeffs, p, pp.q)
+
+
+def _sign_panels():
+    """(p, (a1/p, a2/p, a3/p)) for p <= 13, by the residue pattern they give.
+
+    The symbol of -ai*aj is (-1/p)(ai/p)(aj/p). 'p = s_p' (2 plus the three symbols is p)
+    has no unit solution; it is Case I or mixed at p = 3 and every -ai*aj a residue at p = 5.
+    """
+    panels = {}
+    for p in (3, 5, 7, 11, 13):
+        minus_one = 1 if p % 4 == 1 else -1
+        for e in itertools.product((1, -1), repeat=3):
+            s12, s13, s23 = (minus_one * e[i] * e[j] for i, j in ((0, 1), (0, 2), (1, 2)))
+            if 2 + s12 + s13 + s23 == p:
+                pattern = "p = s_p"
+            else:
+                pattern = CASE_I if s23 == 1 else CASE_II if s12 == s13 == -1 else "mixed"
+            panels.setdefault(pattern, []).append((p, e))
+    return panels
+
+
+SIGN_PANELS = _sign_panels()
+
+
+@pytest.mark.parametrize("pattern", [CASE_I, "mixed", CASE_II, "p = s_p"])
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_enumerate_is_the_brute_unit_solutions(pattern, data):
+    # the half-range join against the O(q^2) oracle, q <= 7^3, n = 1 included
+    p, signs = data.draw(st.sampled_from(SIGN_PANELS[pattern]))
+    pp = PrimePowerModulus(p, data.draw(st.integers(1, 3 if p <= 7 else 2)))
+    coeffs = tuple(data.draw(st.integers(1, pp.q - 1).filter(lambda a: jacobi(a, p) == e)) for e in signs)
+    if pattern == "p = s_p":
+        assert s_p(coeffs, p) == p
+    else:
+        assert case_tag(coeffs, p) == pattern
+    sols = enumerate_pair_solutions(coeffs, pp)
+    assert _pair_array(sols) and len(sols) == pp.q // p * (p - s_p(coeffs, p))
+    assert {tuple(s) for s in sols.tolist()} == oracles.brute_pair_solutions(coeffs, p, pp.q)
 
 
 def test_lift_triple_examples():

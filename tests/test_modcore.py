@@ -20,6 +20,7 @@ from conic_lab.modcore import (
     mod_inverse,
     poly_eval_mod,
     poly_eval_mod_class,
+    ratio_mod_class,
     s_p,
     sqrt_mod_prime_power,
     validate_coeffs,
@@ -261,43 +262,66 @@ def _class_xs(alpha, e, pp):
     return range(alpha, alpha + pp.p**(e + 1), pp.p)
 
 
+def _classes_horner(coeffs, alphas, e, pp):
+    return [v for alpha in alphas for v in oracles.horner_mod(coeffs, _class_xs(alpha, e, pp), pp.q)]
+
+
 @st.composite
 def class_polys(draw):
-    """(coeffs, alpha, e, pp): p <= 13, q <= TABLE_Q_MAX, e < n, degree 0..7, coefficients +-3q."""
+    """(coeffs, alphas, e, pp): p <= 13, q <= TABLE_Q_MAX, e < n, degree 0..7, coefficients +-3q.
+
+    alphas is 0, 1 or p - 1 starts in [-q, q], distinct mod q, so that no two classes agree;
+    p - 1 classes hold at most 200,000 values, which keeps the oracle's Python loop short.
+    """
     p = draw(st.sampled_from([3, 5, 7, 11, 13]))
     n_max = int(math.log(TABLE_Q_MAX, p))
     pp = PrimePowerModulus(p, draw(st.integers(1, n_max)))
     q = pp.q
     coeffs = draw(st.lists(st.integers(-3 * q, 3 * q), min_size=1, max_size=8))
-    return coeffs, draw(st.integers(-q, q)), draw(st.integers(0, pp.n - 1)), pp
+    k = draw(st.sampled_from([0, 1, p - 1]))
+    e_max = pp.n - 1
+    while k > 1 and p**e_max * k > 200_000:
+        e_max -= 1
+    alphas = draw(st.lists(st.integers(-q, q), min_size=k, max_size=k, unique_by=lambda a: a % q))
+    return coeffs, alphas, draw(st.integers(0, e_max)), pp
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=80, derandomize=True, deadline=None)
 @given(class_polys())
 def test_poly_eval_mod_class_is_horner_on_the_class(instance):
-    coeffs, alpha, e, pp = instance
-    got = poly_eval_mod_class(coeffs, alpha, e, pp)
-    assert got.dtype == np.int64
-    assert got.tolist() == oracles.horner_mod(coeffs, _class_xs(alpha, e, pp), pp.q)
+    coeffs, alphas, e, pp = instance
+    got = poly_eval_mod_class(coeffs, alphas, e, pp)
+    assert got.dtype == np.int64 and got.shape == (len(alphas) * pp.p**e,)
+    assert got.tolist() == _classes_horner(coeffs, alphas, e, pp)
 
 
 def test_poly_eval_mod_class_int64_worst_case():
-    # q = 3^14 is next to the cap, and every coefficient reduces to q - 1
+    # q = 3^14 is next to the cap, every coefficient reduces to q - 1, and the class starting
+    # at -1 = q - 1 has its first value at the top of the range too
     pp = PrimePowerModulus(3, 14)
     q = pp.q
     coeffs = [-1] * 9
-    got = poly_eval_mod_class(coeffs, 2, 13, pp)
-    assert got.tolist() == oracles.horner_mod(coeffs, _class_xs(2, 13, pp), q)
+    alphas, e = [2, -1, 1], 12
+    got = poly_eval_mod_class(coeffs, alphas, e, pp)
+    assert got.tolist() == _classes_horner(coeffs, alphas, e, pp)
     rng = random.Random(14)
-    big = 3**6  # the baby-step block length, so block edges are checked too
-    for s in [0, 1, big - 1, big, big + 1, len(got) - 1] + rng.sample(range(len(got)), 2000):
-        assert got[s] == sum(-((2 + 3 * s) ** k) for k in range(9)) % q, s
+    size, big = 3**e, 3**6  # the baby-step block length, so block edges are checked too
+    for c, alpha in enumerate(alphas):
+        for s in [0, 1, big - 1, big, big + 1, size - 1] + rng.sample(range(size), 700):
+            assert got[c * size + s] == sum(-((alpha + 3 * s) ** k) for k in range(9)) % q, (alpha, s)
 
 
 def test_poly_eval_mod_class_degree_guard():
     # past degree 91,999 a matmul sum could pass 2^63; refused before any table is built
     with pytest.raises(ValueError):
-        poly_eval_mod_class([1] * 92_001, 1, 1, PrimePowerModulus(3, 2))
+        poly_eval_mod_class([1] * 92_001, [1], 1, PrimePowerModulus(3, 2))
+
+
+def test_ratio_mod_class_of_no_classes_is_empty():
+    pp = PrimePowerModulus(7, 3)
+    for denom in ([3], [1, 0, 1]):
+        (got,) = ratio_mod_class(([1, 2, 3],), denom, [], 1, pp)
+        assert got.dtype == np.int64 and got.shape == (0,)
 
 
 def test_inv_mod_array_product_tree_lengths():
