@@ -300,9 +300,8 @@ def _run_expsum_check(args, rng):
     modcore.check_table_q(pp.q)  # every row is a size-q sum: refuse before the gate, so --dry-run does too
     if _budget_gate(args, count * pp.q):
         return []
-    rows = []
-    made = 0
-    while made < count:
+    rows, queued, requests = [], [], []
+    while len(rows) < count:
         source = ("case1", "case2", "poly")[rng.below(3)]
         coeffs = rng.unit_triple(pp.p)
         # k1, k2 share the exact power of p so the closed form applies
@@ -311,33 +310,37 @@ def _run_expsum_check(args, rng):
         k2 = shift * (rng.unit(pp.q) * pp.p + rng.unit(pp.p)) % pp.q
         x3 = rng.unit(pp.p)
         alpha = None
-        # The closed form runs first, so a row it refuses as unsupported skips the direct
-        # sum. No row moves from invalid to unsupported by the order: the direct sums raise
-        # no ValueError here, as case rows sum only admissible classes and poly rows have
-        # denominator 1.
+        # The closed form runs first, so a row it refuses as unsupported queues no direct
+        # sum. A row's classes are checked as they are queued, so one the direct sums would
+        # refuse is invalid here, and the one direct_sums call below raises nothing.
         try:
             if source != "poly":
                 if conic.case_tag(coeffs, pp.p) != (conic.CASE_I if source == "case1" else conic.CASE_II):
                     continue
                 got = expsum.closed_form_E(k1, k2, x3, coeffs, pp)
-                want = expsum.direct_E(k1, k2, x3, coeffs, pp)
+                row_requests, weight = expsum.layer_requests(0, k1, k2, x3, coeffs, pp)  # direct_E's
             else:
                 coeffs_poly = tuple(1 + rng.below(pp.q - 1) for _ in range(4))
                 f = expsum.IntRationalFunction(coeffs_poly)
                 alpha = rng.below(pp.p)
-                got = expsum.cochrane_evaluate(f, alpha, pp)
-                want = expsum.direct_S_alpha(f, alpha, pp)
+                got = expsum.cochrane_evaluate(f, alpha, pp)  # checks the class as direct_sums does
+                row_requests, weight = [(f, alpha)], 1
             status = "ok"
-            rel = abs(got - want) / max(1.0, abs(want))
         except expsum.UnsupportedCaseError:
-            status, rel = "unsupported", None
+            status = "unsupported"
         except ValueError:
-            status, rel = "invalid", None
-        made += 1
+            status = "invalid"
         rows.append(
             dict(p=pp.p, n=pp.n, q=pp.q, source=source, k1=k1, k2=k2, x3=x3,
-                 alpha=alpha, status=status, rel_err=rel)
+                 alpha=alpha, status=status, rel_err=None)
         )
+        if status == "ok":
+            queued.append((rows[-1], got, slice(len(requests), len(requests) + len(row_requests)), weight))
+            requests += row_requests
+    sums = expsum.direct_sums(requests, pp)
+    for row, got, classes, weight in queued:
+        want = sum(sums[classes], start=0j) / weight
+        row["rel_err"] = abs(got - want) / max(1.0, abs(want))
     return rows
 
 

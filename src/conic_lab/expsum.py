@@ -3,14 +3,13 @@
 Three routes to the same values, kept deliberately separate so they can be
 played against each other:
 
-* direct_S_alpha: brute summation over a residue class t = alpha mod p, by
-  modcore's one class evaluator and one exactly rounded exponential sum. It
-  sums one period of f: a numerator with p-content p^s gives values p^s w
-  with w periodic mod p^(n-s), so the class's terms are the period's terms
-  each taken p^s times, and exp_sum weights the period's exact total by p^s
-  before it rounds (the same float, bit for bit). It does not use the
-  critical-point lemma that cochrane_evaluate is checked against. direct_E,
-  closed_form_E's twin, sums the family sum E this way;
+* direct_sums: brute summation over residue classes t = alpha mod p, one
+  period of f each, by modcore's one class evaluator and one exactly rounded
+  sum, with the terms of the requests whose values share a coset
+  p^s w(alpha) + p^(s+1) Z taken from one table of cos and sin. It evaluates
+  every t, so it does not use the critical-point lemma that cochrane_evaluate
+  is checked against. direct_S_alpha is one request; layer_sum and direct_E,
+  closed_form_E's twin, sum a layer's classes in one call;
 * cochrane_evaluate: the critical-point evaluation (zero away from critical
   points of p^(-r) f', a single Gauss-sum-normalized term at simple ones);
 * closed_form_E: the two-critical-point closed form for the chord-slope
@@ -29,7 +28,7 @@ import numpy as np
 from .modcore import (
     PrimePowerModulus,
     check_table_q,
-    exp_sum,
+    exact_sum,
     gauss_sum_unit,
     jacobi,
     lift_root,
@@ -37,6 +36,7 @@ from .modcore import (
     poly_eval_mod,
     ratio_mod_class,
     sqrt_mod_prime_power,
+    trig_table,
     validate_coeffs,
 )
 from .conic import family_plan, slope_form
@@ -163,31 +163,56 @@ def _e_q(value: int, q: int) -> complex:
     return complex(np.exp(2j * np.pi * (value % q) / q))
 
 
-def direct_S_alpha(f: IntRationalFunction, alpha: int, pp: PrimePowerModulus) -> complex:
-    """S_alpha(f; p^n) = sum over t = alpha mod p, t in [1, p^n] of e_q(f(t)), over one period of f.
+def _unit_class(f: IntRationalFunction, alpha: int, p: int) -> int:
+    """alpha mod p, a class on which f's denominator is a unit; NonUnitDenominatorError otherwise."""
+    alpha %= p
+    if poly_eval_mod(f.denom, alpha, p) == 0:
+        raise NonUnitDenominatorError(f"denominator vanishes on the class {alpha} mod {p}")
+    return alpha
+
+
+def direct_sums(requests, pp: PrimePowerModulus) -> list:
+    """S_alpha(f; p^n) = sum over t = alpha mod p, t in [1, p^n] of e_q(f(t)), for each request (f, alpha).
 
     With s = min(v_p(content of f.numer), n - 1) (n - 1 for a zero numer), f(t) mod q is
     p^s w(t) for w = (numer / p^s) / denom mod p^(n-s), and w depends on t mod p^(n-s) only.
     As t runs over the class alpha mod p in [0, q), t mod p^(n-s) runs over that class in
-    [0, p^(n-s)) and meets each point exactly p^s times. So the terms cos and sin of
-    2 pi p^s w / q on those p^(n-s-1) points, each taken p^s times, are the same multiset of
-    floats as the p^(n-1) terms of the full class. The values come from
-    modcore.ratio_mod_class mod p^(n-s), and modcore.exp_sum rounds them with multiplicity
-    p^s: it multiplies the exact total before its one rounding, so the result is bit for bit
-    the full class's. q itself is held to TABLE_Q_MAX, however small p^(n-s) is.
+    [0, p^(n-s)) and meets each point exactly p^s times. So the terms of the period's
+    p^(n-s-1) points (values from modcore.ratio_mod_class mod p^(n-s)), each taken p^s
+    times, are the class's p^(n-1) terms, and modcore.exact_sum's multiplicity p^s gives
+    the class's sum bit for bit. The values lie in one coset: w(t) = w(alpha) mod p, as the
+    denominator is a unit on the class, so p^s w is in p^s w(alpha) + p^(s+1) Z, whose
+    p^(n-s-1) <= q/p residues modcore.trig_table lists in order, p^s w at entry w // p. So
+    the requests are grouped by (s, w(alpha) mod p), one table alive at a time. Each t is
+    still evaluated: nothing uses the bijection t -> f(t) of a class on which f' is a unit,
+    the lemma that cochrane_evaluate is checked against. Every class is checked, and q is
+    held to TABLE_Q_MAX however small p^(n-s) is, before anything is summed.
     """
     p, n, q = pp.p, pp.n, pp.q
-    alpha %= p
-    if poly_eval_mod(f.denom, alpha, p) == 0:
-        raise NonUnitDenominatorError(f"denominator vanishes on the class {alpha} mod {p}")
     check_table_q(q)
-    v = _poly_valuation(f.numer, p)
-    s = n - 1 if v is None else min(v, n - 1)
-    ps = p**s
-    numer = _poly_strip(f.numer, p, s)
-    w = ratio_mod_class((numer,), f.denom, (alpha,), n - s - 1, PrimePowerModulus(p, n - s))[0]
-    w *= ps  # in place: one class-length array alive, not two
-    return exp_sum(w, q, multiplicity=ps)
+    cosets = {}  # (s, w(alpha) mod p) -> [(request number, numer / p^s, denom, alpha)]
+    for i, (f, alpha) in enumerate(requests):
+        alpha = _unit_class(f, alpha, p)
+        v = _poly_valuation(f.numer, p)
+        s = n - 1 if v is None else min(v, n - 1)
+        numer = _poly_strip(f.numer, p, s)
+        coset = poly_eval_mod(numer, alpha, p) * pow(poly_eval_mod(f.denom, alpha, p), -1, p) % p
+        cosets.setdefault((s, coset), []).append((i, numer, f.denom, alpha))
+    sums = [0j] * len(requests)
+    for (s, coset), members in cosets.items():
+        ps, period = p**s, PrimePowerModulus(p, n - s) if s else pp
+        table = trig_table(q, ps * coset, ps * p)
+        for i, numer, denom, alpha in members:
+            w = ratio_mod_class((numer,), denom, (alpha,), n - s - 1, period)[0]
+            w //= p  # in place: the table entry of p^s w
+            sums[i] = complex(*exact_sum(table, w, ps))
+            del w  # one period-length array alive at a time, not two
+    return sums
+
+
+def direct_S_alpha(f: IntRationalFunction, alpha: int, pp: PrimePowerModulus) -> complex:
+    """S_alpha(f; p^n) by direct summation: the one request of direct_sums."""
+    return direct_sums([(f, alpha)], pp)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +287,7 @@ def cochrane_evaluate(f: IntRationalFunction, alpha: int, pp: PrimePowerModulus)
     NonUnitDenominatorError when f is undefined on the class.
     """
     p, n, q = pp.p, pp.n, pp.q
-    alpha %= p
-    if poly_eval_mod(f.denom, alpha, p) == 0:
-        raise NonUnitDenominatorError(f"denominator vanishes at alpha={alpha} mod {p}")
+    alpha = _unit_class(f, alpha, p)
     crit = analyze_critical_points(f, pp, (alpha,))
     r = crit.r
     _check_evaluable(p, n, r)
@@ -297,21 +320,28 @@ def family_amplitude(s, k1, k2, x3, coeffs, pp: PrimePowerModulus) -> IntRationa
     return IntRationalFunction(*slope_form(x3 * k1, x3 * k2, s, base, validate_coeffs(coeffs, pp.p), pp.p))
 
 
-def layer_sum(s, k1, k2, x3, coeffs, pp: PrimePowerModulus) -> complex:
-    """Layer s of conic.family_plan: the amplitude summed over the layer's t.
+def layer_requests(s, k1, k2, x3, coeffs, pp: PrimePowerModulus) -> tuple:
+    """The direct_sums requests of layer s of conic.family_plan, checked, and their weight.
 
-    The class sums run over all p^(n-1) t of each class mod q, while the
-    layer amplitude depends on t mod p^(e+1) only (it is constant at s = n),
-    so they meet each of the layer's t = alpha + p j, j < p^e, p^(n-1-e)
-    times and are divided by that. At k1 = k2 = 0 this recovers the layer
-    size: p^n at s = 0 of Case II, p^(n-s) - p^(n-s-1) at 0 < s < n, 1 at
-    s = n, and p^(n-1)(p - s_p) at s = 0 of Case I. For s >= 1 the sum
-    vanishes whenever ord_p of the amplitude derivative is at most n-2,
-    because unit critical points would force t = 0 mod p.
+    The class sums run over all p^(n-1) t of each class mod q, while the layer amplitude
+    depends on t mod p^(e+1) only (it is constant at s = n), so they meet each of the
+    layer's t = alpha + p j, j < p^e, p^(n-1-e) times: the weight that divides their sum.
     """
     f = family_amplitude(s, k1, k2, x3, coeffs, pp)  # refuses a layer the plan does not have
     _, alphas, e = family_plan(coeffs, pp)[1][s]
-    return sum((direct_S_alpha(f, a, pp) for a in alphas), start=0j) / pp.p ** (pp.n - 1 - e)
+    return [(f, _unit_class(f, a, pp.p)) for a in alphas], pp.p ** (pp.n - 1 - e)
+
+
+def layer_sum(s, k1, k2, x3, coeffs, pp: PrimePowerModulus) -> complex:
+    """Layer s of conic.family_plan: the amplitude summed over the layer's t, in one direct_sums call.
+
+    At k1 = k2 = 0 this recovers the layer size: p^n at s = 0 of Case II,
+    p^(n-s) - p^(n-s-1) at 0 < s < n, 1 at s = n, and p^(n-1)(p - s_p) at s = 0
+    of Case I. For s >= 1 the sum vanishes whenever ord_p of the amplitude
+    derivative is at most n-2, because unit critical points would force t = 0 mod p.
+    """
+    requests, weight = layer_requests(s, k1, k2, x3, coeffs, pp)
+    return sum(direct_sums(requests, pp), start=0j) / weight
 
 
 def direct_E(k1, k2, x3, coeffs, pp: PrimePowerModulus) -> complex:

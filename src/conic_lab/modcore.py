@@ -5,17 +5,21 @@ Newton lift of a simple polynomial root, integer polynomials mod q (by Horner
 at a point, by baby and giant steps on residue classes t = alpha mod p), the one
 class evaluator of ratios mod q (ratio_mod_class: one call evaluates every class
 it is given, in one stacked matmul per polynomial and one inverse tree), the one
-exactly rounded exponential sum (exp_sum, for the Gauss sums and expsum's direct
-sums), and the residue pattern and structural constants s_p / C_p. All are pure
-and thread-safe.
+source of exponential-sum terms (trig_table: cos and sin on an arithmetic
+progression of residues) and the one exactly rounded sum of them (exact_sum, for
+the Gauss sums and expsum's direct sums), and the residue pattern and structural
+constants s_p / C_p. All are pure and thread-safe.
 
 The full-length int64 reductions of the array kernels go through _rem, which reduces
 in place by floor division: numpy divides an int64 array by one scalar about four
 times faster than % does (about 1.0 against 4.2 ns an entry on a 2-vCPU Xeon), and
-x - q (x // q) is x % q for every sign, with q (x // q) in (x - q, x]. exp_sum takes
-cos and sin of its angles in sorted order: the rounded total does not depend on the
-order of the terms, and sorted arguments keep numpy's range branches predictable.
-"""
+x - q (x // q) is x % q for every sign, with q (x // q) in (x - q, x].
+
+A sum of e(v/q) takes cos and sin once per residue of a table, not once per term: the
+terms are gathered from the table by index and exact_sum rounds their exact total, which
+does not depend on the order. A table of the coset c + p^(s+1) Z holds q/p^(s+1) <= q/p
+entries, 16 B each: at most 1.25 MB at 5^8, and TABLE_Q_MAX/3 entries (53 MB) with p = 3,
+where one class's int64 values, which the table's indices replace, already take 27 MB."""
 
 import math
 from dataclasses import dataclass, field
@@ -301,47 +305,44 @@ def ratio_mod_class(numers, denom, alphas, e: int, pp: PrimePowerModulus) -> lis
     return [_rem(poly_eval_mod_class(f, alphas, e, pp) * dinv, q) for f in numers]
 
 
-def _exact_sum(x: np.ndarray, multiplicity: int = 1) -> float:
-    """fsum(x repeated multiplicity times), bit for bit, for x on the grid 2^-76 Z in [-1, 1].
+def trig_table(q: int, first: int = 0, step: int = 1) -> np.ndarray:
+    """cos and sin of v (2 pi / q) on v = first, first + step, ... < q: the rows of one array.
 
-    exp_sum's cos and sin terms lie on it: q is odd and at most TABLE_Q_MAX, so a nonzero
-    one is at least sin(pi/(2q)) > 2^-23 in size. Each term splits exactly into whole floats
-    hi = floor(x 2^38), |hi| <= 2^38, and lo = (x - hi 2^-38) 2^76 in [0, 2^38). Summed with
-    dtype=int64 (exact per term, no int64 copy) in blocks of 2^17 terms, which bound the
-    temporaries, both stay below 2^56; Python ints add the blocks and multiply the exact total
-    by multiplicity (a rounded float times it would not be fsum's value), and int true
-    division rounds it once, half to even, as fsum does.
+    The one source of exponential-sum terms: the Gauss sums take step 1 (q entries, like
+    the arrays of their terms), and expsum.direct_sums one coset p^s w + p^(s+1) Z of a
+    class's values, at most q/p entries. An entry is the float v * (2 pi / q), wherever v
+    sits. The angles come out increasing, which keeps the range branches of numpy's
+    float64 cos and sin predicted, with no sort.
     """
-    total = 0
-    for i in range(0, len(x), 1 << 17):
-        y = x[i : i + (1 << 17)] * 2.0**38
+    ang = np.arange(first, q, step, dtype=np.int64) * (2.0 * np.pi / q)
+    table = np.empty((2, len(ang)))
+    np.cos(ang, out=table[0])
+    np.sin(ang, out=table[1])
+    return table
+
+
+def exact_sum(table: np.ndarray, idx: Optional[np.ndarray] = None, multiplicity: int = 1) -> list:
+    """fsum of each row of table[:, idx] (of table if idx is None) repeated multiplicity times, bit for bit.
+
+    For entries on the grid 2^-76 Z in [-1, 1]. trig_table's entries lie on it: q is odd and
+    at most TABLE_Q_MAX, so a nonzero one is at least sin(pi/(2q)) > 2^-23 in size. Each term
+    splits exactly into whole floats hi = floor(x 2^38), |hi| <= 2^38, and lo =
+    (x - hi 2^-38) 2^76 in [0, 2^38). In blocks of 2^15 terms every partial sum of either
+    limb is an integer of size at most 2^53, so the float64 block sums are exact in any
+    order. Python ints add the blocks and multiply the exact total by multiplicity (a rounded
+    float times it would not be fsum's value), and int true division rounds it once, half to
+    even, as fsum does. So the sum does not depend on the order of the terms.
+    """
+    totals = [0] * len(table)
+    for i in range(0, table.shape[1] if idx is None else len(idx), 1 << 15):
+        block = slice(i, i + (1 << 15))
+        y = (table[:, block] if idx is None else table.take(idx[block], axis=1)) * 2.0**38
         hi = np.floor(y)
         y -= hi
         y *= 2.0**38
-        total += (int(hi.sum(dtype=np.int64)) << 38) + int(y.sum(dtype=np.int64))
-    return total * multiplicity / (1 << 76)
-
-
-def exp_sum(vals: np.ndarray, q: int, chi: Optional[np.ndarray] = None, multiplicity: int = 1) -> complex:
-    """sum of chi(v) e(v/q) over the residues vals (q odd <= TABLE_Q_MAX, chi = 1 if None).
-
-    _exact_sum rounds the float terms chi cos(2 pi v/q), then chi sin(2 pi v/q), once each,
-    after it multiplies their exact totals by multiplicity: the sum over vals repeated that
-    many times, bit for bit.
-
-    Without chi the angles are sorted in place (a new array; vals is untouched) before cos
-    and sin. That is exact: _exact_sum rounds the exact total of the multiset of terms, and
-    np.cos and np.sin act element by element, so an angle gives the same float wherever it
-    sits. It is faster: their float64 loops branch on the argument's range, and sorted
-    arguments keep those branches predicted (on a 2-vCPU Xeon, 78,125 angles in [0, 2 pi)
-    took about 25 ns a cos in random order, 13 ns sorted, and 7 ns a term to sort). The
-    chi path, used only by gauss_sum_character, stays unsorted.
-    """
-    ang = vals * (2.0 * np.pi / q)
-    if chi is None:
-        ang.sort()
-    parts = (trig(ang) if chi is None else trig(ang) * chi for trig in (np.cos, np.sin))
-    return complex(*(_exact_sum(x, multiplicity) for x in parts))  # one full-length part alive at a time
+        totals = [t + (int(h) << 38) + int(lo) for t, h, lo in zip(totals, hi.sum(axis=1), y.sum(axis=1))]
+        del y, hi  # freed before the next block's: a lower peak, and the allocator reuses them
+    return [t * multiplicity / (1 << 76) for t in totals]
 
 
 def gauss_sum(q: int) -> complex:
@@ -349,7 +350,7 @@ def gauss_sum(q: int) -> complex:
     if q <= 0 or q % 2 == 0:
         raise ValueError(f"q={q} must be odd and positive")
     check_table_q(q)
-    return exp_sum(np.arange(1, q + 1, dtype=np.int64) ** 2 % q, q)
+    return complex(*exact_sum(trig_table(q), np.arange(1, q + 1, dtype=np.int64) ** 2 % q))
 
 
 def _factorize(m: int) -> list:
@@ -393,7 +394,9 @@ def jacobi_table(q: int) -> np.ndarray:
 def gauss_sum_character(q: int) -> complex:
     """Character form sum_{y=1..q} (y/q) exp(2 pi i y / q); equals G_q for odd q."""
     chi = jacobi_table(q)  # refuses even, non-positive and over-budget q first
-    return exp_sum(np.arange(q, dtype=np.int64), q, chi)
+    table = trig_table(q)
+    table *= chi
+    return complex(*exact_sum(table))
 
 
 def gauss_sum_unit(q: int) -> complex:

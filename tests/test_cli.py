@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -209,30 +210,55 @@ def test_expsum_check_rows_pinned(capsys):
         assert run_capture(argv, capsys) == (0, want, "")
 
 
+@pytest.mark.parametrize("args, digest", [
+    ("--p 5 --n 8", "8907a5ff42bb58b163d9df8fe93c0d5a21a146025a0a6b9856f4f3c974cc7960"),
+    ("--p 7 --n 6", "4309a141aab5e8d9312ec3fa05ba67257198feddd3a0e1a4413051655527cb3d"),
+])
+def test_expsum_check_benchmark_rows_pinned(args, digest, capsys):
+    # the benchmark's two expsum-check jobs, byte for byte: SHA-256 of the JSONL output
+    argv = ["expsum-check", *args.split(), "--count", "50", "--seed", "1", "--format", "jsonl"]
+    code, out, err = run_capture(argv, capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_expsum_check_skips_the_direct_sum_of_an_unsupported_row(capsys, monkeypatch):
-    # the closed form runs first: the --p 7 --n 3 panel's unsupported case1 row sums nothing
-    calls, inside = [], []
+    # the closed form runs first: the --p 7 --n 3 panel's unsupported case1 row queues no
+    # direct sum; each ok row queues its classes, and one direct_sums call sums them all
+    layers, batches = [], []
+    real_layer_requests, real_direct_sums = expsum.layer_requests, expsum.direct_sums
 
-    def spy(real):  # records the outermost direct sums only: direct_E sums by direct_S_alpha
-        def call(*args):
-            if not inside:
-                calls.append(args)
-            inside.append(real)
-            try:
-                return real(*args)
-            finally:
-                inside.pop()
-        return call
+    def layer_requests(s, k1, k2, x3, coeffs, pp):
+        requests, weight = real_layer_requests(s, k1, k2, x3, coeffs, pp)
+        layers.append(((k1, k2, x3), requests))
+        return requests, weight
 
-    for name in ("direct_E", "direct_S_alpha"):
-        monkeypatch.setattr(expsum, name, spy(getattr(expsum, name)))
+    def direct_sums(requests, pp):
+        batches.append(list(requests))
+        return real_direct_sums(requests, pp)
+
+    monkeypatch.setattr(expsum, "layer_requests", layer_requests)
+    monkeypatch.setattr(expsum, "direct_sums", direct_sums)
     argv = ["expsum-check", "--p", "7", "--n", "3", "--count", "12", "--seed", "1", "--format", "jsonl"]
     code, out, _ = run_capture(argv, capsys)
     rows = [json.loads(line) for line in out.splitlines()]
     unsupported = [(r["k1"], r["k2"], r["x3"]) for r in rows if r["status"] == "unsupported"]
     assert code == 0 and unsupported == [(143, 103, 5)]
-    assert len(calls) == sum(r["status"] == "ok" for r in rows) == 11
-    assert all(a[:3] != unsupported[0] for a in calls)
+    assert all(key != unsupported[0] for key, _ in layers)
+    ok = [r for r in rows if r["status"] == "ok"]
+    assert len(ok) == 11 and len(batches) == 1
+    batch, layers = batches[0], iter(layers)
+    for r in ok:  # in row order: a case row's layer-0 classes of one amplitude, a poly row's one class
+        if r["source"] == "poly":
+            f, alpha = batch.pop(0)
+            assert alpha == r["alpha"] and f.denom == (1,)
+            continue
+        key, requests = next(layers)
+        assert key == (r["k1"], r["k2"], r["x3"])
+        assert batch[: len(requests)] == requests and len({id(f) for f, _ in requests}) == 1
+        assert [a for _, a in requests] == sorted({a for _, a in requests})
+        del batch[: len(requests)]
+    assert batch == [] and next(layers, None) is None
 
 
 def test_exit_codes(capsys):

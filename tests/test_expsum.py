@@ -3,12 +3,13 @@ import itertools
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conic_lab.modcore import TABLE_Q_MAX, PrimePowerModulus, _exact_sum, jacobi
+from conic_lab.modcore import TABLE_Q_MAX, PrimePowerModulus, exact_sum, jacobi
 from conic_lab.conic import (
     CASE_I,
     CASE_II,
@@ -27,6 +28,7 @@ from conic_lab.expsum import (
     cochrane_evaluate,
     direct_E,
     direct_S_alpha,
+    direct_sums,
     family_amplitude,
     layer_sum,
 )
@@ -148,10 +150,15 @@ grid_floats = st.builds(
 )
 
 
+def _exact_sum_of(xs, multiplicity=1):
+    """exact_sum of the one row xs."""
+    return exact_sum(np.array([xs], dtype=float), multiplicity=multiplicity)[0]
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(st.lists(grid_floats, max_size=200))
 def test_exact_sum_is_fsum_on_the_grid(xs):
-    assert _same_float(_exact_sum(np.array(xs, dtype=float)), math.fsum(xs))
+    assert _same_float(_exact_sum_of(xs), math.fsum(xs))
 
 
 def test_exact_sum_edge_cases():
@@ -173,29 +180,43 @@ def test_exact_sum_edge_cases():
     assert np.abs(near).min() > 2.0**-23
     cases.append(near.tolist())
     for xs in cases:
-        assert _same_float(_exact_sum(np.array(xs, dtype=float)), math.fsum(xs)), xs
+        assert _same_float(_exact_sum_of(xs), math.fsum(xs)), xs
 
 
-def test_exact_sum_int64_worst_case():
+def test_exact_sum_worst_case_lengths():
     # a class has at most q/3 terms and a Gauss sum q <= TABLE_Q_MAX terms;
     # every hi limb is near +-2^38, or every lo limb near 2^38
     for n in (3_333_333, TABLE_Q_MAX):
         for x in (1.0 - 2.0**-53, -(1.0 - 2.0**-53), -1.0):
-            got = _exact_sum(np.full(n, x))
+            got = exact_sum(np.full((1, n), x))[0]
             assert _same_float(got, math.fsum(itertools.repeat(x, n))), (n, x)
 
 
+def test_exact_sum_full_blocks():
+    # exactly one block of 2^15 terms, and one term past it: a limb total reaches 2^53,
+    # the most a float64 block sum holds exactly; rows are summed apart
+    for x in (1.0, -1.0, 1.0 - 2.0**-53, -(1.0 - 2.0**-53)):
+        for n in (2**15, 2**15 + 1, 2**16):
+            rows = np.array([np.full(n, x), np.full(n, -x)])
+            assert exact_sum(rows) == [math.fsum(itertools.repeat(v, n)) for v in (x, -x)]
+            for multiplicity in (1, 3**13):  # the exact total times multiplicity, rounded once
+                want = [float(Fraction(v) * n * multiplicity) for v in (x, -x)]
+                got = exact_sum(rows, multiplicity=multiplicity)
+                assert [v.hex() for v in got] == [v.hex() for v in want], (x, n, multiplicity)
+                assert exact_sum(rows, np.arange(n), multiplicity) == got
+
+
 def test_exact_sum_low_limbs_sum_exactly():
-    # terms of size 2^-23 with the full 2^-75 grid below; in the second input all
-    # 2^17 - 1 terms share one block, whose low limbs sum to an odd total past
-    # 2^53 that a float64 low-limb sum cannot hold: it would lose the 2^-76
+    # terms of size 2^-23 with the full 2^-75 grid below; in both inputs the low limbs sum to
+    # an odd total past 2^53, which one float64 sum of them all could not hold: it would
+    # lose the 2^-76
     rng = np.random.default_rng(14)
     xs = np.ldexp(rng.integers(2**52, 2**53, size=2**16).astype(np.float64), -75)
     tiny = [2.0**-76]
     for parts in ([xs, -xs, tiny], [tiny, xs[1:], -xs[1:]]):
         terms = np.concatenate(parts)
         assert math.fsum(terms.tolist()) == 2.0**-76
-        assert _same_float(_exact_sum(terms), 2.0**-76)
+        assert _same_float(_exact_sum_of(terms), 2.0**-76)
 
 
 def _fsum_of_the_terms(f, a, pp):
@@ -218,10 +239,10 @@ def test_direct_S_alpha_equals_fsum_of_the_terms():
                 if _ref_eval(f.denom, a) % p == 0:
                     continue
                 assert direct_S_alpha(f, a, pp) == _fsum_of_the_terms(f, a, pp)
-    # the benchmark's sizes, where exp_sum's sort reorders the most terms: one class of
-    # 78,125 and one of 16,807 terms, each with a non-constant denominator. The oracle
-    # takes cos and sin in the unsorted order, so a term's float must not depend on
-    # where it sits in the array.
+    # the benchmark's sizes, where the most terms are gathered from one coset's table: one
+    # class of 78,125 and one of 16,807 terms, each with a non-constant denominator. The
+    # oracle takes cos and sin of each term's own angle, in class order, so a table entry
+    # must be the float of that angle.
     for f, a, pp in ((IntRationalFunction((3, 5, 7, 11), (2, 0, 1)), 1, PrimePowerModulus(5, 8)),
                      (IntRationalFunction((4, -9, 2, 1), (3, 1, 1)), 2, PrimePowerModulus(7, 6))):
         assert direct_S_alpha(f, a, pp) == _fsum_of_the_terms(f, a, pp)
@@ -258,6 +279,69 @@ def test_direct_S_alpha_memory_peak():
     tracemalloc.start()
     try:
         direct_S_alpha(f, 1, pp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.2e6
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+@st.composite
+def direct_sum_batches(draw):
+    """(pp, batch, perm): requests (f, alpha) at q = p^n <= 3^6, drawn with repeats from a
+    small pool, so cosets repeat; numer contents p^s for s = 0..n+1, and the zero numer."""
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    pp = PrimePowerModulus(p, draw(st.integers(1, {3: 6, 5: 4, 7: 3, 11: 2}[p])))
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        s = draw(st.sampled_from([None, *range(pp.n + 2)]))  # s >= n - 1 sums one point
+        numer = (0,)
+        if s is not None:
+            coeffs = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=4))
+            coeffs[draw(st.integers(0, len(coeffs) - 1))] = draw(st.integers(1, p - 1))  # content p^s
+            numer = tuple(p**s * c for c in coeffs)
+        f = IntRationalFunction(numer, draw(st.sampled_from([(1,), (-4,), (2, 0, 1), (1, 1, 1), (3, -1, 2)])))
+        pool += [(f, a + p * draw(st.integers(-2, 2))) for a in range(p) if _ref_eval(f.denom, a) % p]
+    assume(pool)
+    batch = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    return pp, batch, draw(st.permutations(range(len(batch))))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(direct_sum_batches())
+def test_direct_sums_batch_is_its_singletons(instance):
+    # a batch equals its one-request calls and the fsum of each class's terms, bit for bit,
+    # in any order: the requests share tables, not terms
+    pp, batch, perm = instance
+    got = [_bits(z) for z in direct_sums(batch, pp)]
+    assert got == [_bits(direct_S_alpha(f, a, pp)) for f, a in batch]
+    assert got == [_bits(_fsum_of_the_terms(f, a % pp.p, pp)) for f, a in batch]
+    assert [_bits(z) for z in direct_sums([batch[i] for i in perm], pp)] == [got[i] for i in perm]
+
+
+def test_direct_sums_refuses_a_bad_class_before_summing():
+    pp = PrimePowerModulus(7, 3)
+    assert direct_sums([], pp) == []
+    with pytest.raises(NonUnitDenominatorError):
+        direct_sums([(T2, 1), (INV_T, 7)], pp)
+    with pytest.raises(ValueError, match="table budget"):
+        direct_sums([(T2, 1)], PrimePowerModulus(7, 9))
+
+
+def test_direct_sums_memory_peak_over_all_cosets():
+    # five functions whose class 1 mod 5 has its values in each of the five cosets
+    # w + 5Z, w = 0..4, at 5^8, each queued twice: one coset table (1.25 MB) alive at a
+    # time keeps the batch under the one-class bound
+    pp = PrimePowerModulus(5, 8)
+    batch = [(IntRationalFunction((c, 5, 7, 11), (2, 0, 1)), a) for c in range(1, 6) for a in (1, 6)]
+    assert {_ref_values(f, 5, [1])[0] for f, _ in batch} == set(range(5))
+    direct_sums(batch, pp)
+    tracemalloc.start()
+    try:
+        direct_sums(batch, pp)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -67,6 +67,33 @@ def environ_reads(source: str) -> set:
     return names
 
 
+def trig_uses(source: str) -> list:
+    """(line, top-level definition) of each cos or sin a module takes from numpy or math."""
+    found = []
+    for top in ast.parse(source).body:
+        name = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr in ("cos", "sin") and \
+                    ast.unparse(node.value) in ("np", "numpy", "math", "cmath"):
+                found.append((node.lineno, name))
+            elif isinstance(node, ast.ImportFrom) and node.module in ("numpy", "math", "cmath"):
+                found += [(node.lineno, name) for alias in node.names if alias.name in ("cos", "sin")]
+    return found
+
+
+def test_trig_uses_detector():
+    src = ("import numpy as np\nfrom math import sin\ndef table(a):\n    return np.cos(a), math.sin(a)\n"
+           "x = numpy.sin(0)\ndef other(a):\n    return a.cos, np.exp(a)\n")
+    assert trig_uses(src) == [(2, None), (4, "table"), (4, "table"), (5, None)]
+
+
+def test_trig_terms_come_from_one_table_builder():
+    # every cos and sin the package takes is an entry of modcore.trig_table: one term source
+    found = [(f.name, line, name) for f in sorted((ROOT / "src" / "conic_lab").glob("*.py"))
+             for line, name in trig_uses(f.read_text())]
+    assert found and {(f, name) for f, _, name in found} == {("modcore.py", "trig_table")}, found
+
+
 def test_unused_imports_detector():
     src = "import os, re\nfrom a.b import c as d, e\nimport x.y\nre.sub; e(x.y)\n"
     assert unused_imports(src) == [(1, "os"), (2, "d")]

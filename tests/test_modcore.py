@@ -8,7 +8,7 @@ from conic_lab.modcore import (
     TABLE_Q_MAX,
     PrimePowerModulus,
     _rem,
-    exp_sum,
+    exact_sum,
     gauss_sum,
     gauss_sum_character,
     gauss_sum_unit,
@@ -23,6 +23,7 @@ from conic_lab.modcore import (
     ratio_mod_class,
     s_p,
     sqrt_mod_prime_power,
+    trig_table,
     validate_coeffs,
 )
 from fractions import Fraction
@@ -167,29 +168,32 @@ def test_gauss_sums_equal_fsum_of_the_terms():
 
 
 @st.composite
-def exp_sum_inputs(draw):
-    """(vals, perm, q, multiplicity): odd q = p^n <= 7^4, multiplicity 1, p or p^2."""
+def exact_sum_inputs(draw):
+    """(first, step, idx, perm, q, multiplicity): a coset first + step Z mod q = p^n <= 7^4,
+    step = p^k for k = 0..n, indices into its table, and multiplicity 1, p or p^2."""
     p = draw(st.sampled_from([3, 5, 7]))
-    q = p ** draw(st.integers(1, int(math.log(7**4, p) + 1e-9)))
-    vals = draw(st.lists(st.integers(0, q - 1), max_size=400))
-    perm = draw(st.permutations(range(len(vals))))
+    n = draw(st.integers(1, int(math.log(7**4, p) + 1e-9)))
+    step = p ** draw(st.integers(0, n))  # p^0: the whole of Z mod q, as the Gauss sums take it
+    first = draw(st.integers(0, step - 1))
+    idx = draw(st.lists(st.integers(0, (p**n - first - 1) // step), max_size=400))
+    perm = draw(st.permutations(range(len(idx))))
     multiplicity = draw(st.sampled_from([1, p, p * p]))
-    return np.array(vals, dtype=np.int64), np.array(perm, dtype=np.int64), q, multiplicity
+    return first, step, np.array(idx, dtype=np.int64), np.array(perm, dtype=np.int64), p**n, multiplicity
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
-@given(exp_sum_inputs())
-def test_exp_sum_does_not_depend_on_order(instance):
-    # exp_sum sorts its angles before cos and sin: the order of vals must not show
-    vals, perm, q, multiplicity = instance
-    kept = vals.copy()
-    got = exp_sum(vals, q, multiplicity=multiplicity)
-    assert np.array_equal(vals, kept)
-    permuted = exp_sum(vals[perm], q, multiplicity=multiplicity)
-    assert (got.real.hex(), got.imag.hex()) == (permuted.real.hex(), permuted.imag.hex())
-    ang = vals * (2.0 * np.pi / q)  # the terms in the unsorted order, each taken multiplicity times
+@given(exact_sum_inputs())
+def test_exact_sum_does_not_depend_on_order(instance):
+    # the terms are gathered from a table by index: their order must not show, and each
+    # is the float of its own angle v (2 pi / q), v = first + step idx
+    first, step, idx, perm, q, multiplicity = instance
+    table = trig_table(q, first, step)
+    assert table.shape == (2, len(range(first, q, step)))
+    got = exact_sum(table, idx, multiplicity)
+    assert [x.hex() for x in exact_sum(table, idx[perm], multiplicity)] == [x.hex() for x in got]
+    ang = (first + step * idx) * (2.0 * np.pi / q)  # the terms in index order, each taken multiplicity times
     want = [math.fsum(trig(ang).tolist() * multiplicity) for trig in (np.cos, np.sin)]
-    assert (got.real.hex(), got.imag.hex()) == tuple(x.hex() for x in want)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 @st.composite
