@@ -36,6 +36,7 @@ from .modcore import (
     main_constant,
     mod_inverse,
     s_p,
+    unit_squares,
     validate_coeffs,
 )
 
@@ -61,16 +62,6 @@ class CountReport:
     observed: float
     predicted: float
     ratio: Optional[float]  # None when the prediction is not positive
-
-
-def _unit_squares(p: int, q: int, half: float):
-    """(xs, xs^2 mod q) over the units xs in 1..floor(half), half >= 0."""
-    if not half <= TABLE_Q_MAX:  # before int() (inf overflows) and before the arange
-        raise ValueError(f"box half-width {half} exceeds the table budget")
-    xs = np.arange(1, int(half) + 1, dtype=np.int64)
-    xs = xs[xs % p != 0]
-    r = xs % q
-    return xs, r * r % q  # r*r < q^2 <= 1e14 < 2^63
 
 
 def _float_sum(x: np.ndarray) -> float:
@@ -125,7 +116,7 @@ def count_sharp(coeffs, pp: PrimePowerModulus, N: int) -> int:
     p, q = pp.p, pp.q
     c = validate_coeffs(coeffs, p)
     check_table_q(q)
-    _, sq = _unit_squares(p, q, N)
+    _, sq = unit_squares(p, q, N)
     # A bin is at most 2(N/q + 1) (two roots per unit square, each hit at most
     # N/q + 1 times in 1..N); the table takes the narrowest unsigned dtype that
     # holds it, uint8 for N < q/2, and holds v and v + q, so t1 + t2 < 2q needs
@@ -175,7 +166,7 @@ def count_smoothed(coeffs, pp: PrimePowerModulus, N: float) -> float:
     p, q = pp.p, pp.q
     c = validate_coeffs(coeffs, p)
     check_table_q(q)
-    xs, sq = _unit_squares(p, q, GAUSSIAN_TAIL_RADIUS * N)
+    xs, sq = unit_squares(p, q, GAUSSIAN_TAIL_RADIUS * N)
     phi = _gaussian(xs / N)
 
     def spectrum(a):
@@ -270,7 +261,7 @@ def _box_minimum(k1: int, k2: int, pp: PrimePowerModulus, M: int):
     q^2 <= 1e14 < 2^63.
     """
     p, q = pp.p, pp.q
-    xs, sq = _unit_squares(p, q, M)
+    xs, sq = unit_squares(p, q, M)
     order = np.argsort(sq)
     roots, keys = xs[order], sq[order]
     t1_all, t2 = k1 * sq % q, k2 * sq % q

@@ -167,17 +167,19 @@ def _coeff_list(args, rng):
 
 # ----------------------------------------------------------------- handlers
 
-# dioph mode -> (its flags, in the order the inputs column prints them; its result).
-# Each result looks its dioph function up when called, so a wrapped or patched one runs.
+# dioph mode -> (its flags, in the order the inputs column prints them; the name of its
+# dioph check; its result). Each result looks its dioph function up when called, so a
+# wrapped or patched one runs.
 DIOPH_MODES = {
-    "equation": (("A", "B", "C", "x"), lambda *v: dioph.count_equation_solutions(*v)),
-    "approx": (("beta", "q", "Q"),
+    "equation": (("A", "B", "C", "x"), "check_equation", lambda *v: dioph.count_equation_solutions(*v)),
+    "approx": (("beta", "q", "Q"), "check_approx",
                lambda *v: "a={0.a};r={0.r}".format(dioph.dirichlet_approx(*v))),
-    "countf": (("b1", "b2", "X", "q"), lambda *v: dioph.count_F(*v)),
-    "reduce": (("b1", "b2", "b3", "q", "Q"),
+    "countf": (("b1", "b2", "X", "q"), "check_count_F", lambda *v: dioph.count_F(*v)),
+    "reduce": (("b1", "b2", "b3", "q", "Q"), "check_reduce",
                lambda *v: "g1={0.g1};g2={0.g2};r1={0.r1};r2={0.r2};a1={0.a1};a2={0.a2}".format(
                    dioph.reduce_coefficients(*v))),
-    "params": (("q", "M"), lambda *v: "R={};Q={}".format(*dioph.choose_parameters(*v))),
+    "params": (("q", "M"), "check_parameters",
+               lambda *v: "R={};Q={}".format(*dioph.choose_parameters(*v))),
 }
 
 
@@ -346,9 +348,10 @@ def _run_expsum_check(args, rng):
 
 def _run_dioph(args, rng):
     _require(args, "mode")
-    flags, solve = DIOPH_MODES[args.mode]
+    flags, check, solve = DIOPH_MODES[args.mode]
     _require(args, *flags)
     values = [getattr(args, flag) for flag in flags]
+    getattr(dioph, check)(*values)  # before the gate: --dry-run refuses what the run refuses, and x >= 1
     if _budget_gate(args, 2 * args.x + 1 if args.mode == "equation" else 10**6):
         return []
     inputs = ";".join(f"{flag}={value}" for flag, value in zip(flags, values))

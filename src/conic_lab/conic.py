@@ -42,6 +42,7 @@ from .modcore import (
     residue_pattern,
     sqrt_mod_prime,
     sqrt_mod_prime_power,
+    unit_squares,
     validate_coeffs,
 )
 
@@ -264,16 +265,14 @@ def enumerate_pair_solutions(coeffs, pp: PrimePowerModulus) -> np.ndarray:
     variants (+-y1, +-y2) of each such pair. They come out sorted: with y1 ascending,
     the rows (y1, y2), (y1, q - y2) are the solutions with y1 < q/2 in order, and
     (y1, y2) -> (q - y1, q - y2) reverses the order of rows of units, so the rest are
-    the first rows reversed and negated. O(q); int64 throughout, as
-    y^2 < q^2 <= 1e14 < 2^63 and every other product has both factors reduced below q;
-    the table is int32, as y < q <= 1e7 < 2^31.
+    the first rows reversed and negated. O(q); int64 throughout, as the squares come
+    from modcore.unit_squares and every other product has both factors reduced below
+    q (TABLE_Q_MAX's bound); the table is int32, as y < q <= 1e7 < 2^31.
     """
     c = validate_coeffs(coeffs, pp.p)
     p, q = pp.p, pp.q
     check_table_q(q)
-    ys = np.arange(1, (q + 1) // 2, dtype=np.int64)
-    ys = ys[ys % p != 0]
-    sq = ys * ys % q
+    ys, sq = unit_squares(p, q, (q - 1) // 2)
     partner = np.zeros(q, np.int32)
     partner[(-c.a3 % q - c.a2 % q * sq) % q] = ys
     y2 = partner[c.a1 % q * sq % q]

@@ -2,7 +2,9 @@
 approximation by continued fractions, congruence-pair counts F_{b1,b2}(X, q),
 and the small-coefficient reduction of a unit congruence.
 
-Everything here is exact integer arithmetic.
+Everything here is exact integer arithmetic. Each function refuses bad input
+(ValueError) before any work, by a check_* function that a caller can run alone,
+as the CLI does before it charges or dry-runs a request.
 """
 
 import math
@@ -12,12 +14,17 @@ from fractions import Fraction
 from .modcore import mod_inverse
 
 
-def count_equation_solutions(A: int, B: int, C: int, x: int) -> int:
-    """Exact number of integer pairs (X, Y) with |X|, |Y| <= x solving A X^2 + B Y^2 = C."""
+def check_equation(A: int, B: int, C: int, x: int) -> None:
+    """Refuse what count_equation_solutions refuses: a zero coefficient or x < 1."""
     if A == 0 or B == 0 or C == 0:
         raise ValueError("A, B, C must be nonzero")
     if x < 1:
         raise ValueError("box half-width x must be >= 1")
+
+
+def count_equation_solutions(A: int, B: int, C: int, x: int) -> int:
+    """Exact number of integer pairs (X, Y) with |X|, |Y| <= x solving A X^2 + B Y^2 = C."""
+    check_equation(A, B, C, x)
     total = 0
     for X in range(-x, x + 1):
         rem = C - A * X * X
@@ -66,6 +73,12 @@ def convergents(num: int, den: int):
     return out
 
 
+def check_approx(beta: int, q: int, Q: int) -> None:
+    """Refuse what dirichlet_approx refuses: q < 1 or Q < 1."""
+    if q < 1 or Q < 1:
+        raise ValueError("q and Q must be >= 1")
+
+
 def dirichlet_approx(beta: int, q: int, Q: int) -> Approximant:
     """The best convergent a/r of beta/q with r <= Q.
 
@@ -73,8 +86,7 @@ def dirichlet_approx(beta: int, q: int, Q: int) -> Approximant:
     |beta/q - a/r| <= 1/(r(Q+1)) < 1/(rQ); when beta/q itself has
     denominator <= Q the error is 0.
     """
-    if q < 1 or Q < 1:
-        raise ValueError("q and Q must be >= 1")
+    check_approx(beta, q, Q)
     beta %= q
     best = (0, 1)
     for a, r in convergents(beta, q):
@@ -101,6 +113,15 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
         m, a = a, m
 
 
+def check_count_F(b1: int, b2: int, X: int, q: int) -> None:
+    """Refuse what count_F refuses: X over the cap, q < 1, or b1 not a unit mod q."""
+    if X > 10**6:
+        raise ValueError("direct pair count capped at X <= 10^6")
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    mod_inverse(b1, q)
+
+
 def count_F(b1: int, b2: int, X: int, q: int) -> int:
     """F_{b1,b2}(X, q): pairs 0 < |A1|, |A2| <= X with b1 A1 = b2 A2 mod q.
 
@@ -108,15 +129,13 @@ def count_F(b1: int, b2: int, X: int, q: int) -> int:
     floor((X + r i)/q) + floor((X - r i)/q) + 1 - [q | r i] values of A1, so
     for X >= 1, F = 2 (S(r) + S(-r) + X - X // (q / gcd(r, q))) with
     S(a) = sum_{i=1}^{X} floor((a i + X)/q), exact in O(log q) by floor sums.
-    The X <= 10^6 cap stays, though the cost no longer grows with X: the CLI
-    charges the mode a flat 10^6 and maps the cap to exit 2. For b1 = b2 and
+    The X <= 10^6 cap stays because the refusal is part of the behaviour the
+    lab keeps (a ValueError here, exit 2 in the CLI): lifting it would change
+    which inputs are refused, not what a count costs. For b1 = b2 and
     X < q/2 the pairs are forced diagonal, A1 = A2, so F(b, b, X, q) = 2X
     (e.g. F(b, b, 2M^2, q) = 4M^2).
     """
-    if X > 10**6:
-        raise ValueError("direct pair count capped at X <= 10^6")
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    check_count_F(b1, b2, X, q)
     r = b2 * mod_inverse(b1, q) % q
     if X <= 0:
         return 0
@@ -147,6 +166,12 @@ class ReducedCoefficients:
         return self.r1 * self.r2
 
 
+def check_reduce(b1: int, b2: int, b3: int, q: int, Q: int) -> None:
+    """Refuse what reduce_coefficients refuses: b3 not a unit mod q, then q < 1 or Q < 1."""
+    mod_inverse(b3, q)
+    check_approx(b1, q, Q)
+
+
 def reduce_coefficients(b1: int, b2: int, b3: int, q: int, Q: int) -> ReducedCoefficients:
     """Replace b1/b3 and b2/b3 by small gamma coefficients via approximants.
 
@@ -155,6 +180,7 @@ def reduce_coefficients(b1: int, b2: int, b3: int, q: int, Q: int) -> ReducedCoe
         g1 = -t1 r + a1 r2 q,   g2 = -t2 r + a2 r1 q,
     which obey |g_i| <= q (r1 + r2) / Q + r.
     """
+    check_reduce(b1, b2, b3, q, Q)
     inv3 = mod_inverse(b3, q)
     t1 = b1 * inv3 % q
     t2 = b2 * inv3 % q
@@ -194,14 +220,19 @@ def _ceil_fifth_root(num: int, den: int) -> int:
     return r
 
 
+def check_parameters(q: int, M: int) -> None:
+    """Refuse what choose_parameters refuses: M outside 1..q."""
+    if not 1 <= M <= q:
+        raise ValueError("need 1 <= M <= q")
+
+
 def choose_parameters(q: int, M: int):
     """The cutoff pair R = ceil(q^(2/5) M^(-3/5)), Q = ceil(q^(3/5) M^(3/5)).
 
     Exact ceilings of rational fifth roots (no floating point): R is the
     least integer with R^5 M^3 >= q^2 and Q the least with Q^5 >= q^3 M^3.
     """
-    if not 1 <= M <= q:
-        raise ValueError("need 1 <= M <= q")
+    check_parameters(q, M)
     R = _ceil_fifth_root(q * q, M**3)
     Q = _ceil_fifth_root(q**3 * M**3, 1)
     return R, Q

@@ -21,7 +21,6 @@ only at evaluation time.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,16 +102,6 @@ def _poly_valuation(a, p):
 
 def _poly_strip(a, p, v):
     return tuple(c // p**v for c in a)
-
-
-def _synth_div(a, alpha, p):
-    """Divide a by (x - alpha) mod p; assumes alpha is a root mod p."""
-    out = [0] * (len(a) - 1)
-    carry = 0
-    for i in range(len(a) - 1, 0, -1):
-        carry = (carry * alpha + a[i]) % p
-        out[i - 1] = carry
-    return _trim(out)
 
 
 class IntRationalFunction:
@@ -216,54 +205,7 @@ def direct_S_alpha(f: IntRationalFunction, alpha: int, pp: PrimePowerModulus) ->
 
 
 # ---------------------------------------------------------------------------
-# critical points and the Cochrane evaluation
-
-
-@dataclass(frozen=True)
-class CriticalPointReport:
-    """Critical-point data of p^(-r) f' mod p.
-
-    roots lists (alpha, multiplicity); lifted maps each simple root alpha to
-    its unique lift mod p^ceil((n-r)/2); second_deriv_unit maps it to
-    A(alpha) = 2 p^(-r) f''(alpha*) mod p.
-    """
-
-    r: int
-    roots: tuple
-    lifted: dict
-    second_deriv_unit: dict
-    lift_modulus: int
-
-
-def analyze_critical_points(
-    f: IntRationalFunction, pp: PrimePowerModulus, alphas
-) -> CriticalPointReport:
-    """The roots mod p of g = p^(-r) f' among the classes alphas where f is defined,
-    with lifts and A(alpha)."""
-    p, n = pp.p, pp.n
-    g, r = f.derivative().stripped(p)
-    lift_mod = p ** ((n - r + 1) // 2)
-    roots, lifted, second = [], {}, {}
-    gnum_p = tuple(c % p for c in g.numer)
-    dg = g.derivative()
-    for alpha in alphas:
-        if poly_eval_mod(g.denom, alpha, p) == 0 or poly_eval_mod(gnum_p, alpha, p) != 0:
-            continue
-        mult = _root_multiplicity(gnum_p, alpha, p)
-        roots.append((alpha, mult))
-        if mult == 1:
-            lifted[alpha] = lift_root(g.numer, alpha, p, lift_mod)
-            second[alpha] = 2 * dg.eval_mod(alpha, p) % p
-    return CriticalPointReport(r, tuple(roots), lifted, second, lift_mod)
-
-
-def _root_multiplicity(poly_p, alpha, p):
-    """Multiplicity of alpha as a root of poly_p, whose coefficients are reduced mod p."""
-    mult = 0
-    while poly_p != (0,) and poly_eval_mod(poly_p, alpha, p) == 0:
-        poly_p = _synth_div(poly_p, alpha, p)
-        mult += 1
-    return mult
+# the Cochrane evaluation
 
 
 def _check_evaluable(p, n, r):
@@ -280,27 +222,29 @@ def cochrane_evaluate(f: IntRationalFunction, alpha: int, pp: PrimePowerModulus)
     """Closed-form S_alpha(f; p^n) from the critical points of p^(-r) f'.
 
     Returns exactly 0 when alpha is not a critical point; at a simple
-    critical point, lifts alpha and evaluates
+    critical point, lifts alpha to alpha* mod p^ceil((n-r)/2) and evaluates
         e_q(f(alpha*)) * p^((n+r)/2) * [1  or  (A(alpha)/p) * G_p/sqrt(p)]
-    for n-r even / odd. Raises UnsupportedCaseError when r > n-2 or the
-    critical point is a multiple root (cases the evaluation does not cover),
-    NonUnitDenominatorError when f is undefined on the class.
+    for n-r even / odd, with A(alpha) = 2 p^(-r) f''(alpha) mod p. Raises
+    UnsupportedCaseError when r > n-2 or the critical point is a multiple
+    root (cases the evaluation does not cover), NonUnitDenominatorError when
+    f is undefined on the class.
     """
     p, n, q = pp.p, pp.n, pp.q
     alpha = _unit_class(f, alpha, p)
-    crit = analyze_critical_points(f, pp, (alpha,))
-    r = crit.r
+    g, r = f.derivative().stripped(p)
     _check_evaluable(p, n, r)
-    mult = dict(crit.roots).get(alpha)
-    if mult is None:
+    if poly_eval_mod(g.numer, alpha, p) != 0:
         return 0j
-    if mult != 1:
+    # g.numer(alpha) = 0 mod p, so A(alpha) = 2 g'(alpha) = 2 g.numer'(alpha) / g.denom(alpha)
+    # mod p (g.denom is f.denom^2, a unit on the class): zero exactly at a multiple root.
+    a = 2 * IntRationalFunction(_poly_deriv(g.numer), g.denom).eval_mod(alpha, p) % p
+    if a == 0:
         raise UnsupportedCaseError(f"alpha={alpha} is a multiple critical point")
-    phase = _e_q(f.eval_mod(crit.lifted[alpha], q), q)
+    phase = _e_q(f.eval_mod(lift_root(g.numer, alpha, p, p ** ((n - r + 1) // 2)), q), q)
     if (n - r) % 2 == 0:
         return phase * p ** ((n + r) // 2)
     mag = p ** ((n + r - 1) // 2) * math.sqrt(p)
-    return phase * mag * jacobi(crit.second_deriv_unit[alpha], p) * gauss_sum_unit(p)
+    return phase * mag * jacobi(a, p) * gauss_sum_unit(p)
 
 
 # ---------------------------------------------------------------------------

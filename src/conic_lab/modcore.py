@@ -1,13 +1,14 @@
 """Exact modular arithmetic over odd prime powers.
 
 Jacobi symbols, inverses (of arrays by a product tree), square roots, the
-Newton lift of a simple polynomial root, integer polynomials mod q (by Horner
-at a point, by baby and giant steps on residue classes t = alpha mod p), the one
-class evaluator of ratios mod q (ratio_mod_class: one call evaluates every class
-it is given, in one stacked matmul per polynomial and one inverse tree), the one
-source of exponential-sum terms (trig_table: cos and sin on an arithmetic
-progression of residues) and the one exactly rounded sum of them (exact_sum, for
-the Gauss sums and expsum's direct sums), and the residue pattern and structural
+Newton lift of a simple polynomial root, the table of unit squares mod q
+(unit_squares), integer polynomials mod q (by Horner at a point, by baby and
+giant steps on residue classes t = alpha mod p), the one class evaluator of
+ratios mod q (ratio_mod_class: one call evaluates every class it is given, in
+one stacked matmul per polynomial and one inverse tree), the one source of
+exponential-sum terms (trig_table: cos and sin on an arithmetic progression of
+residues) and the one exactly rounded sum of them (exact_sum, for the Gauss
+sums and expsum's direct sums), and the residue pattern and structural
 constants s_p / C_p. All are pure and thread-safe.
 
 The full-length int64 reductions of the array kernels go through _rem, which reduces
@@ -90,6 +91,22 @@ def check_table_q(q: int) -> None:
     """Refuse a size-q table or sum over TABLE_Q_MAX, before anything is allocated."""
     if q > TABLE_Q_MAX:
         raise ValueError(f"q={q} exceeds the table budget")
+
+
+def unit_squares(p: int, q: int, half: float):
+    """(xs, xs^2 mod q) over the units xs in 1..floor(half), half >= 0: int64 arrays.
+
+    The one builder of this table, for census's kernels and conic's pair join. half is
+    held to TABLE_Q_MAX before the arange, and each x is reduced below q before it is
+    squared, which keeps the square in int64 for every q <= TABLE_Q_MAX (the bound
+    stated there; the callers check q).
+    """
+    if not half <= TABLE_Q_MAX:  # before int() (inf overflows) and before the arange
+        raise ValueError(f"box half-width {half} exceeds the table budget")
+    xs = np.arange(1, int(half) + 1, dtype=np.int64)
+    xs = xs[xs % p != 0]
+    r = xs % q
+    return xs, r * r % q
 
 
 class CoefficientTriple(NamedTuple):

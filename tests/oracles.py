@@ -158,6 +158,25 @@ def direct_exp_sum(fvals, q):
     return complex(math.fsum(re), math.fsum(im))
 
 
+def root_multiplicity_mod_p(coeffs, alpha, p):
+    """How many times x - alpha divides the ascending integer polynomial coeffs mod p,
+    by repeated synthetic division; coeffs must not vanish mod p."""
+    c = [x % p for x in coeffs]
+    while c and c[-1] == 0:
+        c.pop()
+    assert c, "the zero polynomial mod p"
+    mult = 0
+    while True:
+        acc, quot = 0, []
+        for x in reversed(c):  # quotient coefficients from the top, then the remainder
+            acc = (acc * alpha + x) % p
+            quot.append(acc)
+        if quot.pop() != 0:
+            return mult
+        c = quot[::-1]
+        mult += 1
+
+
 def horner_mod(coeffs, xs, q):
     """The values mod q of the ascending integer polynomial coeffs at each x of xs, one by one."""
     out = []

@@ -123,6 +123,22 @@ def test_count_dry_run_refuses_the_N_the_run_refuses(capsys):
         0, "dry-run: estimated work units = 0 (budget 1000000000)\n", "")
 
 
+@pytest.mark.parametrize("argv", [
+    "dioph --mode equation --A 1 --B 1 --C 1 --x -5",  # once charged -9 work units
+    "dioph --mode equation --A 0 --B 1 --C 1 --x 5",
+    "dioph --mode countf --b1 1 --b2 1 --X 2000000 --q 49",  # over count_F's cap
+    "dioph --mode countf --b1 7 --b2 1 --X 10 --q 49",
+    "dioph --mode approx --beta 3 --q 0 --Q 3",  # an invalid modulus
+    "dioph --mode reduce --b1 1 --b2 1 --b3 7 --q 49 --Q 3",
+    "dioph --mode params --q 10 --M 11",
+])
+def test_dioph_dry_run_refuses_what_the_run_refuses(argv, capsys):
+    run_out = run_capture(argv.split(), capsys)
+    assert run_capture(argv.split() + ["--dry-run"], capsys) == run_out
+    code, out, err = run_out
+    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_expsum_check_past_the_table_cap_exits_2(capsys):
     # 3 rows at 7^9 pass the work budget (3 q = 1.2e8), but every row is a size-q sum
     # over TABLE_Q_MAX: refused before any row, with --dry-run too, not printed as invalid

@@ -23,7 +23,6 @@ from conic_lab.expsum import (
     IntRationalFunction,
     NonUnitDenominatorError,
     UnsupportedCaseError,
-    analyze_critical_points,
     closed_form_E,
     cochrane_evaluate,
     direct_E,
@@ -407,17 +406,67 @@ def test_cochrane_vs_direct_random_sweep():
         checked += 1
 
 
-def test_analyze_critical_points():
+def test_cochrane_T2_at_7_4():
     pp = PrimePowerModulus(7, 4)
-    rep = analyze_critical_points(T2, pp, range(pp.p))
-    assert rep.r == 0
-    assert rep.roots == ((0, 1),)
-    assert rep.lifted[0] == 0
-    assert rep.second_deriv_unit[0] == 4 % 7
-    assert rep.lift_modulus == 7 ** ((4 + 1) // 2)
-    # every lifted root satisfies the congruence at the lift modulus
-    g, r = T2.derivative().stripped(7)
-    assert g.eval_mod(rep.lifted[0], rep.lift_modulus) == 0
+    # r = 0 and the one critical point 0 is simple: p^(n/2) = 49 at n - r even
+    assert abs(cochrane_evaluate(T2, 0, pp) - direct_S_alpha(T2, 0, pp)) < 1e-9
+    assert abs(cochrane_evaluate(T2, 0, pp) - 49) < 1e-9
+
+
+def _poly_mul_ref(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _content_ord(c, p):
+    """ord_p of the gcd of the coefficients c, not all zero."""
+    r = 0
+    while all(x % p ** (r + 1) == 0 for x in c):
+        r += 1
+    return r
+
+
+@st.composite
+def critical_point_instances(draw):
+    """(f, alpha, pp, g) with p^(-r) f' = g / denom^2, g free of p-content, and r <= n - 2;
+    a third of the f are (x - a)^3 h + c, whose derivative has the double root a."""
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    numer = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        numer = [numer[0]] + [p ** draw(st.integers(0, 2)) * c for c in numer[1:]]
+    if draw(st.integers(0, 2)) == 0:
+        a = draw(st.integers(0, p - 1))
+        numer = _poly_mul_ref(_poly_mul_ref(_poly_mul_ref([-a, 1], [-a, 1]), [-a, 1]), numer)
+        numer[0] += draw(st.integers(-5, 5))
+    denom = draw(st.sampled_from([[1], [3], [1, 1], [2, 0, 1], [1, -1, 3]]))
+    alpha = draw(st.integers(0, p - 1))
+    assume(_ref_eval(denom, alpha) % p)
+    # the quotient rule's numerator N' D - N D', as D^2 has no p-content
+    dn = [x - y for x, y in itertools.zip_longest(
+        _poly_mul_ref(_poly_deriv_ref(numer), denom), _poly_mul_ref(numer, _poly_deriv_ref(denom)),
+        fillvalue=0)]
+    assume(any(dn))
+    r = _content_ord(dn, p)
+    pp = PrimePowerModulus(p, r + draw(st.integers(2, 4)))
+    return IntRationalFunction(tuple(numer), tuple(denom)), alpha, pp, [x // p**r for x in dn]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(critical_point_instances())
+def test_cochrane_critical_points_match_the_multiplicity_oracle(instance):
+    # exactly 0j off the roots of g = p^(-r) f' mod p, a nonzero value at simple roots,
+    # and the multiple-root refusal at roots of multiplicity >= 2
+    f, alpha, pp, g = instance
+    mult = oracles.root_multiplicity_mod_p(g, alpha, pp.p)
+    try:
+        got = cochrane_evaluate(f, alpha, pp)
+    except UnsupportedCaseError as exc:
+        assert "multiple critical point" in str(exc) and mult >= 2, (str(exc), mult)
+        return
+    assert mult < 2 and (got == 0j) == (mult == 0), (got, mult)
 
 
 def test_family_case1_structure():
