@@ -199,11 +199,16 @@ def predict_main_term(coeffs, pp: PrimePowerModulus, N: float, sharp: bool = Fal
     is returned as-is, and asymptotic_scan leaves such a report's ratio None.
     """
     cp = main_constant(coeffs, pp.p)
+    check_main_term_N(N)
+    return (8.0 if sharp else 1.0) * float(cp) * float(N) ** 3 / pp.q
+
+
+def check_main_term_N(N: float) -> None:
+    """Refuse an N whose cube overflows a float, as predict_main_term does, before any work."""
     try:
-        cube = float(N) ** 3
+        float(N) ** 3
     except OverflowError:
         raise ValueError(f"N={N} is too large: N^3 overflows a float") from None
-    return (8.0 if sharp else 1.0) * float(cp) * cube / pp.q
 
 
 def count_mod_p(coeffs, p: int) -> int:

@@ -153,13 +153,19 @@ def _budget_gate(args, units: int):
 
 
 def _coeff_list(args, rng):
-    """Coefficient triples from --coeffs or --sample (not both); --sample must lie in 1..SAMPLE_MAX."""
+    """Coefficient triples from --coeffs or --sample (not both); --sample must lie in 1..SAMPLE_MAX.
+
+    A --coeffs triple is checked against args.p here, before any budget gate, so --dry-run
+    refuses a coefficient the run refuses; sampled triples are units by construction.
+    """
     if args.sample is not None and not 1 <= args.sample <= SAMPLE_MAX:
         raise ValidationError(f"--sample must lie in 1..{SAMPLE_MAX}, got {args.sample}")
     if args.coeffs is not None and args.sample is not None:
         raise ValidationError("give --coeffs or --sample, not both")
     if args.coeffs is not None:
-        return [_parse_coeffs(args.coeffs)]
+        coeffs = _parse_coeffs(args.coeffs)
+        modcore.validate_coeffs(coeffs, args.p)
+        return [coeffs]
     if args.sample is not None:
         return [rng.unit_triple(args.p) for _ in range(args.sample)]
     raise ValidationError("provide --coeffs or --sample")
@@ -220,6 +226,7 @@ def _run_predict(args, rng):
     if not 0 <= args.N < math.inf:
         raise ValidationError("predict requires a finite --N >= 0")
     triples = _coeff_list(args, rng)
+    census.check_main_term_N(args.N)
     if _budget_gate(args, 0):
         return []
     rows = []

@@ -11,6 +11,14 @@ residues) and the one exactly rounded sum of them (exact_sum, for the Gauss
 sums and expsum's direct sums), and the residue pattern and structural
 constants s_p / C_p. All are pure and thread-safe.
 
+poly_eval_mod_class's giant-step matmul runs in float64 BLAS, which is exact there: its
+operands are integers in [0, q), and it sums at most n <= 14 products, as the giant-step
+powers w^b vanish mod q from b = n on. So every partial sum is an integer below
+n (q - 1)^2 < 2^53, whatever BLAS's blocking, threads and fused multiply-adds. numpy's
+int64 matmul is an unblocked loop, about 8 times slower on a 5^8 class (2-vCPU Xeon). The
+baby-step U @ M stays int64: it sums d + 1 products below 1e14, so its guard,
+(d + 1) 1e14 < 2^63 for d + 1 <= 92,000, stays with it.
+
 The full-length int64 reductions of the array kernels go through _rem, which reduces
 in place by floor division: numpy divides an int64 array by one scalar about four
 times faster than % does (about 1.0 against 4.2 ns an entry on a 2-vCPU Xeon), and
@@ -248,53 +256,64 @@ def poly_eval_mod_class(coeffs, alphas, e: int, pp: PrimePowerModulus) -> np.nda
     Baby and giant steps, one reduction per value: with j = i + B k, B = p^floor(e/2),
     u_i = alpha + p i and w_k = p B k, f(u + w) = sum_{a,b} c_(a+b) C(a+b, a) u^a w^b, so
     row k, column i of (W @ ((U @ M) % q).T) % q is index j, for U[i, a] = u_i^a and
-    W[k, b] = w_k^b. Every class is one slice of a stacked U, so all of them take one
-    matmul of shape (classes, G, B), G = p^e / B, whose transposed operand numpy's int64
-    matmul reads through its strides, uncopied. int64 is safe for q <= 1e7: each matmul
+    W[k, b] = w_k^b. p B divides w_k, so w_k^b = 0 mod q once b (floor(e/2) + 1) >= n: W
+    and M keep only the columns b < min(d + 1, ceil(n / (floor(e/2) + 1))), at most n.
+    Every class is one slice of a stacked U, so all of them take one giant-step matmul of
+    shape (classes, G, B), G = p^e / B.
+
+    That matmul runs in float64 BLAS, exactly: both operands are integers in [0, q) and it
+    sums at most n products, so every partial sum is an integer below n (q - 1)^2 < 2^53
+    (n <= 14 and q <= 1e7 under TABLE_Q_MAX, which is checked first), and BLAS's blocking,
+    threads and fused multiply-adds cannot change a bit. The small U @ M stays int64: it
     sums d + 1 products of factors below q, under (d + 1) 1e14 < 2^63 while
     d + 1 <= 92,000; more is refused.
     """
     p, q = pp.p, pp.q
+    check_table_q(q)
     k = len(coeffs)
     if k > 92_000:
         raise ValueError(f"degree {k - 1} is over the int64 bound of poly_eval_mod_class")
     big = p ** (e // 2)
+    nb = min(k, -(-pp.n // (e // 2 + 1)))  # the giant-step powers w^b that are not 0 mod q
 
-    def powers(x):
-        out = np.ones(x.shape + (k,), dtype=np.int64)
-        for a in range(1, k):
+    def powers(x, count):
+        out = np.ones(x.shape + (count,), dtype=np.int64)
+        for a in range(1, count):
             out[..., a] = out[..., a - 1] * x % q
         return out
 
     starts = np.array([a % q for a in alphas], dtype=np.int64).reshape(-1, 1)
-    u = powers((starts + p * np.arange(big, dtype=np.int64)) % q)
-    w = powers(p * big * np.arange(p**e // big, dtype=np.int64))  # p B k < p^(e+1) <= q
-    m = [[c * math.comb(a + b, a) % q for b, c in enumerate(coeffs[a:])] + [0] * a for a in range(k)]
-    return _rem(w @ (u @ np.array(m, dtype=np.int64) % q).transpose(0, 2, 1), q).ravel()
+    u = powers((starts + p * np.arange(big, dtype=np.int64)) % q, k)
+    w = powers(p * big * np.arange(p**e // big, dtype=np.int64), nb)  # p B k < p^(e+1) <= q
+    m = [[coeffs[a + b] * math.comb(a + b, a) % q if a + b < k else 0 for b in range(nb)] for a in range(k)]
+    # C-ordered, so BLAS reads it: numpy's float64 matmul of a transposed stack is unblocked
+    v = (u @ np.array(m, dtype=np.int64) % q).transpose(0, 2, 1).astype(np.float64, order="C")
+    return _rem((w.astype(np.float64) @ v).astype(np.int64), q).ravel()
 
 
 def inv_mod_array(d: np.ndarray, pp: PrimePowerModulus) -> np.ndarray:
     """Inverses mod q of the units d (entries in [0, q)), as poly_eval_mod_class gives them.
 
-    Montgomery's batch inversion as an iterative product tree: pairwise products
-    level by level up to one root, a single pow(root, -1, q), then inv[2k] = up d[2k+1]
-    and inv[2k+1] = up d[2k] on the way down, about 3 mulmods per entry. A non-unit
-    entry makes the root a non-unit: ValueError. int64 is safe for q <= 1e7: every
-    factor lies in [0, q), so products stay < 1e14.
+    Montgomery's batch inversion as an iterative product tree: pairwise products level by
+    level while a level has more than 32 entries, one pow(v, -1, q) for each of the <= 32
+    entries of the top level, then inv[2k] = up d[2k+1] and inv[2k+1] = up d[2k] on the
+    way down, about 3 mulmods per entry. The tree stops at 32 because each level costs
+    about six numpy calls whatever its length: a level of a few entries is cheaper
+    inverted one by one in Python. A non-unit entry makes its top-level product a
+    non-unit: ValueError. int64 is safe for q <= 1e7: every factor lies in [0, q), so
+    products stay < 1e14.
     """
     q = pp.q
     levels, x = [], d
-    while len(x) > 1:
+    while len(x) > 32:
         levels.append(x)
         x = x[0::2].copy()  # an odd level carries its last entry up unpaired
         x[: len(levels[-1]) // 2] *= levels[-1][1::2]
         _rem(x, q)
-    inv = x.copy()
-    if len(inv):
-        try:
-            inv[0] = pow(int(inv[0]), -1, q)
-        except ValueError:
-            raise ValueError(f"inv_mod_array: an entry is not a unit mod {q}") from None
+    try:
+        inv = np.array([pow(v, -1, q) for v in x.tolist()], dtype=x.dtype)
+    except ValueError:
+        raise ValueError(f"inv_mod_array: an entry is not a unit mod {q}") from None
     while levels:
         x = levels.pop()
         up = np.empty_like(x)

@@ -310,10 +310,6 @@ def test_exit_codes(capsys):
     for count in ("0", "-3"):
         code, out, err = run_capture(["expsum-check", "--p", "7", "--n", "3", "--count", count], capsys)
         assert code == 2 and out == "" and "--count" in err and "Traceback" not in err
-    for argv in BAD_INPUTS:
-        code, out, err = run_capture(argv, capsys)
-        assert code == 2 and out == "" and "Traceback" not in err, argv
-        assert err.count("error:") == 1, argv
 
 
 # Each of these once ended in a traceback, a hang or a silent wrong row.
@@ -325,6 +321,8 @@ BAD_INPUTS = [
     ["param-check", "--p", "7", "--n", "9", "--coeffs", "1,2,3"],
     ["param-check", "--p", "7", "--n", "2", "--coeffs", "7,2,3"],
     ["predict", "--p", "7", "--n", "2", "--coeffs", "7,2,3", "--N", "5"],
+    ["count", "--p", "7", "--n", "2", "--coeffs", "7,2,3", "--N", "5"],
+    ["scan", "--p", "7", "--n", "2..3", "--coeffs", "1,14,3"],
     ["dioph", "--mode", "approx", "--beta", "3", "--q", "0", "--Q", "3"],
     ["count", "--p", "7", "--n", "2", "--coeffs", "1,1,-1", "--N", "1e308"],
     ["scan", "--p", "7", "--n", "2..3", "--coeffs", "1,2,3", "--theta", "1e6"],
@@ -348,6 +346,15 @@ BAD_INPUTS = [
     ["predict", "--p", "7", "--n", "2", "--N", "5", "--sample", "-1"],
     ["count", "--p", "7", "--n", "2", "--N", "5", "--sample", "10000000000"],
 ]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
+def test_bad_inputs_exit_2_dry_run_or_not(argv, capsys):
+    # --dry-run refuses every input the run refuses, before its budget gate prints an estimate
+    for dry in ([], ["--dry-run"]):
+        code, out, err = run_capture(argv + dry, capsys)
+        assert code == 2 and out == "" and "Traceback" not in err, (dry, err)
+        assert err.count("error:") == 1, (dry, err)
 
 
 def test_coeffs_with_sample_exits_2(capsys):

@@ -81,6 +81,46 @@ def trig_uses(source: str) -> list:
     return found
 
 
+def unbounded_matmuls(source: str) -> list:
+    """(line, name) of each function that takes a matrix product (@, @=, matmul or dot) and
+    whose docstring names neither 2^53 nor 2^63, the bound that keeps its sums exact."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        doc = ast.get_docstring(node) or ""
+        if "2^53" in doc or "2^63" in doc:
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, (ast.BinOp, ast.AugAssign)) and isinstance(sub.op, ast.MatMult) or \
+                    isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute) and \
+                    sub.func.attr in ("matmul", "dot"):
+                found.append((node.lineno, node.name))
+                break
+    return found
+
+
+def test_unbounded_matmuls_detector():
+    src = ('import numpy as np\n'
+           'def a(x):\n    """Sums stay under 2^53."""\n    return x @ x\n'
+           'def b(x):\n    return np.matmul(x, x)\n'
+           'def c(x):\n    """No bound."""\n    x @= x\n'
+           'def d(x):\n    return x.dot(x) * 2\n'
+           'def e(x):\n    return x * x\n'
+           'class K:\n    def m(self, x):\n        """Under 2^63."""\n        return np.dot(x, x)\n'
+           '    def n(self, x):\n        return np.dot(x, x)\n')
+    assert unbounded_matmuls(src) == [(5, "b"), (7, "c"), (10, "d"), (18, "n")]
+
+
+def test_matmul_kernels_state_their_bound():
+    # an integer matrix product is exact only under a bound: int64 sums under 2^63, or float64
+    # sums under 2^53; the function that takes it says which, in its docstring
+    found = [f"{f.relative_to(ROOT)}:{line}: {name}"
+             for f in sorted((ROOT / "src" / "conic_lab").glob("*.py"))
+             for line, name in unbounded_matmuls(f.read_text())]
+    assert not found, found
+
+
 def test_trig_uses_detector():
     src = ("import numpy as np\nfrom math import sin\ndef table(a):\n    return np.cos(a), math.sin(a)\n"
            "x = numpy.sin(0)\ndef other(a):\n    return a.cos, np.exp(a)\n")

@@ -315,6 +315,19 @@ def test_poly_eval_mod_class_int64_worst_case():
             assert got[c * size + s] == sum(-((alpha + 3 * s) ** k) for k in range(9)) % q, (alpha, s)
 
 
+def test_poly_eval_mod_class_past_the_giant_step_powers():
+    # degree 199 at q = 5^10: the giant steps keep ceil(10 / (floor(e/2) + 1)) of the 200
+    # powers w^b, the rest being 0 mod q; every coefficient reduces to q - 1, and the class
+    # starting at q - 1 has its first value at the top of the range
+    pp = PrimePowerModulus(5, 10)
+    q = pp.q
+    coeffs = [-1] * 200
+    alphas = [q - 1, 2]
+    for e in (0, 1, 4):
+        got = poly_eval_mod_class(coeffs, alphas, e, pp)
+        assert got.dtype == np.int64 and got.tolist() == _classes_horner(coeffs, alphas, e, pp), e
+
+
 def test_poly_eval_mod_class_degree_guard():
     # past degree 91,999 a matmul sum could pass 2^63; refused before any table is built
     with pytest.raises(ValueError):
@@ -333,7 +346,8 @@ def test_inv_mod_array_product_tree_lengths():
     for p, n in [(3, 9), (5, 6), (7, 4), (13, 3)]:
         pp = PrimePowerModulus(p, n)
         q = pp.q
-        lengths = {0, 1, 2, 3, p ** (n - 1)}
+        # 0..70 end the tree with 0 to 32 top-level roots on one to three levels
+        lengths = set(range(71)) | {p ** (n - 1)}
         lengths |= {2**k + e for k in range(1, 11) for e in (-1, 1)}
         for length in sorted(lengths):
             units = [rng.randrange(1, q) for _ in range(3 * length + 9)]
@@ -354,3 +368,12 @@ def test_inv_mod_array_refuses_non_units():
     for arr in (d, d.astype(object)):
         with pytest.raises(ValueError):
             inv_mod_array(arr, pp)
+    # a non-unit among the <= 32 top-level roots (20 entries are all roots) and one among the
+    # leaves of a 5000-entry tree, eight levels below its top, raise the same message, for
+    # int64 and object arrays
+    for length, at in ((20, 13), (5000, 4321)):
+        d = np.array([u for u in range(1, 2 * length) if u % 7][:length], dtype=np.int64)
+        d[at] = 49
+        for arr in (d, d.astype(object)):
+            with pytest.raises(ValueError, match=r"^inv_mod_array: an entry is not a unit mod 343$"):
+                inv_mod_array(arr, pp)
