@@ -6,8 +6,11 @@ box search, and n-sweeps comparing observed counts to the prediction.
 
 The weight is a switch. By default it is the paper's self-dual Gaussian
 exp(-pi (x/N)^2), counted by count_smoothed over the box GAUSSIAN_TAIL_RADIUS
-* N; sharp=True selects the box |x_i| <= N, counted exactly by count_sharp.
-predict_main_term, estimate_scan_work and asymptotic_scan take the switch.
+* N; sharp=True selects the box |x_i| <= floor(N), counted exactly by
+count_sharp. count, predict_main_term, estimate_count_work, estimate_scan_work
+and asymptotic_scan take the switch, and count is the one place that picks the
+kernel. Like the kernels, asymptotic_scan charges no budget: its caller charges
+the scan, with estimate_scan_work, before it runs.
 
 The Gaussian count is evaluated on the dual side, as in the paper's Poisson
 step: count = (1/q) sum_{h mod q} prod_i F_i(h), with F_i the discrete
@@ -90,8 +93,8 @@ def _float_sum(x: np.ndarray) -> float:
     return total / (1 << 1126)
 
 
-def count_sharp(coeffs, pp: PrimePowerModulus, N: int) -> int:
-    """Exact number of solutions with |x_i| <= N and all coordinates units.
+def count_sharp(coeffs, pp: PrimePowerModulus, N: float) -> int:
+    """Exact number of solutions with |x_i| <= floor(N) and all coordinates units, for real N.
 
     A unit is a square mod p^n exactly when it is a quadratic residue mod p
     (Hensel). So, with t_i = -a_i x_i^2 mod q and r_i = t_i mod p, the cell
@@ -187,6 +190,11 @@ def count_smoothed(coeffs, pp: PrimePowerModulus, N: float) -> float:
     # The histograms are real, so P(-h) = conj P(h); q is odd, so the rfft
     # bins h = 1..(q-1)/2 pair up with -h and there is no Nyquist bin.
     return 8.0 * (float(prod[0].real) + 2.0 * _float_sum(prod[1:].real)) / q
+
+
+def count(coeffs, pp: PrimePowerModulus, N: float, sharp: bool = False):
+    """The one place that picks the kernel: count_sharp's exact int if sharp, else count_smoothed's float."""
+    return count_sharp(coeffs, pp, N) if sharp else count_smoothed(coeffs, pp, N)
 
 
 def predict_main_term(coeffs, pp: PrimePowerModulus, N: float, sharp: bool = False) -> float:
@@ -383,20 +391,18 @@ def estimate_scan_work(p: int, n_values, theta: float, sharp: bool = False) -> i
     return sum(estimate_count_work(math.ceil(q**theta), sharp) for q in qs)
 
 
-def asymptotic_scan(coeffs, p: int, n_values, theta: float, sharp: bool = False, budget: int = 10**9) -> list:
-    """CountReports with N = ceil(q^theta) at each n; refuses oversized scans.
+def asymptotic_scan(coeffs, p: int, n_values, theta: float, sharp: bool = False) -> list:
+    """CountReports of count at N = ceil(q^theta) for each n; the caller charges the work.
 
-    Counts with count_smoothed, or with the exact count_sharp when sharp.
+    No n is read past the first modulus over Q_MAX, and a bad theta, q or box
+    is refused, as estimate_scan_work refuses it, before any count.
     """
-    n_values = list(n_values)
-    work = estimate_scan_work(p, n_values, theta, sharp)
-    if work > budget:
-        raise ValueError(f"scan needs ~{work} pair visits, over the budget {budget}")
+    moduli = [PrimePowerModulus(p, n) for n in n_values]
+    estimate_scan_work(p, [pp.n for pp in moduli], theta, sharp)
     reports = []
-    for n in n_values:
-        pp = PrimePowerModulus(p, n)
+    for pp in moduli:
         N = math.ceil(pp.q**theta)
-        observed = float(count_sharp(coeffs, pp, N)) if sharp else count_smoothed(coeffs, pp, N)
+        observed = float(count(coeffs, pp, N, sharp))
         predicted = predict_main_term(coeffs, pp, N, sharp)
         ratio = observed / predicted if predicted > 0 else None
         reports.append(CountReport(pp, N, observed, predicted, ratio))

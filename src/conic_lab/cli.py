@@ -11,10 +11,11 @@ flags win and config values are type-checked like flags.
 
 Results are emitted as CSV or JSONL with a fixed column set per subcommand
 and a schema_version column; floats are printed with 12 significant digits.
-Work is estimated up front in (x1, x2)-pair-visit units and runs over the
-budget are refused. The README tables the charge of each subcommand; count,
-scan and smallest charge census.estimate_count_work, estimate_scan_work and
-estimate_smallest_work, and the other handlers charge their own.
+Each handler charges its estimated work, in (x1, x2)-pair-visit units, once at
+_budget_gate, which refuses a run over the budget and ends a dry run. The
+README tables the charge of each subcommand; count, scan and smallest charge
+census.estimate_count_work, estimate_scan_work and estimate_smallest_work,
+and the other handlers charge their own.
 
 Exit codes: 0 success, 2 invalid input, 1 internal assertion failure. The
 handlers do not translate errors: every ValueError, from the library's own
@@ -140,6 +141,7 @@ def _parse_n_range(text: str):
 
 
 def _budget_gate(args, units: int):
+    """Refuse work over --budget; on --dry-run, print the estimate and end the run, as --help does."""
     budget = args.budget
     if units > budget:
         raise ValidationError(
@@ -148,8 +150,7 @@ def _budget_gate(args, units: int):
         )
     if args.dry_run:
         print(f"dry-run: estimated work units = {units} (budget {budget})")
-        return True
-    return False
+        raise SystemExit(0)
 
 
 def _coeff_list(args, rng):
@@ -207,15 +208,11 @@ def _run_count(args, rng):
     units = census.estimate_count_work(args.N, args.sharp)
     triples = _coeff_list(args, rng)
     modcore.check_table_q(pp.q)
-    if _budget_gate(args, units * len(triples)):
-        return []
+    _budget_gate(args, units * len(triples))
     rows = []
     weight = "sharp" if args.sharp else "gaussian"
     for coeffs in triples:
-        if args.sharp:
-            obs = census.count_sharp(coeffs, pp, int(args.N))
-        else:
-            obs = census.count_smoothed(coeffs, pp, args.N)
+        obs = census.count(coeffs, pp, args.N, args.sharp)
         rows.append(_row(pp, coeffs, N=args.N, weight=weight, observed=obs))
     return rows
 
@@ -227,8 +224,7 @@ def _run_predict(args, rng):
         raise ValidationError("predict requires a finite --N >= 0")
     triples = _coeff_list(args, rng)
     census.check_main_term_N(args.N)
-    if _budget_gate(args, 0):
-        return []
+    _budget_gate(args, 0)
     rows = []
     weight = "sharp" if args.sharp else "gaussian"
     for coeffs in triples:
@@ -243,11 +239,10 @@ def _run_scan(args, rng):
     n_values = _parse_n_range(args.n)
     units = census.estimate_scan_work(args.p, n_values, args.theta, args.sharp)
     triples = _coeff_list(args, rng)
-    if _budget_gate(args, units * len(triples)):
-        return []
+    _budget_gate(args, units * len(triples))
     rows = []
     for coeffs in triples:
-        reports = census.asymptotic_scan(coeffs, args.p, n_values, args.theta, args.sharp, args.budget)
+        reports = census.asymptotic_scan(coeffs, args.p, n_values, args.theta, args.sharp)
         for rep in reports:
             rows.append(
                 dict(p=rep.modulus.p, n=rep.modulus.n, q=rep.modulus.q,
@@ -262,8 +257,7 @@ def _run_smallest(args, rng):
     pp = PrimePowerModulus(args.p, args.n)
     triples = _coeff_list(args, rng)
     units = sum(census.estimate_smallest_work(coeffs, pp) for coeffs in triples)
-    if _budget_gate(args, units):
-        return []
+    _budget_gate(args, units)
     rows, spent = [], 0
     for k, coeffs in enumerate(triples, start=1):
         found = census.smallest_solution(coeffs, pp, args.budget, spent)
@@ -283,8 +277,7 @@ def _run_param_check(args, rng):
     pp = PrimePowerModulus(args.p, args.n)
     triples = _coeff_list(args, rng)
     modcore.check_table_q(pp.q)
-    if _budget_gate(args, pp.q * pp.p * len(triples)):
-        return []
+    _budget_gate(args, pp.q * pp.p * len(triples))
     rows = []
     for coeffs in triples:
         tag = conic.case_tag(coeffs, pp.p)
@@ -307,8 +300,7 @@ def _run_expsum_check(args, rng):
     if count < 1:
         raise ValidationError("expsum-check requires --count >= 1")
     modcore.check_table_q(pp.q)  # every row is a size-q sum: refuse before the gate, so --dry-run does too
-    if _budget_gate(args, count * pp.q):
-        return []
+    _budget_gate(args, count * pp.q)
     rows, queued, requests = [], [], []
     while len(rows) < count:
         source = ("case1", "case2", "poly")[rng.below(3)]
@@ -359,15 +351,13 @@ def _run_dioph(args, rng):
     _require(args, *flags)
     values = [getattr(args, flag) for flag in flags]
     getattr(dioph, check)(*values)  # before the gate: --dry-run refuses what the run refuses, and x >= 1
-    if _budget_gate(args, 2 * args.x + 1 if args.mode == "equation" else 10**6):
-        return []
+    _budget_gate(args, 2 * args.x + 1 if args.mode == "equation" else 10**6)
     inputs = ";".join(f"{flag}={value}" for flag, value in zip(flags, values))
     return [dict(mode=args.mode, inputs=inputs, result=solve(*values))]
 
 
 def _run_selftest(args, rng):
-    if _budget_gate(args, 0):  # a few fixed checks at q <= 7^3
-        return []
+    _budget_gate(args, 0)  # a few fixed checks at q <= 7^3
     rows = []
 
     def check(name, fn):
@@ -522,9 +512,7 @@ def _write(args, records):
 def run(argv) -> int:
     try:
         args = _parse(argv)
-        records = HANDLERS[args.command](args, Splitmix64(args.seed))
-        if not args.dry_run:
-            _write(args, records)
+        _write(args, HANDLERS[args.command](args, Splitmix64(args.seed)))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     except ValueError as exc:

@@ -12,6 +12,7 @@ from conic_lab.modcore import PrimePowerModulus, jacobi, s_p
 from conic_lab.census import (
     _float_sum,
     asymptotic_scan,
+    count,
     count_mod_p,
     count_sharp,
     count_smoothed,
@@ -48,6 +49,9 @@ def test_count_sharp_examples():
     # the (3,4,5) family is inside the N=5 box mod 49
     pp72 = PrimePowerModulus(7, 2)
     assert count_sharp((1, 1, -1), pp72, 5) == oracles.brute_count_triples((1, 1, -1), 7, 49, 5)
+    # count picks count_sharp when sharp, and keeps its exact int
+    v = count((1, 1, -1), pp72, 5.5, sharp=True)
+    assert type(v) is int and v == count_sharp((1, 1, -1), pp72, 5)
 
 
 def test_count_sharp_vs_brute_sweep():
@@ -149,6 +153,9 @@ def test_count_smoothed_examples():
     v = count_smoothed((1, 1, -1), pp71, 3)
     assert type(v) is float and 0 < v < 24
     assert type(count_sharp((1, 1, -1), pp71, 3)) is int
+    # count picks count_smoothed by default, and keeps its float
+    w = count((1, 1, -1), pp71, 3)
+    assert type(w) is float and w == v
 
 
 def test_count_smoothed_vs_brute():
@@ -434,7 +441,7 @@ def test_smallest_search_starts_at_the_charged_box(monkeypatch):
             assert len(boxes) == 1, coeffs
 
 
-def test_asymptotic_scan_shapes_and_budget():
+def test_asymptotic_scan_shapes():
     reports = asymptotic_scan((1, 2, 3), 7, [2, 3], 0.62)
     assert [r.modulus.n for r in reports] == [2, 3]
     for r in reports:
@@ -442,8 +449,6 @@ def test_asymptotic_scan_shapes_and_budget():
         assert r.ratio == r.observed / r.predicted
     with pytest.raises(ValueError):
         asymptotic_scan((1, 2, 3), 7, [2, 3], 0.45)
-    with pytest.raises(ValueError):
-        asymptotic_scan((1, 2, 3), 7, [8], 0.9, budget=10**4)
     vac = asymptotic_scan((1, 1, -1), 5, [2], 0.62)
     assert vac[0].ratio is None
 
@@ -455,6 +460,20 @@ def test_asymptotic_scan_refuses_a_q_past_the_cap_before_any_count(monkeypatch):
     monkeypatch.setattr(census, "count_smoothed", never)
     with pytest.raises(ValueError, match="table budget"):
         asymptotic_scan((1, 1, -1), 3, [14, 15], 0.51)
+
+
+def test_asymptotic_scan_reads_no_n_past_the_first_refused_modulus():
+    def ns():
+        for n in itertools.count(1):
+            if n > 30:
+                raise AssertionError(f"read n = {n} past the refused 7^23")
+            yield n
+
+    for scan in (lambda g: asymptotic_scan((1, 1, -1), 7, g, 0.62), lambda g: estimate_scan_work(7, g, 0.62)):
+        with pytest.raises(ValueError, match=r"7\^23 exceeds the 2\^62 cap"):
+            scan(ns())
+    # a generator of valid n still scans
+    assert asymptotic_scan((1, 2, 3), 7, (n for n in [2, 3]), 0.62) == asymptotic_scan((1, 2, 3), 7, [2, 3], 0.62)
 
 
 def test_estimate_scan_work():

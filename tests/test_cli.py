@@ -28,6 +28,18 @@ def test_count_roundtrip(capsys):
     assert lines[1].split(",") == ["7", "2", "49", "1", "1", "-1", "5", "sharp", "24", "1"]
 
 
+@pytest.mark.parametrize("flags, fields", [
+    ("--N 5", '"N": 5.0, "weight": "gaussian", "observed": 3.8907577267536245e-07'),
+    ("--N 5.5", '"N": 5.5, "weight": "gaussian", "observed": 7.231939490833036e-06'),
+    ("--N 5 --sharp", '"N": 5.0, "weight": "sharp", "observed": 0'),
+    ("--N 5.5 --sharp", '"N": 5.5, "weight": "sharp", "observed": 0'),  # the box |x_i| <= floor(N)
+])
+def test_count_jsonl_rows_pinned(flags, fields, capsys):
+    argv = ["count", "--p", "7", "--n", "3", "--coeffs", "1,2,3", *flags.split(), "--format", "jsonl"]
+    want = '{"p": 7, "n": 3, "q": 343, "a1": 1, "a2": 2, "a3": 3, ' + fields + ', "schema_version": 1}\n'
+    assert run_capture(argv, capsys) == (0, want, "")
+
+
 def test_scan_header_and_rows(capsys):
     code, out, _ = run_capture(
         ["scan", "--p", "7", "--n", "2..3", "--theta", "0.62", "--coeffs", "1,1,-1"], capsys
@@ -373,6 +385,14 @@ def test_budget_charges(capsys):
     argv = ["count", "--p", "7", "--n", "2", "--sample", "1000", "--N", "2", "--sharp"]
     code, out, err = run_capture(argv + ["--budget", "4"], capsys)
     assert code == 2 and out == "" and "4000" in err
+    # scan charges its per-triple units once per triple, and only at the gate: 2 * (72^2 + 228^2)
+    argv = ["scan", "--p", "7", "--n", "2..3", "--sample", "2"]
+    assert census.estimate_scan_work(7, [2, 3], 0.62) == 57168
+    code, out, err = run_capture(argv + ["--budget", "100000"], capsys)
+    assert code == 2 and out == "" and err == (
+        "error: estimated work 114336 pair visits exceeds the budget 100000; raise --budget or shrink the request\n")
+    code, out, _ = run_capture(argv + ["--dry-run"], capsys)
+    assert code == 0 and out == "dry-run: estimated work units = 114336 (budget 1000000000)\n"
     # param-check charges q * p per triple: 3 * 7^6
     argv = ["param-check", "--p", "7", "--n", "5", "--sample", "3"]
     code, out, _ = run_capture(argv + ["--dry-run"], capsys)

@@ -121,6 +121,41 @@ def test_matmul_kernels_state_their_bound():
     assert not found, found
 
 
+def kernel_calls(source: str) -> list:
+    """(line, innermost enclosing function or None) of each call of count_sharp or count_smoothed,
+    by bare name or as an attribute."""
+    found = []
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) in \
+                        ("count_sharp", "count_smoothed"):
+                    found.append((child.lineno, name))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else name)
+
+    visit(ast.parse(source), None)
+    return sorted(found)
+
+
+def test_kernel_calls_detector():
+    src = ("def count(s):\n    return count_sharp(1) if s else census.count_smoothed(2)\n"
+           "def f():\n    return lambda: count_sharp(3)\n"
+           "class K:\n    def m(self):\n        def inner():\n            return count_smoothed(4)\n"
+           "count_sharp(5)\ng = count_sharp\ncount_sharply(6)\n")
+    assert kernel_calls(src) == [(2, "count"), (2, "count"), (4, "f"), (8, "inner"), (9, None)]
+
+
+def test_count_picks_the_kernel():
+    # census.count is the one place that picks count_sharp or count_smoothed; count_mod_p calls
+    # count_sharp itself, as the prime-level law is the sharp count by definition
+    found = {(f.name, name) for f in sorted((ROOT / "src" / "conic_lab").glob("*.py"))
+             for _, name in kernel_calls(f.read_text())}
+    assert found == {("census.py", "count"), ("census.py", "count_mod_p")}, found
+
+
 def test_trig_uses_detector():
     src = ("import numpy as np\nfrom math import sin\ndef table(a):\n    return np.cos(a), math.sin(a)\n"
            "x = numpy.sin(0)\ndef other(a):\n    return a.cos, np.exp(a)\n")
