@@ -205,6 +205,7 @@ def predict_main_term(coeffs, pp: PrimePowerModulus, N: float, sharp: bool = Fal
     Gaussian one (each coordinate's box holds 2N integers, not N).
     Zero or negative C_p (s_p >= p) makes the prediction vacuous; the value
     is returned as-is, and asymptotic_scan leaves such a report's ratio None.
+    An N that check_main_term_N refuses raises ValueError.
     """
     cp = main_constant(coeffs, pp.p)
     check_main_term_N(N)
@@ -212,7 +213,9 @@ def predict_main_term(coeffs, pp: PrimePowerModulus, N: float, sharp: bool = Fal
 
 
 def check_main_term_N(N: float) -> None:
-    """Refuse an N whose cube overflows a float, as predict_main_term does, before any work."""
+    """Refuse an N that is negative, NaN or infinite, or whose cube overflows a float, before any work."""
+    if not 0 <= N < math.inf:
+        raise ValueError("predict requires a finite --N >= 0")
     try:
         float(N) ** 3
     except OverflowError:
@@ -413,12 +416,19 @@ def poisson_selfcheck(scale: float) -> float:
     """|sum_m Phi(m/scale) - scale * sum_m Phi(scale m)| for the Gaussian Phi(x) = exp(-pi x^2).
 
     Both sides are truncated where the tails drop below double precision;
-    the summation-formula defect is ~1e-15 at any scale.
+    the summation-formula defect is ~1e-15 at any scale. A scale that is not
+    finite and positive is refused, and so is one whose wider side,
+    ceil(6 * max(scale, 1/scale)) + 1 terms each way, passes TABLE_Q_MAX.
     """
-    lhs_half = int(math.ceil(GAUSSIAN_TAIL_RADIUS * scale)) + 1
+    if not 0 < scale < math.inf:
+        raise ValueError(f"scale must be finite and positive, got {scale}")
+    # ceil(r) + 1 > TABLE_Q_MAX exactly when r > TABLE_Q_MAX - 1; an inf r is refused before ceil
+    if GAUSSIAN_TAIL_RADIUS * max(scale, 1 / scale) > TABLE_Q_MAX - 1:
+        raise ValueError(f"poisson_selfcheck at scale {scale} exceeds the table budget")
+    lhs_half = math.ceil(GAUSSIAN_TAIL_RADIUS * scale) + 1
+    rhs_half = math.ceil(GAUSSIAN_TAIL_RADIUS / scale) + 1
     m = np.arange(-lhs_half, lhs_half + 1)
     lhs = math.fsum(_gaussian(m / scale))
-    rhs_half = int(math.ceil(GAUSSIAN_TAIL_RADIUS / scale)) + 1
     k = np.arange(-rhs_half, rhs_half + 1)
     rhs = scale * math.fsum(_gaussian(scale * k))
     return abs(lhs - rhs)

@@ -1,12 +1,15 @@
 """Batch experiment driver.
 
 Subcommands: count | predict | scan | smallest | param-check | expsum-check
-| dioph | selftest. One argparse parser, built at import, knows every flag,
-type and default. A JSON config object (--config) is turned into argv: each
-key names a flag ("dry_run" is --dry-run), true is the bare flag, false is
-dropped, and any other value is passed as --key=value. These tokens go
-before the explicit flags and the whole line is parsed again, so explicit
-flags win and config values are type-checked like flags.
+| dioph | selftest. Each is declared once, in the SUBCOMMANDS table: its
+handler, help line, required flags, own flags and output columns. One
+argparse parser, built from that table at import, knows every flag, type
+and default; run refuses a missing required flag before the handler runs.
+A JSON config object (--config) is turned into argv: each key names a flag
+("dry_run" is --dry-run), true is the bare flag, false is dropped, and any
+other value is passed as --key=value. These tokens go before the explicit
+flags and the whole line is parsed again, so explicit flags win and config
+values are type-checked like flags.
 --workers must be an integer and has no effect.
 
 Results are emitted as CSV or JSONL with a fixed column set per subcommand
@@ -25,8 +28,8 @@ checks or from this module's ValidationError, reaches run, which prints one
 
 import argparse
 import json
-import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,22 +39,6 @@ from .modcore import PrimePowerModulus
 SCHEMA_VERSION = 1
 DEFAULT_BUDGET = 10**9
 SAMPLE_MAX = 10**6
-
-FIELDS = {
-    "count": ["p", "n", "q", "a1", "a2", "a3", "N", "weight", "observed"],
-    "predict": ["p", "n", "q", "a1", "a2", "a3", "N", "weight", "predicted", "vacuous"],
-    "scan": ["p", "n", "q", "N", "theta", "observed", "predicted", "ratio"],
-    "smallest": ["p", "n", "q", "a1", "a2", "a3", "m", "x1", "x2", "x3"],
-    "param-check": [
-        "p", "n", "q", "a1", "a2", "a3", "case",
-        "family_size", "expected_size", "matches_enumeration",
-    ],
-    "expsum-check": [
-        "p", "n", "q", "source", "k1", "k2", "x3", "alpha", "status", "rel_err",
-    ],
-    "dioph": ["mode", "inputs", "result"],
-    "selftest": ["check", "status"],
-}
 
 
 class ValidationError(ValueError):
@@ -203,7 +190,6 @@ def _require(args, *names):
 
 
 def _run_count(args, rng):
-    _require(args, "p", "n", "N")
     pp = PrimePowerModulus(args.p, args.n)
     units = census.estimate_count_work(args.N, args.sharp)
     triples = _coeff_list(args, rng)
@@ -218,12 +204,9 @@ def _run_count(args, rng):
 
 
 def _run_predict(args, rng):
-    _require(args, "p", "n", "N")
     pp = PrimePowerModulus(args.p, args.n)
-    if not 0 <= args.N < math.inf:
-        raise ValidationError("predict requires a finite --N >= 0")
-    triples = _coeff_list(args, rng)
     census.check_main_term_N(args.N)
+    triples = _coeff_list(args, rng)
     _budget_gate(args, 0)
     rows = []
     weight = "sharp" if args.sharp else "gaussian"
@@ -235,7 +218,6 @@ def _run_predict(args, rng):
 
 
 def _run_scan(args, rng):
-    _require(args, "p", "n")
     n_values = _parse_n_range(args.n)
     units = census.estimate_scan_work(args.p, n_values, args.theta, args.sharp)
     triples = _coeff_list(args, rng)
@@ -253,7 +235,6 @@ def _run_scan(args, rng):
 
 
 def _run_smallest(args, rng):
-    _require(args, "p", "n")
     pp = PrimePowerModulus(args.p, args.n)
     triples = _coeff_list(args, rng)
     units = sum(census.estimate_smallest_work(coeffs, pp) for coeffs in triples)
@@ -273,7 +254,6 @@ def _run_smallest(args, rng):
 
 
 def _run_param_check(args, rng):
-    _require(args, "p", "n")
     pp = PrimePowerModulus(args.p, args.n)
     triples = _coeff_list(args, rng)
     modcore.check_table_q(pp.q)
@@ -294,7 +274,6 @@ def _run_param_check(args, rng):
 
 
 def _run_expsum_check(args, rng):
-    _require(args, "p", "n")
     pp = PrimePowerModulus(args.p, args.n)
     count = args.count
     if count < 1:
@@ -346,7 +325,6 @@ def _run_expsum_check(args, rng):
 
 
 def _run_dioph(args, rng):
-    _require(args, "mode")
     flags, check, solve = DIOPH_MODES[args.mode]
     _require(args, *flags)
     values = [getattr(args, flag) for flag in flags]
@@ -392,79 +370,64 @@ def _run_selftest(args, rng):
     return rows
 
 
-HANDLERS = {
-    "count": _run_count,
-    "predict": _run_predict,
-    "scan": _run_scan,
-    "smallest": _run_smallest,
-    "param-check": _run_param_check,
-    "expsum-check": _run_expsum_check,
-    "dioph": _run_dioph,
-    "selftest": _run_selftest,
+class Subcommand(NamedTuple):
+    handler: Callable  # (args, rng) -> the output records
+    help: str
+    required: tuple  # dests that run refuses to leave unset, before the handler; one error names them all
+    flags: tuple  # its own (flag, add_argument keywords) pairs in --help order; COMMON_FLAGS follow
+    fields: list  # its output columns, in order
+
+
+# (flag, add_argument keywords) pairs that more than one subcommand takes
+P_FLAG = ("--p", dict(type=int))
+N_FLAG = ("--n", dict(type=int))
+TRIPLE_FLAGS = (("--coeffs", dict(help="a1,a2,a3")),
+                ("--sample", dict(type=int, help="number of sampled coefficient triples, 1..10^6")))
+COEFF_FLAGS = (P_FLAG, N_FLAG, *TRIPLE_FLAGS)
+SHARP_FLAG = ("--sharp", dict(action="store_true"))
+BOX_FLAGS = (("--N", dict(type=float)), SHARP_FLAG)
+COMMON_FLAGS = (
+    ("--config", dict(help="JSON file with defaults for these flags")),
+    ("--seed", dict(type=int, default=1)),
+    ("--workers", dict(type=int)),
+    ("--budget", dict(type=int, default=DEFAULT_BUDGET)),
+    ("--dry-run", dict(action="store_true")),
+    ("--output", dict(help="file path; default stdout")),
+    ("--format", dict(choices=["csv", "jsonl"], default="csv")),
+)
+
+# The one table keyed by subcommand name: _build_parser, run and _write read it.
+SUBCOMMANDS = {
+    "count": Subcommand(_run_count, "sharp or smoothed box count", ("p", "n", "N"),
+                        (*COEFF_FLAGS, *BOX_FLAGS), "p n q a1 a2 a3 N weight observed".split()),
+    "predict": Subcommand(_run_predict, "main-term prediction", ("p", "n", "N"),
+                          (*COEFF_FLAGS, *BOX_FLAGS), "p n q a1 a2 a3 N weight predicted vacuous".split()),
+    "scan": Subcommand(_run_scan, "observed/predicted ratios over an n range", ("p", "n"),
+                       (P_FLAG, *TRIPLE_FLAGS, ("--n", dict(help="e.g. 3..6")),
+                        ("--theta", dict(type=float, default=0.62)), SHARP_FLAG),
+                       "p n q N theta observed predicted ratio".split()),
+    "smallest": Subcommand(_run_smallest, "minimal max-norm solution", ("p", "n"),
+                           COEFF_FLAGS, "p n q a1 a2 a3 m x1 x2 x3".split()),
+    "param-check": Subcommand(_run_param_check, "parametrization coverage check", ("p", "n"), COEFF_FLAGS,
+                              "p n q a1 a2 a3 case family_size expected_size matches_enumeration".split()),
+    "expsum-check": Subcommand(_run_expsum_check, "closed forms vs direct sums", ("p", "n"),
+                               (P_FLAG, N_FLAG, ("--count", dict(type=int, default=20))),
+                               "p n q source k1 k2 x3 alpha status rel_err".split()),
+    "dioph": Subcommand(_run_dioph, "Diophantine toolkit", ("mode",),
+                        (("--mode", dict(choices=list(DIOPH_MODES))),
+                         *((f"--{f}", dict(type=int)) for f in "A B C x beta q Q b1 b2 b3 X M".split())),
+                        "mode inputs result".split()),
+    "selftest": Subcommand(_run_selftest, "run the bundled invariant checks", (), (), "check status".split()),
 }
 
 
 def _build_parser():
     top = argparse.ArgumentParser(prog="conic-lab")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--config", help="JSON file with defaults for these flags")
-        sp.add_argument("--seed", type=int, default=1)
-        sp.add_argument("--workers", type=int)
-        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        sp.add_argument("--dry-run", action="store_true")
-        sp.add_argument("--output", help="file path; default stdout")
-        sp.add_argument("--format", choices=["csv", "jsonl"], default="csv")
-
-    def coeffy(sp, with_n=True):
-        sp.add_argument("--p", type=int)
-        if with_n:
-            sp.add_argument("--n", type=int)
-        sp.add_argument("--coeffs", help="a1,a2,a3")
-        sp.add_argument("--sample", type=int, help="number of sampled coefficient triples, 1..10^6")
-
-    sp = sub.add_parser("count", help="sharp or smoothed box count")
-    coeffy(sp)
-    sp.add_argument("--N", type=float)
-    sp.add_argument("--sharp", action="store_true")
-    common(sp)
-
-    sp = sub.add_parser("predict", help="main-term prediction")
-    coeffy(sp)
-    sp.add_argument("--N", type=float)
-    sp.add_argument("--sharp", action="store_true")
-    common(sp)
-
-    sp = sub.add_parser("scan", help="observed/predicted ratios over an n range")
-    coeffy(sp, with_n=False)
-    sp.add_argument("--n", help="e.g. 3..6")
-    sp.add_argument("--theta", type=float, default=0.62)
-    sp.add_argument("--sharp", action="store_true")
-    common(sp)
-
-    sp = sub.add_parser("smallest", help="minimal max-norm solution")
-    coeffy(sp)
-    common(sp)
-
-    sp = sub.add_parser("param-check", help="parametrization coverage check")
-    coeffy(sp)
-    common(sp)
-
-    sp = sub.add_parser("expsum-check", help="closed forms vs direct sums")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--count", type=int, default=20)
-    common(sp)
-
-    sp = sub.add_parser("dioph", help="Diophantine toolkit")
-    sp.add_argument("--mode", choices=list(DIOPH_MODES))
-    for flag in ("A", "B", "C", "x", "beta", "q", "Q", "b1", "b2", "b3", "X", "M"):
-        sp.add_argument(f"--{flag}", type=int)
-    common(sp)
-
-    sp = sub.add_parser("selftest", help="run the bundled invariant checks")
-    common(sp)
+    for name, cmd in SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help)
+        for flag, keywords in (*cmd.flags, *COMMON_FLAGS):
+            sp.add_argument(flag, **keywords)
     return top
 
 
@@ -496,15 +459,15 @@ def _parse(argv):
     return PARSER.parse_args([args.command, *tokens, *argv[1:]])
 
 
-def _write(args, records):
+def _write(args, records, fields):
     """Emit the records to --output, or to stdout; a file that cannot be written is a ValueError."""
     seed = args.seed if getattr(args, "sample", None) else None
     if not args.output:
-        emit(records, FIELDS[args.command], args.format, sys.stdout, seed=seed)
+        emit(records, fields, args.format, sys.stdout, seed=seed)
         return
     try:
         with open(args.output, "w") as fh:
-            emit(records, FIELDS[args.command], args.format, fh, seed=seed)
+            emit(records, fields, args.format, fh, seed=seed)
     except OSError as exc:
         raise ValidationError(f"cannot write {args.output}: {exc}")
 
@@ -512,7 +475,9 @@ def _write(args, records):
 def run(argv) -> int:
     try:
         args = _parse(argv)
-        _write(args, HANDLERS[args.command](args, Splitmix64(args.seed)))
+        cmd = SUBCOMMANDS[args.command]
+        _require(args, *cmd.required)
+        _write(args, cmd.handler(args, Splitmix64(args.seed)), cmd.fields)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     except ValueError as exc:

@@ -231,6 +231,13 @@ def test_predict_examples(capsys):
     pp74 = PrimePowerModulus(7, 4)
     assert abs(predict_main_term((1, 1, -1), pp74, 100) - (24 / 49) * 1e6 / 2401) < 1e-9
     assert predict_main_term((1, 1, -1), pp74, 0, sharp=True) == 0
+    # predict_main_term refuses the N the predict subcommand refuses: a negative N once gave a
+    # negative prediction, and NaN a NaN one
+    for N in (-5, -0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite --N >= 0"):
+            predict_main_term((1, 2, 3), PrimePowerModulus(7, 2), N)
+    with pytest.raises(ValueError, match="overflows"):
+        predict_main_term((1, 2, 3), PrimePowerModulus(7, 2), 1e200)
     # C_p = 0 at p = 5 (s_p = p): the prediction is vacuous
     for p, vacuous in ((5, "true"), (7, "false")):
         argv = ["predict", "--p", str(p), "--n", "1", "--coeffs", "1,1,-1", "--N", "3", "--format", "jsonl"]
@@ -510,6 +517,10 @@ def test_estimate_count_work_refuses_what_the_count_refuses():
 def test_poisson_selfcheck():
     for scale in (1.0, 10.5, 0.1, 3.25):
         assert poisson_selfcheck(scale) < 1e-9
+    # 0 once divided by zero, and -2.5 summed nothing on either side and passed
+    for scale in (0.0, -2.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            poisson_selfcheck(scale)
 
 
 def test_table_cap_checked_before_allocation():
@@ -535,6 +546,11 @@ def test_table_cap_checked_before_allocation():
         "gauss_sum": lambda: modcore.gauss_sum(q),
         "gauss_sum_character": lambda: modcore.gauss_sum_character(q),
         "jacobi_table": lambda: modcore.jacobi_table(q),
+        # the wider side's ceil(6 * max(scale, 1/scale)) + 1 terms each way: 6e9 + 2, and 10^7 + 1
+        "poisson_selfcheck 1e9": lambda: poisson_selfcheck(1e9),
+        "poisson_selfcheck 1e-9": lambda: poisson_selfcheck(1e-9),
+        "poisson_selfcheck 1666666.6": lambda: poisson_selfcheck(1666666.6),
+        "poisson_selfcheck 5e-324": lambda: poisson_selfcheck(5e-324),  # 6/scale is inf
     }
     for name, call in capped.items():
         tracemalloc.start()

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -7,8 +8,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conic_lab import census, expsum
-from conic_lab.cli import DIOPH_MODES, FIELDS, Splitmix64, emit, run
+from conic_lab import census, cli, expsum
+from conic_lab.cli import DIOPH_MODES, SUBCOMMANDS, Splitmix64, emit, run
 from conic_lab.modcore import PrimePowerModulus
 
 
@@ -121,61 +122,12 @@ def test_scan_sharp_jsonl_rows_pinned(capsys):
         assert obs == float(census.count_sharp((1, 2, 3), PrimePowerModulus(7, n), N))
 
 
-def test_count_dry_run_refuses_the_N_the_run_refuses(capsys):
-    argv = ["count", "--p", "7", "--n", "3", "--coeffs", "1,2,3"]
-    for box in ("0", "0.5"):
-        run_out = run_capture(argv + ["--N", box], capsys)
-        dry_out = run_capture(argv + ["--N", box, "--dry-run"], capsys)
-        assert run_out == dry_out, box
-        code, out, err = run_out
-        assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1, err
-    sharp = argv + ["--N", "0", "--sharp"]
-    assert run_capture(sharp, capsys)[0] == 0
-    assert run_capture(sharp + ["--dry-run"], capsys) == (
-        0, "dry-run: estimated work units = 0 (budget 1000000000)\n", "")
-
-
-@pytest.mark.parametrize("argv", [
-    "dioph --mode equation --A 1 --B 1 --C 1 --x -5",  # once charged -9 work units
-    "dioph --mode equation --A 0 --B 1 --C 1 --x 5",
-    "dioph --mode countf --b1 1 --b2 1 --X 2000000 --q 49",  # over count_F's cap
-    "dioph --mode countf --b1 7 --b2 1 --X 10 --q 49",
-    "dioph --mode approx --beta 3 --q 0 --Q 3",  # an invalid modulus
-    "dioph --mode reduce --b1 1 --b2 1 --b3 7 --q 49 --Q 3",
-    "dioph --mode params --q 10 --M 11",
-])
-def test_dioph_dry_run_refuses_what_the_run_refuses(argv, capsys):
-    run_out = run_capture(argv.split(), capsys)
-    assert run_capture(argv.split() + ["--dry-run"], capsys) == run_out
-    code, out, err = run_out
-    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1, err
-
-
 def test_expsum_check_past_the_table_cap_exits_2(capsys):
     # 3 rows at 7^9 pass the work budget (3 q = 1.2e8), but every row is a size-q sum
     # over TABLE_Q_MAX: refused before any row, with --dry-run too, not printed as invalid
     argv = ["expsum-check", "--p", "7", "--n", "9", "--count", "3"]
     for dry in ([], ["--dry-run"]):
         code, out, err = run_capture(argv + dry, capsys)
-        assert (code, out) == (2, ""), dry
-        assert err.startswith("error: ") and err.count("\n") == 1 and "table budget" in err, err
-
-
-@pytest.mark.parametrize("argv", [
-    # q = 3^15 over TABLE_Q_MAX, each within the work budget
-    "param-check --p 3 --n 15 --coeffs 1,1,1",
-    "count --p 3 --n 15 --coeffs 1,1,1 --N 10",
-    "smallest --p 3 --n 15 --coeffs 1,1,1",
-    "scan --p 3 --n 15 --theta 0.51 --coeffs 1,1,-1",
-    # scan counts no n before it refuses the last
-    "scan --p 3 --n 14..15 --theta 0.51 --coeffs 1,1,-1",
-    # a box half-width over TABLE_Q_MAX at a small q, sharp and Gaussian
-    "count --p 7 --n 2 --coeffs 1,2,3 --N 20000000 --sharp --budget 1000000000000000",
-    "count --p 7 --n 2 --coeffs 1,2,3 --N 2000000 --budget 1000000000000000",
-])
-def test_past_the_table_cap_exits_2_dry_run_or_not(argv, capsys):
-    for dry in ([], ["--dry-run"]):
-        code, out, err = run_capture(argv.split() + dry, capsys)
         assert (code, out) == (2, ""), dry
         assert err.startswith("error: ") and err.count("\n") == 1 and "table budget" in err, err
 
@@ -324,49 +276,68 @@ def test_exit_codes(capsys):
         assert code == 2 and out == "" and "--count" in err and "Traceback" not in err
 
 
-# Each of these once ended in a traceback, a hang or a silent wrong row.
+# (argv, a substring of its error). Each once ended in a traceback, a hang, a silent wrong
+# row, or a dry run that printed an estimate for an input the run refuses.
 BAD_INPUTS = [
-    ["dioph", "--mode", "approx", "--beta", "3", "--q", "10", "--Q", "0"],
-    ["dioph", "--mode", "countf", "--b1", "7", "--b2", "1", "--X", "10", "--q", "49"],
-    ["dioph", "--mode", "countf", "--b1", "1", "--b2", "1", "--X", "2000000", "--q", "49"],
-    ["dioph", "--mode", "reduce", "--b1", "1", "--b2", "1", "--b3", "7", "--q", "49", "--Q", "3"],
-    ["param-check", "--p", "7", "--n", "9", "--coeffs", "1,2,3"],
-    ["param-check", "--p", "7", "--n", "2", "--coeffs", "7,2,3"],
-    ["predict", "--p", "7", "--n", "2", "--coeffs", "7,2,3", "--N", "5"],
-    ["count", "--p", "7", "--n", "2", "--coeffs", "7,2,3", "--N", "5"],
-    ["scan", "--p", "7", "--n", "2..3", "--coeffs", "1,14,3"],
-    ["dioph", "--mode", "approx", "--beta", "3", "--q", "0", "--Q", "3"],
-    ["count", "--p", "7", "--n", "2", "--coeffs", "1,1,-1", "--N", "1e308"],
-    ["scan", "--p", "7", "--n", "2..3", "--coeffs", "1,2,3", "--theta", "1e6"],
-    ["scan", "--p", "7", "--n", "2..3", "--coeffs", "1,2,3", "--theta", "nan"],
-    ["scan", "--p", "-1", "--n", "3", "--coeffs", "1,2,3"],
-    ["scan", "--p", "0", "--n", "3", "--coeffs", "1,2,3"],
-    ["count", "--p", "7", "--n", "10000000000", "--coeffs", "1,2,3", "--N", "5"],
-    ["predict", "--p", "7", "--n", "10000000000", "--coeffs", "1,2,3", "--N", "5"],
-    ["scan", "--p", "7", "--n", "10000000000", "--coeffs", "1,2,3"],
-    ["scan", "--p", "7", "--n", "1..10000000000", "--coeffs", "1,2,3"],
-    ["smallest", "--p", "7", "--n", "10000000000", "--coeffs", "1,2,3"],
-    ["param-check", "--p", "7", "--n", "10000000000", "--coeffs", "1,2,3"],
-    ["expsum-check", "--p", "7", "--n", "10000000000"],
-    ["dioph", "--mode", "equation", "--A", "1", "--B", "1", "--C", "1", "--x", "100000000000"],
-    ["dioph", "--mode", "approx", "--beta", "3", "--q", "-5", "--Q", "3"],
-    ["dioph", "--mode", "countf", "--b1", "1", "--b2", "1", "--X", "10", "--q", "-1"],
-    ["predict", "--p", "7", "--n", "2", "--coeffs", "1,2,3", "--N", "1e200"],
+    ("dioph --mode approx --beta 3 --q 10 --Q 0", "q and Q must be >= 1"),
+    ("dioph --mode countf --b1 7 --b2 1 --X 10 --q 49", "not invertible"),
+    ("dioph --mode countf --b1 1 --b2 1 --X 2000000 --q 49", "X <= 10^6"),  # over count_F's cap
+    ("dioph --mode reduce --b1 1 --b2 1 --b3 7 --q 49 --Q 3", "not invertible"),
+    ("param-check --p 7 --n 9 --coeffs 1,2,3", "table budget"),
+    ("param-check --p 7 --n 2 --coeffs 7,2,3", "shares a factor"),
+    ("predict --p 7 --n 2 --coeffs 7,2,3 --N 5", "shares a factor"),
+    ("count --p 7 --n 2 --coeffs 7,2,3 --N 5", "shares a factor"),
+    ("scan --p 7 --n 2..3 --coeffs 1,14,3", "shares a factor"),
+    ("dioph --mode approx --beta 3 --q 0 --Q 3", "q and Q must be >= 1"),  # an invalid modulus
+    ("count --p 7 --n 2 --coeffs 1,1,-1 --N 1e308", "overflows"),
+    ("scan --p 7 --n 2..3 --coeffs 1,2,3 --theta 1e6", "theta"),
+    ("scan --p 7 --n 2..3 --coeffs 1,2,3 --theta nan", "theta"),
+    ("scan --p -1 --n 3 --coeffs 1,2,3", "odd prime"),
+    ("scan --p 0 --n 3 --coeffs 1,2,3", "odd prime"),
+    ("count --p 7 --n 10000000000 --coeffs 1,2,3 --N 5", "2^62 cap"),
+    ("predict --p 7 --n 10000000000 --coeffs 1,2,3 --N 5", "2^62 cap"),
+    ("scan --p 7 --n 10000000000 --coeffs 1,2,3", "2^62 cap"),
+    ("scan --p 7 --n 1..10000000000 --coeffs 1,2,3", "2^62 cap"),
+    ("smallest --p 7 --n 10000000000 --coeffs 1,2,3", "2^62 cap"),
+    ("param-check --p 7 --n 10000000000 --coeffs 1,2,3", "2^62 cap"),
+    ("expsum-check --p 7 --n 10000000000", "2^62 cap"),
+    ("dioph --mode equation --A 1 --B 1 --C 1 --x 100000000000", "exceeds the budget"),
+    ("dioph --mode approx --beta 3 --q -5 --Q 3", "q and Q must be >= 1"),
+    ("dioph --mode countf --b1 1 --b2 1 --X 10 --q -1", "q must be >= 1"),
+    ("predict --p 7 --n 2 --coeffs 1,2,3 --N 1e200", "overflows"),
     # a removed flag, with values its float type once let through
-    ["scan", "--p", "7", "--n", "2..3", "--coeffs", "1,2,3", "--truncation-radius", "1e308"],
-    ["scan", "--p", "7", "--n", "2..3", "--coeffs", "1,2,3", "--truncation-radius", "nan"],
-    ["predict", "--p", "7", "--n", "2", "--N", "5", "--sample", "-1"],
-    ["count", "--p", "7", "--n", "2", "--N", "5", "--sample", "10000000000"],
+    ("scan --p 7 --n 2..3 --coeffs 1,2,3 --truncation-radius 1e308", "unrecognized arguments"),
+    ("scan --p 7 --n 2..3 --coeffs 1,2,3 --truncation-radius nan", "unrecognized arguments"),
+    ("predict --p 7 --n 2 --N 5 --sample -1", "--sample"),
+    ("count --p 7 --n 2 --N 5 --sample 10000000000", "--sample"),
+    # q = 3^15 over TABLE_Q_MAX, each within the work budget
+    ("param-check --p 3 --n 15 --coeffs 1,1,1", "table budget"),
+    ("count --p 3 --n 15 --coeffs 1,1,1 --N 10", "table budget"),
+    ("smallest --p 3 --n 15 --coeffs 1,1,1", "table budget"),
+    ("scan --p 3 --n 15 --theta 0.51 --coeffs 1,1,-1", "table budget"),
+    ("scan --p 3 --n 14..15 --theta 0.51 --coeffs 1,1,-1", "table budget"),  # counts no n before it refuses
+    # a box half-width over TABLE_Q_MAX at a small q, sharp and Gaussian
+    ("count --p 7 --n 2 --coeffs 1,2,3 --N 20000000 --sharp --budget 1000000000000000", "table budget"),
+    ("count --p 7 --n 2 --coeffs 1,2,3 --N 2000000 --budget 1000000000000000", "table budget"),
+    # a Gaussian box the count refuses, though the sharp box of N = 0 is empty and allowed
+    ("count --p 7 --n 3 --coeffs 1,2,3 --N 0", "N >= 1"),
+    ("count --p 7 --n 3 --coeffs 1,2,3 --N 0.5", "N >= 1"),
+    ("dioph --mode equation --A 1 --B 1 --C 1 --x -5", "x must be >= 1"),  # once charged -9 work units
+    ("dioph --mode equation --A 0 --B 1 --C 1 --x 5", "nonzero"),
+    ("dioph --mode params --q 10 --M 11", "M <= q"),
 ]
 
 
-@pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
-def test_bad_inputs_exit_2_dry_run_or_not(argv, capsys):
-    # --dry-run refuses every input the run refuses, before its budget gate prints an estimate
-    for dry in ([], ["--dry-run"]):
-        code, out, err = run_capture(argv + dry, capsys)
-        assert code == 2 and out == "" and "Traceback" not in err, (dry, err)
-        assert err.count("error:") == 1, (dry, err)
+@pytest.mark.parametrize("argv, needle", BAD_INPUTS, ids=[argv for argv, _ in BAD_INPUTS])
+def test_bad_inputs_exit_2_dry_run_or_not(argv, needle, capsys):
+    # --dry-run refuses every input the run refuses, with the same bytes, before its budget
+    # gate prints an estimate: one "error:" line from run, or argparse's usage and error
+    run_out = run_capture(argv.split(), capsys)
+    assert run_capture(argv.split() + ["--dry-run"], capsys) == run_out
+    code, out, err = run_out
+    assert code == 2 and out == "" and needle in err and "Traceback" not in err, err
+    assert err.count("error:") == 1, err
+    assert err.startswith("usage: ") or (err.startswith("error: ") and err.count("\n") == 1), err
 
 
 def test_coeffs_with_sample_exits_2(capsys):
@@ -503,6 +474,11 @@ def test_dry_run(capsys):
     )
     assert code == 0
     assert out.startswith("dry-run: estimated work units")
+    # the sharp box of N = 0 is empty: the run counts 0 and the dry run charges 0
+    sharp = ["count", "--p", "7", "--n", "3", "--coeffs", "1,2,3", "--N", "0", "--sharp"]
+    assert run_capture(sharp, capsys)[0] == 0
+    assert run_capture(sharp + ["--dry-run"], capsys) == (
+        0, "dry-run: estimated work units = 0 (budget 1000000000)\n", "")
 
 
 def test_smallest_budget_summed_before_search(capsys, monkeypatch):
@@ -617,10 +593,10 @@ def test_identical_seed_identical_bytes(capsys):
 
 def test_emit_float_formatting():
     buf = io.StringIO()
-    emit([dict(mode="x", inputs="i", result=1 / 3)], FIELDS["dioph"], "csv", buf)
+    emit([dict(mode="x", inputs="i", result=1 / 3)], SUBCOMMANDS["dioph"].fields, "csv", buf)
     assert "0.333333333333" in buf.getvalue()
     with pytest.raises(Exception):
-        emit([], FIELDS["dioph"], "yaml", io.StringIO())
+        emit([], SUBCOMMANDS["dioph"].fields, "yaml", io.StringIO())
 
 
 def test_splitmix_determinism():
@@ -654,3 +630,93 @@ def test_dioph_subcommand(capsys):
         ["dioph", "--mode", "approx", "--beta", "7", "--q", "10", "--Q", "3"], capsys
     )
     assert code == 0 and "a=2;r=3" in out
+
+
+def _actions(parser):
+    # (option strings, dest, type, default, choices, help, action class) of each action, in order
+    return [(" ".join(a.option_strings), a.dest, getattr(a.type, "__name__", a.type), a.default,
+             a.choices, a.help, type(a).__name__) for a in parser._actions]
+
+
+HELP_ACTION = ("-h --help", "help", None, "==SUPPRESS==", None, "show this help message and exit", "_HelpAction")
+COMMON_ACTIONS = [
+    ("--config", "config", None, None, None, "JSON file with defaults for these flags", "_StoreAction"),
+    ("--seed", "seed", "int", 1, None, None, "_StoreAction"),
+    ("--workers", "workers", "int", None, None, None, "_StoreAction"),
+    ("--budget", "budget", "int", 1000000000, None, None, "_StoreAction"),
+    ("--dry-run", "dry_run", None, False, None, None, "_StoreTrueAction"),
+    ("--output", "output", None, None, None, "file path; default stdout", "_StoreAction"),
+    ("--format", "format", None, "csv", ["csv", "jsonl"], None, "_StoreAction"),
+]
+P_ACTION = ("--p", "p", "int", None, None, None, "_StoreAction")
+N_ACTION = ("--n", "n", "int", None, None, None, "_StoreAction")
+TRIPLE_ACTIONS = [
+    ("--coeffs", "coeffs", None, None, None, "a1,a2,a3", "_StoreAction"),
+    ("--sample", "sample", "int", None, None, "number of sampled coefficient triples, 1..10^6", "_StoreAction"),
+]
+BOX_ACTIONS = [
+    ("--N", "N", "float", None, None, None, "_StoreAction"),
+    ("--sharp", "sharp", None, False, None, None, "_StoreTrueAction"),
+]
+# Each subcommand's help line and its parser's actions, recorded from the parser that spelled
+# out every add_argument call; --help prints them in this order.
+PARSER_ACTIONS = {
+    "count": ("sharp or smoothed box count", [P_ACTION, N_ACTION, *TRIPLE_ACTIONS, *BOX_ACTIONS]),
+    "predict": ("main-term prediction", [P_ACTION, N_ACTION, *TRIPLE_ACTIONS, *BOX_ACTIONS]),
+    "scan": ("observed/predicted ratios over an n range", [
+        P_ACTION, *TRIPLE_ACTIONS,
+        ("--n", "n", None, None, None, "e.g. 3..6", "_StoreAction"),
+        ("--theta", "theta", "float", 0.62, None, None, "_StoreAction"),
+        BOX_ACTIONS[1],
+    ]),
+    "smallest": ("minimal max-norm solution", [P_ACTION, N_ACTION, *TRIPLE_ACTIONS]),
+    "param-check": ("parametrization coverage check", [P_ACTION, N_ACTION, *TRIPLE_ACTIONS]),
+    "expsum-check": ("closed forms vs direct sums", [
+        P_ACTION, N_ACTION, ("--count", "count", "int", 20, None, None, "_StoreAction"),
+    ]),
+    "dioph": ("Diophantine toolkit", [
+        ("--mode", "mode", None, None, ["equation", "approx", "countf", "reduce", "params"], None, "_StoreAction"),
+        *((f"--{d}", d, "int", None, None, None, "_StoreAction")
+          for d in ("A", "B", "C", "x", "beta", "q", "Q", "b1", "b2", "b3", "X", "M")),
+    ]),
+    "selftest": ("run the bundled invariant checks", []),
+}
+
+
+def test_parser_actions_pinned():
+    # the parser built from SUBCOMMANDS makes the same add_argument calls, in the same order
+    sub = next(a for a in cli.PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    helps = [(name, help_line) for name, (help_line, _) in PARSER_ACTIONS.items()]
+    assert [(c.dest, c.help) for c in sub._choices_actions] == helps
+    assert list(sub.choices) == list(SUBCOMMANDS) == list(PARSER_ACTIONS)
+    for name, (_, own) in PARSER_ACTIONS.items():
+        assert _actions(sub.choices[name]) == [HELP_ACTION, *own, *COMMON_ACTIONS], name
+
+
+# Small runs of every handler; dioph once per mode, smallest with and without a solution
+HANDLER_RUNS = [
+    "count --p 7 --n 2 --coeffs 1,1,-1 --N 5 --sharp",
+    "count --p 7 --n 2 --sample 2 --N 3",
+    "predict --p 7 --n 2 --coeffs 1,1,-1 --N 5",
+    "scan --p 7 --n 2..3 --coeffs 1,1,-1",
+    "smallest --p 7 --n 2 --coeffs 1,1,-1",
+    "smallest --p 5 --n 1 --coeffs 1,1,-1",
+    "param-check --p 7 --n 2 --coeffs 1,1,-1",
+    "expsum-check --p 7 --n 3 --count 12",
+    "dioph --mode equation --A 1 --B 1 --C 2 --x 5",
+    "dioph --mode approx --beta 7 --q 10 --Q 3",
+    "dioph --mode countf --b1 1 --b2 2 --X 10 --q 49",
+    "dioph --mode reduce --b1 22 --b2 1 --b3 1 --q 49 --Q 7",
+    "dioph --mode params --q 49 --M 7",
+    "selftest",
+]
+
+
+def test_handler_rows_carry_exactly_the_fields():
+    # emit prints a misspelled or missing key as an empty column: each row's keys are the columns
+    assert {argv.split()[0] for argv in HANDLER_RUNS} == set(SUBCOMMANDS)
+    for argv in HANDLER_RUNS:
+        args = cli.PARSER.parse_args(argv.split())
+        cmd = SUBCOMMANDS[args.command]
+        rows = cmd.handler(args, Splitmix64(args.seed))
+        assert rows and all(list(row) == list(cmd.fields) for row in rows), argv

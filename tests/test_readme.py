@@ -35,7 +35,7 @@ def test_readme_cli_flags_exist(capsys):
     # Every flag the CLI section names is listed by some subcommand's --help,
     # and every config key it quotes names such a flag.
     known = set()
-    for command in cli.HANDLERS:
+    for command in cli.SUBCOMMANDS:
         assert cli.run([command, "--help"]) == 0
         known |= set(FLAG.findall(capsys.readouterr().out))
     text = README.read_text()
