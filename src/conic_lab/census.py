@@ -2,7 +2,8 @@
 
 Sharp and Gaussian-smoothed counts, the main-term predictor C_p N^3 / q,
 exact prime-level counts, unit-circle counts mod p^n, the smallest-solution
-box search, and n-sweeps comparing observed counts to the prediction.
+box search, and asymptotic_scan, which returns the rows scan prints: the
+observed count against the prediction for each n.
 
 The weight is a switch. By default it is the paper's self-dual Gaussian
 exp(-pi (x/N)^2), counted by count_smoothed over the box GAUSSIAN_TAIL_RADIUS
@@ -27,8 +28,6 @@ thread with a fixed operation order.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -54,17 +53,6 @@ BOX_BLOCK_CELLS = 1 << 16
 def _gaussian(x):
     """The self-dual weight exp(-pi x^2): its own Fourier transform, with hat(0) = 1."""
     return np.exp(-np.pi * np.square(x))
-
-
-@dataclass(frozen=True)
-class CountReport:
-    """One observed-vs-predicted record of a box count."""
-
-    modulus: PrimePowerModulus
-    box_half_width: float
-    observed: float
-    predicted: float
-    ratio: Optional[float]  # None when the prediction is not positive
 
 
 def _float_sum(x: np.ndarray) -> float:
@@ -204,7 +192,7 @@ def predict_main_term(coeffs, pp: PrimePowerModulus, N: float, sharp: bool = Fal
     and 2 for the sharp box [-1, 1], so the sharp prediction is 8 times the
     Gaussian one (each coordinate's box holds 2N integers, not N).
     Zero or negative C_p (s_p >= p) makes the prediction vacuous; the value
-    is returned as-is, and asymptotic_scan leaves such a report's ratio None.
+    is returned as-is, and asymptotic_scan leaves such a row's ratio None.
     An N that check_main_term_N refuses raises ValueError.
     """
     cp = main_constant(coeffs, pp.p)
@@ -225,12 +213,12 @@ def check_main_term_N(N: float) -> None:
 def count_mod_p(coeffs, p: int) -> int:
     """Exact count of unit-coordinate solutions mod a prime p.
 
-    count_sharp at q = p over the box +-(p-1)/2, which holds each unit
+    The sharp count at q = p over the box +-(p-1)/2, which holds each unit
     residue mod p exactly once; always equals (p-1)(p - s_p).
     """
     if p > 10**4:
         raise ValueError("exhaustive prime-level scan capped at p <= 10^4")
-    return count_sharp(coeffs, PrimePowerModulus(p, 1), (p - 1) // 2)
+    return count(coeffs, PrimePowerModulus(p, 1), (p - 1) // 2, sharp=True)
 
 
 def sqrt_count_table(pp: PrimePowerModulus) -> np.ndarray:
@@ -395,21 +383,23 @@ def estimate_scan_work(p: int, n_values, theta: float, sharp: bool = False) -> i
 
 
 def asymptotic_scan(coeffs, p: int, n_values, theta: float, sharp: bool = False) -> list:
-    """CountReports of count at N = ceil(q^theta) for each n; the caller charges the work.
+    """The rows scan prints: count at N = ceil(q^theta) for each n; the caller charges the work.
 
-    No n is read past the first modulus over Q_MAX, and a bad theta, q or box
-    is refused, as estimate_scan_work refuses it, before any count.
+    Each row is a dict p, n, q, N, theta, observed, predicted, ratio, with the
+    ratio None when the prediction is not positive. No n is read past the
+    first modulus over Q_MAX, and a bad theta, q or box is refused, as
+    estimate_scan_work refuses it, before any count.
     """
     moduli = [PrimePowerModulus(p, n) for n in n_values]
     estimate_scan_work(p, [pp.n for pp in moduli], theta, sharp)
-    reports = []
+    rows = []
     for pp in moduli:
         N = math.ceil(pp.q**theta)
         observed = float(count(coeffs, pp, N, sharp))
         predicted = predict_main_term(coeffs, pp, N, sharp)
-        ratio = observed / predicted if predicted > 0 else None
-        reports.append(CountReport(pp, N, observed, predicted, ratio))
-    return reports
+        rows.append(dict(p=pp.p, n=pp.n, q=pp.q, N=N, theta=theta, observed=observed,
+                         predicted=predicted, ratio=observed / predicted if predicted > 0 else None))
+    return rows
 
 
 def poisson_selfcheck(scale: float) -> float:

@@ -6,10 +6,11 @@ handler, help line, required flags, own flags and output columns. One
 argparse parser, built from that table at import, knows every flag, type
 and default; run refuses a missing required flag before the handler runs.
 A JSON config object (--config) is turned into argv: each key names a flag
-("dry_run" is --dry-run), true is the bare flag, false is dropped, and any
-other value is passed as --key=value. These tokens go before the explicit
-flags and the whole line is parsed again, so explicit flags win and config
-values are type-checked like flags.
+("dry_run" is --dry-run), true is the bare flag, false is dropped, any other
+string or number is passed as --key=value, and null, an array or an object is
+refused. These tokens go before the explicit flags and the whole line is
+parsed again, so explicit flags win and config values are type-checked like
+flags.
 --workers must be an integer and has no effect.
 
 Results are emitted as CSV or JSONL with a fixed column set per subcommand
@@ -161,6 +162,8 @@ def _coeff_list(args, rng):
 
 # ----------------------------------------------------------------- handlers
 
+# Every dioph flag, in --help order; a mode reads its own and refuses the others.
+DIOPH_FLAGS = ("A", "B", "C", "x", "beta", "q", "Q", "b1", "b2", "b3", "X", "M")
 # dioph mode -> (its flags, in the order the inputs column prints them; the name of its
 # dioph check; its result). Each result looks its dioph function up when called, so a
 # wrapped or patched one runs.
@@ -222,16 +225,8 @@ def _run_scan(args, rng):
     units = census.estimate_scan_work(args.p, n_values, args.theta, args.sharp)
     triples = _coeff_list(args, rng)
     _budget_gate(args, units * len(triples))
-    rows = []
-    for coeffs in triples:
-        reports = census.asymptotic_scan(coeffs, args.p, n_values, args.theta, args.sharp)
-        for rep in reports:
-            rows.append(
-                dict(p=rep.modulus.p, n=rep.modulus.n, q=rep.modulus.q,
-                     N=rep.box_half_width, theta=args.theta,
-                     observed=rep.observed, predicted=rep.predicted, ratio=rep.ratio)
-            )
-    return rows
+    return [row for coeffs in triples
+            for row in census.asymptotic_scan(coeffs, args.p, n_values, args.theta, args.sharp)]
 
 
 def _run_smallest(args, rng):
@@ -326,6 +321,9 @@ def _run_expsum_check(args, rng):
 
 def _run_dioph(args, rng):
     flags, check, solve = DIOPH_MODES[args.mode]
+    unread = ", ".join(f"--{f}" for f in DIOPH_FLAGS if f not in flags and getattr(args, f) is not None)
+    if unread:
+        raise ValidationError(f"dioph --mode {args.mode} does not read {unread}")
     _require(args, *flags)
     values = [getattr(args, flag) for flag in flags]
     getattr(dioph, check)(*values)  # before the gate: --dry-run refuses what the run refuses, and x >= 1
@@ -415,7 +413,7 @@ SUBCOMMANDS = {
                                "p n q source k1 k2 x3 alpha status rel_err".split()),
     "dioph": Subcommand(_run_dioph, "Diophantine toolkit", ("mode",),
                         (("--mode", dict(choices=list(DIOPH_MODES))),
-                         *((f"--{f}", dict(type=int)) for f in "A B C x beta q Q b1 b2 b3 X M".split())),
+                         *((f"--{f}", dict(type=int)) for f in DIOPH_FLAGS)),
                         "mode inputs result".split()),
     "selftest": Subcommand(_run_selftest, "run the bundled invariant checks", (), (), "check status".split()),
 }
@@ -451,6 +449,8 @@ def _parse(argv):
         # every subcommand flag --a-b stores to dest a_b
         if key in ("command", "config") or key.replace("-", "_") not in vars(args):
             raise ValidationError(f"config {args.config}: unknown field {key!r}")
+        if not isinstance(value, (str, int, float)):  # bool is an int
+            raise ValidationError(f"config {args.config}: field {key!r} must be a string, number or boolean")
         flag = "--" + key.replace("_", "-")
         if value is True:
             tokens.append(flag)

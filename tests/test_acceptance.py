@@ -255,8 +255,7 @@ def test_criterion_08_count_equals_brute_force():
 
 
 def _scan_ratios(coeffs):
-    reports = census.asymptotic_scan(coeffs, 7, [4, 5, 6], 0.62)
-    return [r.ratio for r in reports]
+    return [r["ratio"] for r in census.asymptotic_scan(coeffs, 7, [4, 5, 6], 0.62)]
 
 
 def test_criterion_09_theorem1_trend_sampled_triples():
@@ -409,6 +408,6 @@ def test_criterion_12_determinism_across_workers():
     outs = {_cli_stdout(argv + ["--workers", str(w)]) for w in (1, 4, 8)}
     assert len(outs) == 1  # bit-identical: JSONL prints floats as repr
     observed = [json.loads(line)["observed"] for line in outs.pop().splitlines()]
-    assert observed == [r.observed for r in census.asymptotic_scan((1, 2, 3), 7, [3, 4], 0.62)]
+    assert observed == [r["observed"] for r in census.asymptotic_scan((1, 2, 3), 7, [3, 4], 0.62)]
     _report("criterion 12", True,
             "count and scan JSONL byte-identical over --workers {1,4,8}; observed == library counts")

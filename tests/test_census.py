@@ -449,15 +449,18 @@ def test_smallest_search_starts_at_the_charged_box(monkeypatch):
 
 
 def test_asymptotic_scan_shapes():
-    reports = asymptotic_scan((1, 2, 3), 7, [2, 3], 0.62)
-    assert [r.modulus.n for r in reports] == [2, 3]
-    for r in reports:
-        assert r.box_half_width == math.ceil(r.modulus.q**0.62)
-        assert r.ratio == r.observed / r.predicted
+    # the rows are scan's output records: their keys are its columns, in order
+    rows = asymptotic_scan((1, 2, 3), 7, [2, 3], 0.62)
+    assert [r["n"] for r in rows] == [2, 3]
+    for r in rows:
+        assert list(r) == cli.SUBCOMMANDS["scan"].fields
+        assert (r["p"], r["q"], r["theta"]) == (7, 7 ** r["n"], 0.62)
+        assert r["N"] == math.ceil(r["q"] ** 0.62)
+        assert r["ratio"] == r["observed"] / r["predicted"]
     with pytest.raises(ValueError):
         asymptotic_scan((1, 2, 3), 7, [2, 3], 0.45)
     vac = asymptotic_scan((1, 1, -1), 5, [2], 0.62)
-    assert vac[0].ratio is None
+    assert vac[0]["ratio"] is None
 
 
 def test_asymptotic_scan_refuses_a_q_past_the_cap_before_any_count(monkeypatch):

@@ -202,6 +202,24 @@ def test_expsum_check_benchmark_rows_pinned(args, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("fmt, digest", [
+    ("csv", "c7cf2a262dc7a74b0bd933b6a2d84f14c6bd9fe5d2e78de89627ada3963e6c2d"),
+    ("jsonl", "870d60be99a86e38fc06691c7a2326ad07bdb35b5705faf5cd418dd2125702d5"),
+])
+def test_scan_sample_rows_pinned(fmt, digest, capsys):
+    # a two-triple scan with its seed (the CSV's "# seed=5" line, a JSONL "seed" key), byte for byte
+    argv = ["scan", "--p", "7", "--n", "3..4", "--sample", "2", "--seed", "5", "--format", fmt]
+    code, out, err = run_capture(argv, capsys)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()  # 2 triples x 2 moduli
+    if fmt == "csv":
+        assert lines[:2] == ["# seed=5", ",".join(SUBCOMMANDS["scan"].fields + ["schema_version"])]
+        assert len(lines) == 6
+    else:
+        assert [json.loads(line)["seed"] for line in lines] == [5] * 4
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_expsum_check_skips_the_direct_sum_of_an_unsupported_row(capsys, monkeypatch):
     # the closed form runs first: the --p 7 --n 3 panel's unsupported case1 row queues no
     # direct sum; each ok row queues its classes, and one direct_sums call sums them all
@@ -325,6 +343,9 @@ BAD_INPUTS = [
     ("dioph --mode equation --A 1 --B 1 --C 1 --x -5", "x must be >= 1"),  # once charged -9 work units
     ("dioph --mode equation --A 0 --B 1 --C 1 --x 5", "nonzero"),
     ("dioph --mode params --q 10 --M 11", "M <= q"),
+    # a flag its mode does not read, once ignored with exit 0
+    ("dioph --mode params --q 49 --M 7 --A 3", "does not read --A"),
+    ("dioph --mode equation --A 1 --B 1 --C 1 --x 5 --q 49", "does not read --q"),
 ]
 
 
@@ -338,6 +359,30 @@ def test_bad_inputs_exit_2_dry_run_or_not(argv, needle, capsys):
     assert code == 2 and out == "" and needle in err and "Traceback" not in err, err
     assert err.count("error:") == 1, err
     assert err.startswith("usage: ") or (err.startswith("error: ") and err.count("\n") == 1), err
+
+
+def test_dioph_flags_are_the_modes_flags(capsys, tmp_path):
+    # DIOPH_FLAGS declares the parser's dioph flags, and every one is read by some mode
+    assert set(cli.DIOPH_FLAGS) == {f for flags, _, _ in DIOPH_MODES.values() for f in flags}
+    # a config key is a flag: a mode refuses it as it refuses the flag, naming each extra one
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"beta": 5}))
+    argv = ["dioph", "--mode", "params", "--q", "49", "--M", "7", "--config", str(cfg), "--A", "3"]
+    for dry in ([], ["--dry-run"]):
+        assert run_capture(argv + dry, capsys) == (2, "", "error: dioph --mode params does not read --A, --beta\n")
+
+
+def test_config_value_must_be_a_string_number_or_boolean(capsys, tmp_path, monkeypatch):
+    # null once became --output=None and an array --output=['x']: each wrote a file of that name
+    monkeypatch.chdir(tmp_path)
+    for value in (None, ["x"], {"a": 1}):
+        (tmp_path / "c.json").write_text(json.dumps({"output": value}))
+        for dry in ([], ["--dry-run"]):
+            argv = ["smallest", "--p", "7", "--n", "2", "--coeffs", "1,1,-1", "--config", "c.json", *dry]
+            code, out, err = run_capture(argv, capsys)
+            assert (code, out) == (2, ""), value
+            assert err == "error: config c.json: field 'output' must be a string, number or boolean\n", err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"], value
 
 
 def test_coeffs_with_sample_exits_2(capsys):

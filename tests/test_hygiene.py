@@ -149,11 +149,10 @@ def test_kernel_calls_detector():
 
 
 def test_count_picks_the_kernel():
-    # census.count is the one place that picks count_sharp or count_smoothed; count_mod_p calls
-    # count_sharp itself, as the prime-level law is the sharp count by definition
+    # census.count is the one place that picks count_sharp or count_smoothed
     found = {(f.name, name) for f in sorted((ROOT / "src" / "conic_lab").glob("*.py"))
              for _, name in kernel_calls(f.read_text())}
-    assert found == {("census.py", "count"), ("census.py", "count_mod_p")}, found
+    assert found == {("census.py", "count")}, found
 
 
 def test_trig_uses_detector():
