@@ -6,11 +6,11 @@ handler, help line, required flags, own flags and output columns. One
 argparse parser, built from that table at import, knows every flag, type
 and default; run refuses a missing required flag before the handler runs.
 A JSON config object (--config) is turned into argv: each key names a flag
-("dry_run" is --dry-run), true is the bare flag, false is dropped, any other
-string or number is passed as --key=value, and null, an array or an object is
-refused. These tokens go before the explicit flags and the whole line is
-parsed again, so explicit flags win and config values are type-checked like
-flags.
+("dry_run" is --dry-run); for a switch, true is the bare flag and false is
+dropped; any other string or number is passed as --key=value; and null, an
+array, an object or a boolean for a flag that takes a value is refused.
+These tokens go before the explicit flags and the whole line is parsed again,
+so explicit flags win and config values are type-checked like flags.
 --workers must be an integer and has no effect.
 
 Results are emitted as CSV or JSONL with a fixed column set per subcommand
@@ -342,7 +342,6 @@ def _run_selftest(args, rng):
         except Exception:
             ok = False
         rows.append(dict(check=name, status="pass" if ok else "FAIL"))
-        return ok
 
     pp72 = PrimePowerModulus(7, 2)
     check("prime-level-law", lambda: all(
@@ -363,8 +362,9 @@ def _run_selftest(args, rng):
     ) < 1e-6)
     check("poisson", lambda: census.poisson_selfcheck(10.5) < 1e-9)
     check("dirichlet", lambda: dioph.dirichlet_approx(7, 10, 3).r == 3)
-    if not all(r["status"] == "pass" for r in rows):
-        raise AssertionError("selftest failed")
+    failed = [r["check"] for r in rows if r["status"] != "pass"]
+    if failed:
+        raise AssertionError(f"selftest failed: {', '.join(failed)}")
     return rows
 
 
@@ -447,10 +447,13 @@ def _parse(argv):
     tokens = []
     for key, value in doc.items():
         # every subcommand flag --a-b stores to dest a_b
-        if key in ("command", "config") or key.replace("-", "_") not in vars(args):
+        dest = key.replace("-", "_")
+        if key in ("command", "config") or dest not in vars(args):
             raise ValidationError(f"config {args.config}: unknown field {key!r}")
         if not isinstance(value, (str, int, float)):  # bool is an int
             raise ValidationError(f"config {args.config}: field {key!r} must be a string, number or boolean")
+        if isinstance(value, bool) and not isinstance(vars(args)[dest], bool):  # a switch's dest holds a bool
+            raise ValidationError(f"config {args.config}: field {key!r} takes a value, not a boolean")
         flag = "--" + key.replace("_", "-")
         if value is True:
             tokens.append(flag)

@@ -10,13 +10,13 @@ Two regimes, decided by the residue pattern of the -ai*aj mod p:
 
 Both regimes are one chord-slope map, written once as the form k1*y1 + k2*y2
 (slope_form), and family_plan is the one place that maps a case to its base
-point and its layers: Case II is the layers s through find_base_point's
-point, Case I layer 0 through (0, b). build_family runs one layer loop that
-evaluates the map on all of a layer's classes in one modcore.ratio_mod_class
-call, sorts each layer's keys once and merges the layers in one more sort;
-expsum's amplitudes scale the map by x3. A pair set mod q is a read-only int64
-(k, 2) array of rows (y1, y2) strictly increasing in the key
-y1*q + y2 < q^2 <= 1e14 < 2^63.
+point and its layers: Case II is the layers s through (a, b), a the first unit
+mod p with (-a3 - a1 a^2)/a2 a residue and b its smaller root, Case I layer 0
+through (0, b). build_family runs one layer loop that evaluates the map on all
+of a layer's classes in one modcore.ratio_mod_class call, sorts each layer's
+keys once and merges the layers in one more sort; expsum's amplitudes scale
+the map by x3. A pair set mod q is a read-only int64 (k, 2) array of rows
+(y1, y2) strictly increasing in the key y1*q + y2 < q^2 <= 1e14 < 2^63.
 
 The independent check is enumerate_pair_solutions, a join over the units y in
 1..(q-1)/2 alone: the units mod q (p odd) are a cyclic group, so a unit square
@@ -24,7 +24,7 @@ has exactly the two unit roots +-y, and both keys a1*y^2 and -a3 - a2*y^2 are
 injective on the half range; each matched pair gives the four solutions
 (+-y1, +-y2). Its int64 products stay below q^2 <= 1e14 (y^2 < q^2).
 
-Also: base-point search and Hensel lifting of full solution triples.
+Also: Hensel lifting of full solution triples.
 """
 
 from dataclasses import dataclass
@@ -83,38 +83,6 @@ def normalize_to_case1(coeffs, p: int) -> CoefficientTriple:
     raise ValueError("no -ai*aj is a residue: Case II pattern")
 
 
-def find_base_point(coeffs, pp: PrimePowerModulus) -> BasePoint:
-    """A pair (a, b) mod q with a1*a^2 + a2*b^2 = -a3 mod q.
-
-    Tries a = 0, 1, ... mod p, taking b as the smaller square root of
-    (-a3 - a1*a^2)/a2 mod p: the first pair with both coordinates units wins,
-    else the first pair found. These are the lexicographically least such
-    pairs mod p. One unit coordinate is then Newton-lifted to mod q.
-    Deterministic.
-    """
-    c = validate_coeffs(coeffs, pp.p)
-    p, q = pp.p, pp.q
-    inv2 = mod_inverse(c.a2, p)
-    pt = None
-    for a in range(p):
-        b = sqrt_mod_prime((-c.a3 - c.a1 * a * a) * inv2, p)
-        if b is None:
-            continue
-        b = min(b, p - b)
-        if a and b:
-            pt = (a, b)
-            break
-        if pt is None:
-            pt = (a, b)
-    assert pt is not None, "a1*a^2 and -a3 - a2*b^2 each take (p+1)/2 values mod p, so they meet"
-    a, b = pt
-    if a:
-        a = lift_root((c.a2 * b * b + c.a3, 0, c.a1), a, p, q)
-    else:
-        b = lift_root((c.a3, 0, c.a2), b, p, q)
-    return BasePoint(a, b)
-
-
 def slope_form(k1, k2, s, base, coeffs, p: int):
     """k1*y1 + k2*y2 of the chord-slope map at t / p^s, as ascending integer (numer, denom).
 
@@ -151,21 +119,21 @@ def _layer_keys(coeffs, s, base, alphas, e, pp: PrimePowerModulus) -> np.ndarray
     return keys[np.diff(keys, prepend=-1) != 0]
 
 
-def case1_admissible_alphas(coeffs, p: int):
-    """Classes alpha mod p with alpha(a1 - a2 alpha^2)(a1 + a2 alpha^2) a unit."""
-    c = validate_coeffs(coeffs, p)
-    return [a for a in range(1, p) if (c.a1 - c.a2 * a * a) % p and (c.a1 + c.a2 * a * a) % p]
-
-
 def family_plan(coeffs, pp: PrimePowerModulus):
     """The case's chord-slope family: (base point, layers (s, alphas, e)).
 
     Layer s is slope_form's map at t / p^s for t = alpha + p j, alpha in
     alphas and j < p^e. Case I is (0, b), b the smaller root of
-    b^2 = -a3/a2 mod q, with layer 0 on the admissible classes. Case II is
-    find_base_point's point with the layers M_s: all t mod q at s = 0 (t = 0
-    stands for t = p^n), the units t in 1..p^(n-s) at 0 < s < n, and t = 1
-    alone at s = n; every denominator is a unit mod q. A mixed pattern is a
+    b^2 = -a3/a2 mod q, with layer 0 on the admissible classes: the alpha in
+    1..p-1 with (a1 - a2 alpha^2)(a1 + a2 alpha^2) a unit. Case II is (a, b)
+    with a the first of 1..p-1 for which (-a3 - a1 a^2)/a2 is a residue mod p,
+    b its smaller root mod p and a Newton-lifted to mod q, with the layers
+    M_s: all t mod q at s = 0 (t = 0 stands for t = p^n), the units t in
+    1..p^(n-s) at 0 < s < n, and t = 1 alone at s = n; every denominator is a
+    unit mod q. Such an a exists, and the point's coordinates are units:
+    a1 a^2 and -a3 - a2 b^2 each take (p+1)/2 values mod p, so they meet, and
+    a meeting point with a = 0 would make -a2*a3 a residue, one with b = 0
+    would make -a1*a3 one, which Case II rules out. A mixed pattern is a
     ValueError: normalize_to_case1 permutes it into Case I.
     """
     c = validate_coeffs(coeffs, pp.p)
@@ -173,10 +141,17 @@ def family_plan(coeffs, pp: PrimePowerModulus):
     tag = case_tag(c, p)
     if tag == CASE_I:
         b = sqrt_mod_prime_power(-c.a3 * mod_inverse(c.a2, q) % q, pp)
-        return BasePoint(0, b), [(0, case1_admissible_alphas(c, p), n - 1)]
+        alphas = [t for t in range(1, p) if (c.a1 - c.a2 * t * t) % p and (c.a1 + c.a2 * t * t) % p]
+        return BasePoint(0, b), [(0, alphas, n - 1)]
     if tag == CASE_II:
+        inv2 = mod_inverse(c.a2, p)
+        for a in range(1, p):
+            b = sqrt_mod_prime((-c.a3 - c.a1 * a * a) * inv2, p)
+            if b is not None:
+                break
+        b = min(b, p - b)
         layers = [(0, range(p), n - 1), *((s, range(1, p), n - s - 1) for s in range(1, n)), (n, [1], 0)]
-        return find_base_point(c, pp), layers
+        return BasePoint(lift_root((c.a2 * b * b + c.a3, 0, c.a1), a, p, q), b), layers
     raise ValueError("a mixed residue pattern has no family sum; permute it into Case I")
 
 

@@ -45,17 +45,10 @@ def count_equation_solutions(A: int, B: int, C: int, x: int) -> int:
 
 @dataclass(frozen=True)
 class Approximant:
-    """A reduced fraction a/r with r <= Q and |target - a/r| <= 1/(rQ)."""
+    """dirichlet_approx's reduced fraction a/r: r <= Q and |(beta mod q)/q - a/r| <= 1/(rQ)."""
 
     a: int
     r: int
-    Q: int
-    target_num: int
-    target_den: int
-
-    @property
-    def error(self) -> Fraction:
-        return abs(Fraction(self.target_num, self.target_den) - Fraction(self.a, self.r))
 
 
 def convergents(num: int, den: int):
@@ -94,9 +87,8 @@ def dirichlet_approx(beta: int, q: int, Q: int) -> Approximant:
             break
         best = (a, r)
     a, r = best
-    appr = Approximant(a, r, Q, beta, q)
-    assert appr.error <= Fraction(1, r * Q)
-    return appr
+    assert abs(Fraction(beta, q) - Fraction(a, r)) <= Fraction(1, r * Q)
+    return Approximant(a, r)
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -159,7 +151,6 @@ class ReducedCoefficients:
     r2: int
     a1: int
     a2: int
-    q: int
 
     @property
     def r(self) -> int:
@@ -189,7 +180,7 @@ def reduce_coefficients(b1: int, b2: int, b3: int, q: int, Q: int) -> ReducedCoe
     r = ap1.r * ap2.r
     g1 = -t1 * r + ap1.a * ap2.r * q
     g2 = -t2 * r + ap2.a * ap1.r * q
-    out = ReducedCoefficients(g1, g2, ap1.r, ap2.r, ap1.a, ap2.a, q)
+    out = ReducedCoefficients(g1, g2, ap1.r, ap2.r, ap1.a, ap2.a)
     bound = q * (ap1.r + ap2.r) // Q + r + 1
     assert abs(g1) <= bound and abs(g2) <= bound
     return out

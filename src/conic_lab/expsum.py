@@ -291,7 +291,7 @@ def layer_sum(s, k1, k2, x3, coeffs, pp: PrimePowerModulus) -> complex:
 def direct_E(k1, k2, x3, coeffs, pp: PrimePowerModulus) -> complex:
     """The family sum E(k1,k2,x3;p^n) by direct summation: closed_form_E's twin.
 
-    It is layer 0 of conic.family_plan: all t through find_base_point's point
+    It is layer 0 of conic.family_plan: all t through its unit point (a, b)
     in Case II, the admissible classes through (0, b) in Case I.
     """
     return layer_sum(0, k1, k2, x3, coeffs, pp)

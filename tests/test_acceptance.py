@@ -337,7 +337,8 @@ def test_criterion_11_diophantine_toolkit():
         beta = rng.randrange(q)
         Q = rng.randint(1, 10**4)
         ap = dioph.dirichlet_approx(beta, q, Q)
-        assert math.gcd(ap.a, ap.r) == 1 and ap.error <= Fraction(1, ap.r * Q)
+        assert math.gcd(ap.a, ap.r) == 1
+        assert abs(Fraction(beta % q, q) - Fraction(ap.a, ap.r)) <= Fraction(1, ap.r * Q)
     # the equality case of the pair count
     for _ in range(20):
         M = rng.randint(1, 100)

@@ -202,6 +202,20 @@ def test_expsum_check_benchmark_rows_pinned(args, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    ("param-check --p 11 --n 3 --sample 8 --seed 3", "f679a88fa8211b6e6ffc95270ed81c46db4fcf221f89aabebb0035a473912758"),
+    ("param-check --p 19 --n 2 --sample 8 --seed 3", "16051e7129fcacc2b6e46239a492d9735b48e436d0dce0c11e1ed7719928cd88"),
+    ("expsum-check --p 11 --n 3 --count 24 --seed 2", "f06c93fdbf33bc8484e453ad13dce9262ffc430a1875fa67f32db538920198a0"),
+    ("expsum-check --p 19 --n 3 --count 24 --seed 2", "fdfcce0a1e0995c1a7843cd2984df634250417da3eba63cc4ebbc39fd62d4e2a"),
+])
+def test_case2_rows_pinned(argv, digest, capsys):
+    # panels with Case II rows at p = 11 and 19 (2 or 3 each), byte for byte: SHA-256 of the JSONL output
+    code, out, err = run_capture([*argv.split(), "--format", "jsonl"], capsys)
+    assert (code, err) == (0, "")
+    assert any('"CaseII"' in line or '"case2"' in line for line in out.splitlines())
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("fmt, digest", [
     ("csv", "c7cf2a262dc7a74b0bd933b6a2d84f14c6bd9fe5d2e78de89627ada3963e6c2d"),
     ("jsonl", "870d60be99a86e38fc06691c7a2326ad07bdb35b5705faf5cd418dd2125702d5"),
@@ -383,6 +397,17 @@ def test_config_value_must_be_a_string_number_or_boolean(capsys, tmp_path, monke
             assert (code, out) == (2, ""), value
             assert err == "error: config c.json: field 'output' must be a string, number or boolean\n", err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"], value
+    # a boolean is a value only for a switch: for --budget, false is refused as true is, not dropped
+    argv = ["count", "--p", "7", "--n", "2", "--coeffs", "1,1,-1", "--N", "5", "--sharp", "--config", "c.json"]
+    for value in (False, True):
+        (tmp_path / "c.json").write_text(json.dumps({"budget": value}))
+        for dry in ([], ["--dry-run"]):
+            code, out, err = run_capture([*argv, *dry], capsys)
+            assert (code, out) == (2, ""), value
+            assert err == "error: config c.json: field 'budget' takes a value, not a boolean\n", err
+    for value in (False, True):
+        (tmp_path / "c.json").write_text(json.dumps({"sharp": value, "dry_run": value}))
+        assert run_capture(argv, capsys)[0] == 0, value
 
 
 def test_coeffs_with_sample_exits_2(capsys):
@@ -570,6 +595,12 @@ def test_selftest(capsys):
     code, out, _ = run_capture(["selftest"], capsys)
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_selftest_names_the_failed_checks(capsys, monkeypatch):
+    monkeypatch.setattr(census, "count_unit_circle", lambda *args: 0)
+    code, out, err = run_capture(["selftest"], capsys)
+    assert (code, out, err) == (1, "", "internal assertion failure: selftest failed: unit-circle\n")
 
 
 def test_jsonl_round_trip(capsys, tmp_path):

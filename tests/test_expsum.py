@@ -14,10 +14,8 @@ from conic_lab.conic import (
     CASE_I,
     CASE_II,
     build_family,
-    case1_admissible_alphas,
     case_tag,
     family_plan,
-    find_base_point,
 )
 from conic_lab.expsum import (
     IntRationalFunction,
@@ -569,7 +567,8 @@ def test_families_are_the_conic_maps():
         coeffs = (coeffs[0] - 2 * q, coeffs[1] + q, coeffs[2] + 3 * q)
         f1 = family_amplitude(0, 1, 0, 1, coeffs, pp)
         f2 = family_amplitude(0, 0, 1, 1, coeffs, pp)
-        ts = [t for alpha in case1_admissible_alphas(coeffs, p) for t in range(alpha, q, p)]
+        [(_, alphas, _)] = family_plan(coeffs, pp)[1]  # Case I's one layer, on the admissible classes
+        ts = [t for alpha in alphas for t in range(alpha, q, p)]
         pairs = {(f1.eval_mod(t, q), f2.eval_mod(t, q)) for t in ts}
         assert pairs == set(map(tuple, build_family(coeffs, pp).layers[0].tolist()))
         if p % 4 == 1:
@@ -679,9 +678,9 @@ def test_closed_form_E_degenerate_cases_raise():
     with pytest.raises(UnsupportedCaseError):
         # (1,2,1) is Case I mod 3 and D = 2 l1^2 + l2^2 = 0 mod 3 at l1 = l2 = 1
         closed_form_E(1, 1, 1, (1, 2, 1), pp3)
-    # Case II degenerate critical quadratic: l2*a1*a = l1*a2*b mod p at find_base_point's (a, b)
+    # Case II degenerate critical quadratic: l2*a1*a = l1*a2*b mod p at family_plan's point (a, b)
     pp33 = PrimePowerModulus(3, 3)
-    a, b = find_base_point((1, 1, 1), pp33)
+    a, b = family_plan((1, 1, 1), pp33)[0]
     assert a % 3 == b % 3 == 1
     with pytest.raises(UnsupportedCaseError, match="degenerates"):
         closed_form_E(1, 1, 1, (1, 1, 1), pp33)
