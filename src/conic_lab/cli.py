@@ -452,8 +452,11 @@ def _parse(argv):
             raise ValidationError(f"config {args.config}: unknown field {key!r}")
         if not isinstance(value, (str, int, float)):  # bool is an int
             raise ValidationError(f"config {args.config}: field {key!r} must be a string, number or boolean")
-        if isinstance(value, bool) and not isinstance(vars(args)[dest], bool):  # a switch's dest holds a bool
+        switch = isinstance(vars(args)[dest], bool)  # a switch's dest holds a bool
+        if isinstance(value, bool) and not switch:
             raise ValidationError(f"config {args.config}: field {key!r} takes a value, not a boolean")
+        if switch and not isinstance(value, bool):
+            raise ValidationError(f"config {args.config}: field {key!r} is a switch: true or false")
         flag = "--" + key.replace("_", "-")
         if value is True:
             tokens.append(flag)

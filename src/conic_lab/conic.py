@@ -12,10 +12,11 @@ Both regimes are one chord-slope map, written once as the form k1*y1 + k2*y2
 (slope_form), and family_plan is the one place that maps a case to its base
 point and its layers: Case II is the layers s through (a, b), a the first unit
 mod p with (-a3 - a1 a^2)/a2 a residue and b its smaller root, Case I layer 0
-through (0, b). build_family runs one layer loop that evaluates the map on all
-of a layer's classes in one modcore.ratio_mod_class call, sorts each layer's
-keys once and merges the layers in one more sort; expsum's amplitudes scale
-the map by x3. A pair set mod q is a read-only int64 (k, 2) array of rows
+through (0, b). build_family evaluates layer 0 in one modcore.ratio_mod_class
+call and Case II's layers s >= 1 in one more, as the class 0 mod p of the
+reversed slope form at u = p^s / t split by the valuation of u; it sorts each
+layer's keys once and merges the layers in one more sort; expsum's amplitudes
+scale the map by x3. A pair set mod q is a read-only int64 (k, 2) array of rows
 (y1, y2) strictly increasing in the key y1*q + y2 < q^2 <= 1e14 < 2^63.
 
 The independent check is enumerate_pair_solutions, a join over the units y in
@@ -105,18 +106,42 @@ def _pair_rows(keys, q: int) -> np.ndarray:
     return rows
 
 
-def _layer_keys(coeffs, s, base, alphas, e, pp: PrimePowerModulus) -> np.ndarray:
-    """The distinct keys y1*q + y2, sorted, of slope_form's map at t / p^s mod q, t = alpha + p j for j < p^e.
-
-    By modcore.ratio_mod_class (q <= TABLE_Q_MAX); the denominator must be a unit.
-    Repeats are masked out of the sorted keys (np.unique is ~15x slower).
-    """
-    num1, den = slope_form(1, 0, s, base, coeffs, pp.p)
-    num2, _ = slope_form(0, 1, s, base, coeffs, pp.p)
-    y1, y2 = ratio_mod_class((num1, num2), den, alphas, e, pp)
-    keys = y1 * pp.q + y2
+def _distinct_sorted(keys) -> np.ndarray:
+    """The int64 keys sorted, repeats masked out (np.unique is ~15x slower)."""
     keys.sort()
     return keys[np.diff(keys, prepend=-1) != 0]
+
+
+def _map_keys(coeffs, base, alphas, e, pp: PrimePowerModulus, inverse=False) -> np.ndarray:
+    """The keys y1*q + y2 of slope_form's map at slope t (1 / t if inverse), t = alpha + p j, j < p^e, in t order.
+
+    By modcore.ratio_mod_class (q <= TABLE_Q_MAX); the denominator must be a unit.
+    """
+    (num1, den), (num2, _) = (slope_form(k1, k2, 0, base, coeffs, pp.p) for k1, k2 in ((1, 0), (0, 1)))
+    step = -1 if inverse else 1  # at 1 / t, times t^2: the coefficient tuples reversed
+    y1, y2 = ratio_mod_class((num1[::step], num2[::step]), den[::step], alphas, e, pp)
+    return y1 * pp.q + y2
+
+
+def _inverse_slope_keys(coeffs, base, pp: PrimePowerModulus) -> dict:
+    """Case II's layers s = 1..n in one evaluation: s -> the distinct keys, sorted, of the map at u = p^s / t.
+
+    Put t / p^s = 1 / u and multiply by u^2: the map at the inverse slope u is
+    slope_form's at s = 0 with both coefficient tuples reversed, and its
+    denominator a2 + a1 u^2 is a2 mod p, a unit, on the class u = p j, j < p^(n-1).
+    As t runs over the units mod p^(n-s), u = p^s (t^-1 mod p^(n-s)) runs over the
+    residues mod q of exact valuation s, on the same chord: layer s is the j with
+    v_p(j) = s - 1, and j = 0 (u = 0, slope t / p^n with t = 1) is layer n.
+    """
+    p, n = pp.p, pp.n
+    rest = _map_keys(coeffs, base, [0], n - 1, pp, inverse=True)
+    layers = {}
+    for s in range(1, n):  # rest holds the j divisible by p^(s-1), as rows j / p^s by last digit
+        by_digit = rest.reshape(-1, p)
+        layers[s] = _distinct_sorted(by_digit[:, 1:].ravel())
+        rest = by_digit[:, 0]
+    layers[n] = rest
+    return layers
 
 
 def family_plan(coeffs, pp: PrimePowerModulus):
@@ -172,19 +197,24 @@ class ParamFamily:
 def build_family(coeffs, pp: PrimePowerModulus) -> ParamFamily:
     """Materialize the layers (s, alphas, e) of family_plan, after checking the table budget.
 
-    Case I gives the unit solutions, Case II all p^n + p^(n-1) solutions. A
-    layer with fewer than len(alphas) p^e distinct pairs (its map is not
-    injective) is an AssertionError, checked layer by layer; so, after all of
-    them, is a pair in two layers (a key repeated in the layers' sorted keys,
-    merged by one stable sort of their sorted runs; Case I has one layer, and
-    nothing to merge), named by the first layer with a pair of an earlier one.
+    Case I gives the unit solutions, Case II all p^n + p^(n-1) solutions.
+    Layer 0 is one ratio_mod_class call; Case II's layers s >= 1 are one more,
+    the class 0 mod p of the reversed slope form at u = p^s / t
+    (_inverse_slope_keys). A layer with fewer than len(alphas) p^e distinct
+    pairs (its map is not injective) is an AssertionError, checked layer by
+    layer; so, after all of them, is a pair in two layers (a key repeated in
+    the layers' sorted keys, merged by one stable sort of their sorted runs;
+    Case I has one layer, and nothing to merge), named by the first layer with
+    a pair of an earlier one.
     """
     c = validate_coeffs(coeffs, pp.p)
     check_table_q(pp.q)
     base, plan = family_plan(c, pp)
-    keys = {}
+    _, alphas, e = plan[0]
+    keys = {0: _distinct_sorted(_map_keys(c, base, alphas, e, pp))}
+    if len(plan) > 1:  # Case II
+        keys.update(_inverse_slope_keys(c, base, pp))
     for s, alphas, e in plan:
-        keys[s] = _layer_keys(c, s, base, alphas, e, pp)
         expected = len(alphas) * pp.p**e
         if len(keys[s]) != expected:
             raise AssertionError(f"layer {s} has {len(keys[s])} pairs, expected {expected}")

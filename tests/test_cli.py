@@ -408,6 +408,14 @@ def test_config_value_must_be_a_string_number_or_boolean(capsys, tmp_path, monke
     for value in (False, True):
         (tmp_path / "c.json").write_text(json.dumps({"sharp": value, "dry_run": value}))
         assert run_capture(argv, capsys)[0] == 0, value
+    # and a switch takes only a boolean: 1 once reached argparse as --sharp=1, its usage block on stderr
+    argv.remove("--sharp")
+    for value in (1, 0, "yes"):
+        (tmp_path / "c.json").write_text(json.dumps({"sharp": value}))
+        for dry in ([], ["--dry-run"]):
+            code, out, err = run_capture([*argv, *dry], capsys)
+            assert (code, out) == (2, ""), value
+            assert err == "error: config c.json: field 'sharp' is a switch: true or false\n", err
 
 
 def test_coeffs_with_sample_exits_2(capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conic_lab.modcore import PrimePowerModulus, jacobi, residue_pattern, s_p
+from conic_lab.modcore import PrimePowerModulus, jacobi, poly_eval_mod, residue_pattern, s_p
 from conic_lab import conic
 from conic_lab.conic import (
     CASE_I,
@@ -17,6 +17,7 @@ from conic_lab.conic import (
     family_plan,
     lift_triple,
     normalize_to_case1,
+    slope_form,
 )
 
 import oracles
@@ -228,13 +229,53 @@ def test_build_family_refuses_overlapping_layers(monkeypatch):
         y1, y2 = (y.copy() for y in real(*args))
         if not layer0:
             layer0.append((y1[0], y2[0]))
-        else:  # layer s >= 1: no pair of it lies in layer 0, so its size stays full
-            y1[0], y2[0] = layer0[0]
+        else:  # layers s >= 1 at u = p j: entry 1 is u = p, layer 1, whose size stays full
+            y1[1], y2[1] = layer0[0]
         return y1, y2
 
     monkeypatch.setattr(conic, "ratio_mod_class", reuse_a_layer0_pair)
     with pytest.raises(AssertionError, match=r"^layer 1 overlaps an earlier layer$"):
         build_family((1, 1, 1), PrimePowerModulus(3, 2))
+
+
+def test_case2_layers_are_the_plan_layers():
+    # each layer against its own classes t of family_plan, in Python ints: apart from
+    # ratio_mod_class and the valuation split, which size and union checks would not catch
+    rng = random.Random(36)
+    for p, n_max in ((3, 5), (7, 3), (11, 2)):  # q <= 7^3
+        for n in range(1, n_max + 1):
+            pp, q, done = PrimePowerModulus(p, n), p**n, 0
+            while done < 3:
+                coeffs = tuple(rng.randrange(1, q) for _ in range(3))
+                if any(a % p == 0 for a in coeffs) or case_tag(coeffs, p) != CASE_II:
+                    continue
+                fam = build_family(coeffs, pp)
+                base, plan = family_plan(coeffs, pp)
+                assert sorted(fam.layers) == [s for s, _, _ in plan]
+                for s, alphas, e in plan:
+                    (num1, den), (num2, _) = (slope_form(k1, k2, s, base, coeffs, p) for k1, k2 in ((1, 0), (0, 1)))
+                    want = set()
+                    for t in (alpha + p * j for alpha in alphas for j in range(p**e)):
+                        inv = pow(poly_eval_mod(den, t, q), -1, q)
+                        want.add((poly_eval_mod(num1, t, q) * inv % q, poly_eval_mod(num2, t, q) * inv % q))
+                    assert set(map(tuple, fam.layers[s].tolist())) == want, (coeffs, p, n, s)
+                done += 1
+
+
+def test_build_family_makes_one_class_call_per_chart(monkeypatch):
+    # Case I is one ratio_mod_class call; Case II is layer 0 and one call for layers 1..n
+    calls, real = [], conic.ratio_mod_class
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(conic, "ratio_mod_class", counted)
+    for n in range(1, 9):
+        for coeffs, want in (((1, 1, -1), 1), ((1, 1, 1), 2)):
+            calls.clear()
+            build_family(coeffs, PrimePowerModulus(3, n))
+            assert len(calls) == want, (coeffs, n)
 
 
 def test_enumerate_examples():
