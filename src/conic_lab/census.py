@@ -1,9 +1,10 @@
 """Counting solution triples of a1 x1^2 + a2 x2^2 + a3 x3^2 = 0 mod p^n in boxes.
 
 Sharp and Gaussian-smoothed counts, the main-term predictor C_p N^3 / q,
-exact prime-level counts, unit-circle counts mod p^n, the smallest-solution
-box search, and asymptotic_scan, which returns the rows scan prints: the
-observed count against the prediction for each n.
+exact prime-level counts, the smallest-solution box search, and
+asymptotic_scan, which returns the rows scan prints: the observed count
+against the prediction for each n. Binary conics, the unit circle among
+them, are solved in conic.
 
 The weight is a switch. By default it is the paper's self-dual Gaussian
 exp(-pi (x/N)^2), counted by count_smoothed over the box GAUSSIAN_TAIL_RADIUS
@@ -219,36 +220,6 @@ def count_mod_p(coeffs, p: int) -> int:
     if p > 10**4:
         raise ValueError("exhaustive prime-level scan capped at p <= 10^4")
     return count(coeffs, PrimePowerModulus(p, 1), (p - 1) // 2, sharp=True)
-
-
-def sqrt_count_table(pp: PrimePowerModulus) -> np.ndarray:
-    """counts[c] = #{x mod q : x^2 = c mod q} for every residue c.
-
-    The histogram of x^2 mod q over x in [0, q), squared and reduced in
-    place (x^2 < q^2 <= 1e14 < 2^63), so the peak is 2x the table.
-    """
-    q = pp.q
-    check_table_q(q)
-    x = np.arange(q, dtype=np.int64)
-    x *= x
-    x %= q
-    return np.bincount(x, minlength=q)
-
-
-def count_unit_circle(g1: int, g2: int, pp: PrimePowerModulus) -> int:
-    """Number of pairs (x1, x2) mod q with g1 x1^2 + g2 x2^2 = 1 mod q.
-
-    All residue pairs count, units or not; when -g1*g2 is a non-residue
-    mod p the value is p^n + p^(n-1).
-    """
-    p, q = pp.p, pp.q
-    if g1 % p == 0 or g2 % p == 0:
-        raise ValueError("g1, g2 must be units mod p")
-    counts = sqrt_count_table(pp)
-    inv2 = mod_inverse(g2, q)
-    xs = np.arange(q, dtype=np.int64)
-    need = (1 - g1 % q * (xs * xs % q)) % q * inv2 % q
-    return int(np.sum(counts[need]))
 
 
 def _box_minimum(k1: int, k2: int, pp: PrimePowerModulus, M: int):

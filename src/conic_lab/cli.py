@@ -23,8 +23,8 @@ and the other handlers charge their own.
 
 Exit codes: 0 success, 2 invalid input, 1 internal assertion failure. The
 handlers do not translate errors: every ValueError, from the library's own
-checks or from this module's ValidationError, reaches run, which prints one
-"error: <message>" line to stderr, nothing to stdout, and returns 2.
+checks or from this module's, reaches run, which prints one "error: <message>"
+line to stderr, nothing to stdout, and returns 2.
 """
 
 import argparse
@@ -40,10 +40,6 @@ from .modcore import PrimePowerModulus
 SCHEMA_VERSION = 1
 DEFAULT_BUDGET = 10**9
 SAMPLE_MAX = 10**6
-
-
-class ValidationError(ValueError):
-    """Bad configuration found by the CLI itself: reported with exit code 2."""
 
 
 class Splitmix64:
@@ -98,16 +94,16 @@ def emit(records, fields, fmt: str, out, seed=None):
                 doc["seed"] = seed
             out.write(json.dumps(doc) + "\n")
     else:
-        raise ValidationError(f"unknown format {fmt!r}")
+        raise ValueError(f"unknown format {fmt!r}")
 
 
 def _parse_coeffs(text: str):
     try:
         parts = [int(x) for x in text.split(",")]
     except ValueError:
-        raise ValidationError(f"coeffs must be three comma-separated integers, got {text!r}")
+        raise ValueError(f"coeffs must be three comma-separated integers, got {text!r}")
     if len(parts) != 3:
-        raise ValidationError(f"coeffs must have exactly three entries, got {text!r}")
+        raise ValueError(f"coeffs must have exactly three entries, got {text!r}")
     return tuple(parts)
 
 
@@ -117,22 +113,22 @@ def _parse_n_range(text: str):
         try:
             lo, hi = int(lo), int(hi)
         except ValueError:
-            raise ValidationError(f"bad n range {text!r}")
+            raise ValueError(f"bad n range {text!r}")
         if lo > hi:
-            raise ValidationError(f"empty n range {text!r}")
+            raise ValueError(f"empty n range {text!r}")
         # lazy: the q cap refuses n > 62 before a long range is walked
         return range(lo, hi + 1)
     try:
         return [int(text)]
     except ValueError:
-        raise ValidationError(f"bad n value {text!r}")
+        raise ValueError(f"bad n value {text!r}")
 
 
 def _budget_gate(args, units: int):
     """Refuse work over --budget; on --dry-run, print the estimate and end the run, as --help does."""
     budget = args.budget
     if units > budget:
-        raise ValidationError(
+        raise ValueError(
             f"estimated work {units} pair visits exceeds the budget {budget}; "
             "raise --budget or shrink the request"
         )
@@ -148,16 +144,16 @@ def _coeff_list(args, rng):
     refuses a coefficient the run refuses; sampled triples are units by construction.
     """
     if args.sample is not None and not 1 <= args.sample <= SAMPLE_MAX:
-        raise ValidationError(f"--sample must lie in 1..{SAMPLE_MAX}, got {args.sample}")
+        raise ValueError(f"--sample must lie in 1..{SAMPLE_MAX}, got {args.sample}")
     if args.coeffs is not None and args.sample is not None:
-        raise ValidationError("give --coeffs or --sample, not both")
+        raise ValueError("give --coeffs or --sample, not both")
     if args.coeffs is not None:
         coeffs = _parse_coeffs(args.coeffs)
         modcore.validate_coeffs(coeffs, args.p)
         return [coeffs]
     if args.sample is not None:
         return [rng.unit_triple(args.p) for _ in range(args.sample)]
-    raise ValidationError("provide --coeffs or --sample")
+    raise ValueError("provide --coeffs or --sample")
 
 
 # ----------------------------------------------------------------- handlers
@@ -189,7 +185,7 @@ def _require(args, *names):
     missing = [n for n in names if getattr(args, n, None) is None]
     if missing:
         flags = ", ".join("--" + n.replace("_", "-") for n in missing)
-        raise ValidationError(f"missing required parameter(s): {flags}")
+        raise ValueError(f"missing required parameter(s): {flags}")
 
 
 def _run_count(args, rng):
@@ -272,7 +268,7 @@ def _run_expsum_check(args, rng):
     pp = PrimePowerModulus(args.p, args.n)
     count = args.count
     if count < 1:
-        raise ValidationError("expsum-check requires --count >= 1")
+        raise ValueError("expsum-check requires --count >= 1")
     modcore.check_table_q(pp.q)  # every row is a size-q sum: refuse before the gate, so --dry-run does too
     _budget_gate(args, count * pp.q)
     rows, queued, requests = [], [], []
@@ -323,7 +319,7 @@ def _run_dioph(args, rng):
     flags, check, solve = DIOPH_MODES[args.mode]
     unread = ", ".join(f"--{f}" for f in DIOPH_FLAGS if f not in flags and getattr(args, f) is not None)
     if unread:
-        raise ValidationError(f"dioph --mode {args.mode} does not read {unread}")
+        raise ValueError(f"dioph --mode {args.mode} does not read {unread}")
     _require(args, *flags)
     values = [getattr(args, flag) for flag in flags]
     getattr(dioph, check)(*values)  # before the gate: --dry-run refuses what the run refuses, and x >= 1
@@ -347,7 +343,7 @@ def _run_selftest(args, rng):
     check("prime-level-law", lambda: all(
         census.count_mod_p(c, 7) == 6 * (7 - modcore.s_p(c, 7))
         for c in [(1, 1, 1), (1, 1, 6), (2, 3, 5), (1, 2, 3)]))
-    check("unit-circle", lambda: census.count_unit_circle(1, 1, PrimePowerModulus(3, 2)) == 12)
+    check("unit-circle", lambda: conic.count_unit_circle(1, 1, PrimePowerModulus(3, 2)) == 12)
     check("gauss-sum", lambda: abs(abs(modcore.gauss_sum(49)) - 7.0) < 1e-9)
     check("case1-coverage", lambda: np.array_equal(conic.build_family((1, 1, -1), pp72).pairs,
           conic.enumerate_pair_solutions((1, 1, -1), pp72)))
@@ -441,22 +437,22 @@ def _parse(argv):
         with open(args.config) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"config {args.config}: {exc}")
+        raise ValueError(f"config {args.config}: {exc}")
     if not isinstance(doc, dict):
-        raise ValidationError(f"config {args.config}: expected a JSON object")
+        raise ValueError(f"config {args.config}: expected a JSON object")
     tokens = []
     for key, value in doc.items():
         # every subcommand flag --a-b stores to dest a_b
         dest = key.replace("-", "_")
         if key in ("command", "config") or dest not in vars(args):
-            raise ValidationError(f"config {args.config}: unknown field {key!r}")
+            raise ValueError(f"config {args.config}: unknown field {key!r}")
         if not isinstance(value, (str, int, float)):  # bool is an int
-            raise ValidationError(f"config {args.config}: field {key!r} must be a string, number or boolean")
+            raise ValueError(f"config {args.config}: field {key!r} must be a string, number or boolean")
         switch = isinstance(vars(args)[dest], bool)  # a switch's dest holds a bool
         if isinstance(value, bool) and not switch:
-            raise ValidationError(f"config {args.config}: field {key!r} takes a value, not a boolean")
+            raise ValueError(f"config {args.config}: field {key!r} takes a value, not a boolean")
         if switch and not isinstance(value, bool):
-            raise ValidationError(f"config {args.config}: field {key!r} is a switch: true or false")
+            raise ValueError(f"config {args.config}: field {key!r} is a switch: true or false")
         flag = "--" + key.replace("_", "-")
         if value is True:
             tokens.append(flag)
@@ -475,7 +471,7 @@ def _write(args, records, fields):
         with open(args.output, "w") as fh:
             emit(records, fields, args.format, fh, seed=seed)
     except OSError as exc:
-        raise ValidationError(f"cannot write {args.output}: {exc}")
+        raise ValueError(f"cannot write {args.output}: {exc}")
 
 
 def run(argv) -> int:

@@ -19,11 +19,11 @@ layer's keys once and merges the layers in one more sort; expsum's amplitudes
 scale the map by x3. A pair set mod q is a read-only int64 (k, 2) array of rows
 (y1, y2) strictly increasing in the key y1*q + y2 < q^2 <= 1e14 < 2^63.
 
-The independent check is enumerate_pair_solutions, a join over the units y in
-1..(q-1)/2 alone: the units mod q (p odd) are a cyclic group, so a unit square
-has exactly the two unit roots +-y, and both keys a1*y^2 and -a3 - a2*y^2 are
-injective on the half range; each matched pair gives the four solutions
-(+-y1, +-y2). Its int64 products stay below q^2 <= 1e14 (y^2 < q^2).
+A binary conic is solved in one place, a join over the units y in 1..(q-1)/2
+alone (_half_range_join): each matched pair gives the four unit solutions
+(+-y1, +-y2). On it run enumerate_pair_solutions, the families' independent
+check, and count_unit_circle, which adds the pairs with a coordinate = 0 mod p
+by Hensel. Its int64 products stay below q^2 <= 1e14 (y^2 < q^2).
 
 Also: Hensel lifting of full solution triples.
 """
@@ -37,6 +37,7 @@ from .modcore import (
     CoefficientTriple,
     PrimePowerModulus,
     check_table_q,
+    jacobi,
     lift_root,
     mod_inverse,
     ratio_mod_class,
@@ -258,21 +259,17 @@ def lift_triple(x, coeffs, pp: PrimePowerModulus) -> list:
     return lifts
 
 
-def enumerate_pair_solutions(coeffs, pp: PrimePowerModulus) -> np.ndarray:
-    """The unit solutions of a1*y1^2 + a2*y2^2 + a3 = 0 mod q, in the module's pair format.
+def _half_range_join(coeffs, pp: PrimePowerModulus):
+    """The units y1, y2 in 1..(q-1)/2 with a1*y1^2 + a2*y2^2 + a3 = 0 mod q: int64 y1 ascending, int32 y2.
 
-    A join over the units y in 1..(q-1)/2 only. The units mod q (p odd) are a cyclic
-    group, so a unit square has exactly the two unit roots +-y, one in each half of
-    [1, q): on the half range both keys a1*y^2 and -a3 - a2*y^2 are injective. So
-    y1 pairs with y2 exactly when a1*y1^2 = -a3 - a2*y2^2 mod q, and a direct-address
-    table over the residues mod q, filled with y2 at its key, gives each y1 its one
-    partner (or 0, which is no unit) without a sort. The solutions are the four sign
-    variants (+-y1, +-y2) of each such pair. They come out sorted: with y1 ascending,
-    the rows (y1, y2), (y1, q - y2) are the solutions with y1 < q/2 in order, and
-    (y1, y2) -> (q - y1, q - y2) reverses the order of rows of units, so the rest are
-    the first rows reversed and negated. O(q); int64 throughout, as the squares come
-    from modcore.unit_squares and every other product has both factors reduced below
-    q (TABLE_Q_MAX's bound); the table is int32, as y < q <= 1e7 < 2^31.
+    The units mod q (p odd) are a cyclic group, so a unit square has exactly the
+    two unit roots +-y, one in each half of [1, q): on the half range both keys
+    a1*y^2 and -a3 - a2*y^2 are injective. So y1 pairs with y2 exactly when
+    a1*y1^2 = -a3 - a2*y2^2 mod q, and a direct-address table over the residues
+    mod q, filled with y2 at its key, gives each y1 its one partner (or 0, which
+    is no unit) without a sort. O(q); int64 throughout, as the squares come from
+    modcore.unit_squares and every other product has both factors reduced below q
+    (TABLE_Q_MAX's bound); the table is int32, as y < q <= 1e7 < 2^31.
     """
     c = validate_coeffs(coeffs, pp.p)
     p, q = pp.p, pp.q
@@ -282,11 +279,43 @@ def enumerate_pair_solutions(coeffs, pp: PrimePowerModulus) -> np.ndarray:
     partner[(-c.a3 % q - c.a2 % q * sq) % q] = ys
     y2 = partner[c.a1 % q * sq % q]
     hit = y2 != 0
-    y2 = y2[hit]
+    return ys[hit], y2[hit]
+
+
+def enumerate_pair_solutions(coeffs, pp: PrimePowerModulus) -> np.ndarray:
+    """The unit solutions of a1*y1^2 + a2*y2^2 + a3 = 0 mod q, in the module's pair format.
+
+    The four sign variants (+-y1, +-y2) of each pair of _half_range_join. They come
+    out sorted: with y1 ascending, the rows (y1, y2), (y1, q - y2) are the solutions
+    with y1 < q/2 in order, and (y1, y2) -> (q - y1, q - y2) reverses the order of
+    rows of units, so the rest are the first rows reversed and negated.
+    """
+    y1, y2 = _half_range_join(coeffs, pp)
+    q = pp.q
     low = np.empty((2 * len(y2), 2), np.int64)
-    low[:, 0] = np.repeat(ys[hit], 2)
+    low[:, 0] = np.repeat(y1, 2)
     low[0::2, 1] = y2
     low[1::2, 1] = q - y2
     rows = np.concatenate((low, q - low[::-1]))
     rows.flags.writeable = False
     return rows
+
+
+def count_unit_circle(g1: int, g2: int, pp: PrimePowerModulus) -> int:
+    """Number of pairs (x1, x2) mod q with g1 x1^2 + g2 x2^2 = 1 mod q.
+
+    All residue pairs count, units or not; when -g1*g2 is a non-residue mod p
+    the value is p^n + p^(n-1). The pairs of units are the four sign variants
+    of each pair of _half_range_join on (g1, g2, -1). No pair has both
+    coordinates = 0 mod p, as 0 is not 1. A pair with x2 = 0 mod p (p^(n-1)
+    choices of x2) needs g1 x1^2 = 1 - g2 x2^2, a unit = 1 mod p: x1^2 is the
+    unit (1 - g2 x2^2)/g1, a square mod q exactly when it is a residue mod p
+    (Hensel), that is when g1 is one, and then it has exactly two roots. So
+    those pairs number p^(n-1) (1 + chi(g1)), chi the Legendre symbol mod p,
+    and those with x1 = 0 mod p, symmetrically, p^(n-1) (1 + chi(g2)).
+    """
+    p = pp.p
+    if g1 % p == 0 or g2 % p == 0:
+        raise ValueError("g1, g2 must be units mod p")
+    _, y2 = _half_range_join((g1, g2, -1), pp)
+    return 4 * len(y2) + p ** (pp.n - 1) * (2 + jacobi(g1, p) + jacobi(g2, p))

@@ -84,10 +84,6 @@ def brute_unit_circle(g1, g2, q):
     )
 
 
-def brute_sqrt_roots(a, q):
-    return sorted(x for x in range(q) if (x * x - a) % q == 0)
-
-
 def brute_base_point(coeffs, p):
     """Lexicographically least (a, b) mod p with a1 a^2 + a2 b^2 + a3 = 0 mod p
     and both coordinates units; the least solution at all when none is."""
@@ -208,3 +204,19 @@ def prime_powers_upto(limit, p_min=3):
             n += 1
             q *= p
     return out
+
+
+def brute_dual_coefficient(coeffs, k, p, q):
+    """C(k;q): the sum over the unit solutions y of the congruence of e(k.y / q), by a numpy mesh.
+
+    For each unit pair (y1, y2) the unit y3 that complete it are read from a q-entry table,
+    T[r] = sum over the unit y3 with a3 y3^2 + r = 0 mod q of e(k3 y3 / q).
+    """
+    a1, a2, a3 = coeffs
+    k1, k2, k3 = k
+    ys = np.array([y for y in range(q) if y % p], dtype=np.int64)
+    table = np.zeros(q, complex)
+    np.add.at(table, (-a3 * ys * ys) % q, np.exp(2j * np.pi * (k3 * ys % q) / q))
+    r = (a1 * ys[:, None] ** 2 + a2 * ys[None, :] ** 2) % q
+    phase = np.exp(2j * np.pi * ((k1 * ys[:, None] + k2 * ys[None, :]) % q) / q)
+    return complex(np.sum(phase * table[r]))

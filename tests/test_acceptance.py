@@ -67,7 +67,7 @@ def test_criterion_02_unit_circle_count():
                 g1, g2 = rng.randrange(1, pp.q), rng.randrange(1, pp.q)
                 if g1 % p == 0 or g2 % p == 0 or modcore.jacobi(-g1 * g2, p) != -1:
                     continue
-                assert census.count_unit_circle(g1, g2, pp) == pp.q + pp.q // p
+                assert conic.count_unit_circle(g1, g2, pp) == pp.q + pp.q // p
                 done += 1
                 checked += 1
     took = time.monotonic() - t0

@@ -16,14 +16,12 @@ from conic_lab.census import (
     count_mod_p,
     count_sharp,
     count_smoothed,
-    count_unit_circle,
     estimate_count_work,
     estimate_scan_work,
     estimate_smallest_work,
     poisson_selfcheck,
     predict_main_term,
     smallest_solution,
-    sqrt_count_table,
 )
 
 import oracles
@@ -258,78 +256,18 @@ def test_count_mod_p_examples_and_law():
         count_mod_p((1, 1, 1), 9)  # composite moduli are not prime levels
 
 
-def test_sqrt_count_table():
-    for (p, n) in [(3, 1), (3, 3), (5, 2), (7, 2), (7, 3)]:
-        pp = PrimePowerModulus(p, n)
-        tab = sqrt_count_table(pp)
-        for c in range(pp.q):
-            assert tab[c] == len(oracles.brute_sqrt_roots(c, pp.q)), (p, n, c)
-
-
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.sampled_from([(3, 1), (3, 5), (5, 3), (7, 3), (11, 2), (13, 3), (101, 2)]), st.data())
 def test_sqrt_counts_property(pn, data):
-    # a unit has 2 square roots mod p^n if it is a residue mod p, else none
+    # a unit has a square root mod p^n exactly when it is a residue mod p
     pp = PrimePowerModulus(*pn)
     p, q = pp.p, pp.q
-    tab = sqrt_count_table(pp)
-    c = np.arange(q)
-    units = c % p != 0
-    want = np.where(modcore.legendre_table(p)[c % p] == 1, 2, 0)
-    assert np.array_equal(tab[units], want[units])
     a = data.draw(st.integers(1, q - 1).filter(lambda a: a % p))
     root = modcore.sqrt_mod_prime_power(a, pp)
     if jacobi(a, p) == 1:
         assert root * root % q == a
     else:
         assert root is None
-
-
-def test_table_builders_peak_memory():
-    # the builder holds one q-entry temporary beside its q-entry table
-    pp = PrimePowerModulus(101, 3)
-    tracemalloc.start()
-    try:
-        tab = sqrt_count_table(pp)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(tab) == pp.q
-    assert peak <= 2.2 * tab.nbytes, peak / tab.nbytes
-
-
-def test_count_unit_circle():
-    assert count_unit_circle(1, 1, PrimePowerModulus(3, 1)) == 4
-    assert count_unit_circle(1, 1, PrimePowerModulus(3, 2)) == 12
-    # every unit pair, both classes of -g1*g2; in the residue case the
-    # proposition is silent and the oracle decides
-    for (p, n) in [(5, 1), (7, 1), (3, 2), (11, 1), (5, 2), (3, 3)]:
-        pp = PrimePowerModulus(p, n)
-        units = [g for g in range(1, pp.q) if g % p]
-        classes = set()
-        for g1 in units:
-            for g2 in units:
-                classes.add(jacobi(-g1 * g2, p))
-                want = oracles.brute_unit_circle(g1, g2, pp.q)
-                assert count_unit_circle(g1, g2, pp) == want, (pp.q, g1, g2)
-        assert classes == {1, -1}, pp.q
-    pp71 = PrimePowerModulus(7, 1)
-    with pytest.raises(ValueError):
-        count_unit_circle(7, 1, pp71)
-
-
-def test_count_unit_circle_proposition_sweep():
-    rng = random.Random(13)
-    done = 0
-    while done < 40:
-        p = rng.choice([3, 7, 11])
-        n = rng.randint(1, 4)
-        pp = PrimePowerModulus(p, n)
-        g1, g2 = rng.randrange(1, pp.q), rng.randrange(1, pp.q)
-        if g1 % p == 0 or g2 % p == 0 or jacobi(-g1 * g2, p) != -1:
-            continue
-        assert count_unit_circle(g1, g2, pp) == pp.q + pp.q // p
-        done += 1
 
 
 def test_smallest_solution_examples():
@@ -537,8 +475,7 @@ def test_table_cap_checked_before_allocation():
         # a box over the budget, at a q within it: refused before int() and the arange
         "count_smoothed box": lambda: count_smoothed((1, 2, 3), pp72, 1e307),
         "count_sharp box": lambda: count_sharp((1, 2, 3), pp72, float("inf")),
-        "sqrt_count_table": lambda: sqrt_count_table(pp),
-        "count_unit_circle": lambda: count_unit_circle(1, 1, pp),
+        "count_unit_circle": lambda: conic.count_unit_circle(1, 1, pp),
         "smallest_solution": lambda: smallest_solution((1, 2, 3), pp),
         "build_family Case I": lambda: conic.build_family((1, 1, -1), pp),
         "build_family Case II": lambda: conic.build_family((1, 1, 1), pp),

@@ -8,7 +8,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conic_lab import census, cli, expsum
+from conic_lab import census, cli, conic, expsum
 from conic_lab.cli import DIOPH_MODES, SUBCOMMANDS, Splitmix64, emit, run
 from conic_lab.modcore import PrimePowerModulus
 
@@ -606,7 +606,7 @@ def test_selftest(capsys):
 
 
 def test_selftest_names_the_failed_checks(capsys, monkeypatch):
-    monkeypatch.setattr(census, "count_unit_circle", lambda *args: 0)
+    monkeypatch.setattr(conic, "count_unit_circle", lambda *args: 0)
     code, out, err = run_capture(["selftest"], capsys)
     assert (code, out, err) == (1, "", "internal assertion failure: selftest failed: unit-circle\n")
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from conic_lab.conic import (
     BasePoint,
     build_family,
     case_tag,
+    count_unit_circle,
     enumerate_pair_solutions,
     family_plan,
     lift_triple,
@@ -60,7 +62,7 @@ def _case2_triples(p):
     return [c for c in itertools.product(range(1, p), repeat=3) if case_tag(c, p) == CASE_II]
 
 
-def test_find_base_point_contract():
+def test_family_plan_case2_base_point_contract():
     # family_plan's Case II point solves the congruence mod q, and both coordinates are units
     rng = random.Random(2)
     for _ in range(80):
@@ -75,7 +77,7 @@ def test_find_base_point_contract():
         assert bp.a % p and bp.b % p
 
 
-def test_find_base_point_matches_brute_force():
+def test_family_plan_case2_base_point_matches_brute_force():
     for p in (3, 7, 11, 19):
         pp = PrimePowerModulus(p, 3)
         for coeffs in _case2_triples(p):
@@ -405,3 +407,49 @@ def test_lift_triple_property(instance):
             brute.add((y1, y2, y3))
     assert len(lifts) == p * p
     assert set(lifts) == brute
+
+
+def test_count_unit_circle():
+    assert count_unit_circle(1, 1, PrimePowerModulus(3, 1)) == 4
+    assert count_unit_circle(1, 1, PrimePowerModulus(3, 2)) == 12
+    # every unit pair, both classes of -g1*g2; in the residue case the
+    # proposition is silent and the oracle decides
+    for (p, n) in [(5, 1), (7, 1), (3, 2), (11, 1), (5, 2), (3, 3)]:
+        pp = PrimePowerModulus(p, n)
+        units = [g for g in range(1, pp.q) if g % p]
+        classes = set()
+        for g1 in units:
+            for g2 in units:
+                classes.add(jacobi(-g1 * g2, p))
+                want = oracles.brute_unit_circle(g1, g2, pp.q)
+                assert count_unit_circle(g1, g2, pp) == want, (pp.q, g1, g2)
+        assert classes == {1, -1}, pp.q
+    pp71 = PrimePowerModulus(7, 1)
+    with pytest.raises(ValueError):
+        count_unit_circle(7, 1, pp71)
+
+
+def test_count_unit_circle_proposition_sweep():
+    rng = random.Random(13)
+    done = 0
+    while done < 40:
+        p = rng.choice([3, 7, 11])
+        n = rng.randint(1, 4)
+        pp = PrimePowerModulus(p, n)
+        g1, g2 = rng.randrange(1, pp.q), rng.randrange(1, pp.q)
+        if g1 % p == 0 or g2 % p == 0 or jacobi(-g1 * g2, p) != -1:
+            continue
+        assert count_unit_circle(g1, g2, pp) == pp.q + pp.q // p
+        done += 1
+
+
+def test_count_unit_circle_peak_memory():
+    # the half-range join's arrays, and no q-entry table of square-root counts beside them
+    pp = PrimePowerModulus(101, 3)
+    tracemalloc.start()
+    try:
+        count_unit_circle(1, 1, pp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * pp.q, peak / pp.q

@@ -27,6 +27,7 @@ from conic_lab.expsum import (
     direct_S_alpha,
     direct_sums,
     family_amplitude,
+    layer_requests,
     layer_sum,
 )
 
@@ -723,3 +724,57 @@ def test_closed_form_E_matches_direct_sums(instance):
     except UnsupportedCaseError:
         return
     assert abs(got - want) / max(1.0, abs(want)) < 1e-6, (got, want)
+
+
+# (coeffs, p, n, support k): Case I first, then Case II; C(k;q) != 0 at each support k, and at
+# (7, 14, 0) and (0, 0, 27) only Case II's layers s >= 1 carry it, as p divides k1 and k2
+DUAL_ROUTE_CASES = [
+    ((1, 1, -1), 7, 3, [(1, 1, 10)]),
+    ((2, 3, -5), 7, 2, [(1, 2, 1)]),
+    ((1, 2, 3), 11, 2, [(1, 1, 1)]),
+    ((1, 1, 1), 7, 2, [(1, 2, 3), (7, 14, 0)]),
+    ((1, 1, 1), 3, 4, [(1, 1, 5), (0, 0, 27)]),
+]
+
+
+def _unit_x3_sum(k3, pp, family_sum):
+    """sum over the units x3 mod q of e(k3 x3 / q) * family_sum(x3)."""
+    q = pp.q
+    return sum(cmath.exp(2j * math.pi * (k3 * x3 % q) / q) * family_sum(x3) for x3 in range(1, q) if x3 % pp.p)
+
+
+def _dual_by_layers(coeffs, k, pp):
+    """The x3-sum of sum_s layer_sum(s, k1, k2, x3): every layer's requests in one direct_sums call."""
+    k1, k2, k3 = k
+    batch, parts = [], {}
+    for x3 in (x for x in range(1, pp.q) if x % pp.p):
+        for s in range(len(family_plan(coeffs, pp)[1])):
+            requests, weight = layer_requests(s, k1, k2, x3, coeffs, pp)
+            parts.setdefault(x3, []).append((len(batch), len(requests), weight))
+            batch += requests
+    sums = direct_sums(batch, pp)
+    return _unit_x3_sum(k3, pp, lambda x3: sum(sum(sums[i : i + m]) / w for i, m, w in parts[x3]))
+
+
+def test_family_sums_give_the_dual_coefficient():
+    # the paper's route: a unit solution with y3 = x3 is x3 (z1, z2, 1), z on the conic that
+    # family_plan's layers cover, so C(k;q) is the x3-sum of the layer sums; closed_form_E is
+    # layer 0 alone, all of C in Case I, and in Case II whenever p does not divide both k1, k2
+    rng = random.Random(37)
+    for coeffs, p, n, support in DUAL_ROUTE_CASES:
+        pp = PrimePowerModulus(p, n)
+        q = pp.q
+        case = case_tag(coeffs, p)
+        ks = [(0, 0, 0), (p * rng.randrange(q), p * rng.randrange(q), rng.randrange(q))]
+        ks += [tuple(rng.randrange(q) for _ in range(3)) for _ in range(2)]
+        for k in ks + support:
+            want = oracles.brute_dual_coefficient(coeffs, k, p, q)
+            assert k not in support or abs(want) > 1, (coeffs, q, k)
+            assert abs(_dual_by_layers(coeffs, k, pp) - want) < 1e-9, (coeffs, q, k)
+            if case == CASE_II and k[0] % p == 0 and k[1] % p == 0:
+                continue
+            try:
+                got = _unit_x3_sum(k[2], pp, lambda x3: closed_form_E(k[0], k[1], x3, coeffs, pp))
+            except ValueError:  # a refused k: unequal powers of p in k1, k2, or UnsupportedCaseError
+                continue
+            assert abs(got - want) < 1e-9, (coeffs, q, k)

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -245,3 +247,45 @@ def test_readme_env_vars_are_read():
         read |= environ_reads(f.read_text())
     documented = set(re.findall(r"\$([A-Z_][A-Z0-9_]*)", (ROOT / "README.md").read_text()))
     assert documented <= read, sorted(documented - read)
+
+
+def tracer_names(source: str) -> set:
+    """The "module.function" strings of the tracer's HOT, PRIVATE, HOOKS (keys) and CLOSED_FORMS."""
+    names, kinds = set(), ("HOT", "PRIVATE", "HOOKS", "CLOSED_FORMS")
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) in kinds for t in node.targets):
+            elts = node.value.keys if isinstance(node.value, ast.Dict) else node.value.elts
+            names |= {e.value for e in elts}
+    return names
+
+
+def test_tracer_names_detector():
+    src = ('HOT = {"a.b", "c.d"}\nPRIVATE = {"e._f"}\nHOOKS = {"g.h": _hook}\n'
+           'CLOSED_FORMS = {"i.j"}\nLAYERS = ("k", "l")\nOTHER = {"m.n": 1}\n')
+    assert tracer_names(src) == {"a.b", "c.d", "e._f", "g.h", "i.j"}
+
+
+# Tracer names that no function of the package answers to, so their calls and counters read 0.
+KNOWN_STALE = {
+    "census._sqrt_table",
+    "census._legendre_table",
+    "census.sqrt_count_table",
+    "modcore.as_coeffs",
+    "modcore.sqrt_all_roots",
+    "conic.param_case1",
+    "conic.build_case1_family",
+    "conic.build_case2_family",
+}
+
+
+def test_tracer_names_resolve():
+    # the benchmark's tracer wraps a function of the package by name and skips a name it does
+    # not find, so a rename drops that function's per-layer calls and counters silently
+    stale = set()
+    for qual in tracer_names((ROOT / "perfbench" / "tracing.py").read_text()):
+        layer, name = qual.split(".")
+        module = importlib.import_module(f"conic_lab.{layer}")
+        fn = getattr(module, name, None)
+        if not (inspect.isfunction(fn) and fn.__module__ == module.__name__):
+            stale.add(qual)
+    assert stale == KNOWN_STALE, (sorted(stale - KNOWN_STALE), sorted(KNOWN_STALE - stale))
