@@ -15,11 +15,11 @@ so explicit flags win and config values are type-checked like flags.
 
 Results are emitted as CSV or JSONL with a fixed column set per subcommand
 and a schema_version column; floats are printed with 12 significant digits.
-Each handler charges its estimated work, in (x1, x2)-pair-visit units, once at
-_budget_gate, which refuses a run over the budget and ends a dry run. The
-README tables the charge of each subcommand; count, scan and smallest charge
-census.estimate_count_work, estimate_scan_work and estimate_smallest_work,
-and the other handlers charge their own.
+Each handler charges its estimated work, in work units as the README's charge
+table gives them, once at _budget_gate, which refuses a run over the budget and
+ends a dry run. count, scan and smallest charge census.estimate_count_work,
+estimate_scan_work and estimate_smallest_work, in (x1, x2) pair visits, and the
+other handlers charge their own units.
 
 Exit codes: 0 success, 2 invalid input, 1 internal assertion failure. The
 handlers do not translate errors: every ValueError, from the library's own
@@ -436,7 +436,7 @@ def _parse(argv):
     try:
         with open(args.config) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # a deep nest is a RecursionError
         raise ValueError(f"config {args.config}: {exc}")
     if not isinstance(doc, dict):
         raise ValueError(f"config {args.config}: expected a JSON object")

@@ -37,6 +37,7 @@ from .modcore import (
     sqrt_mod_prime_power,
     trig_table,
     validate_coeffs,
+    valuation,
 )
 from .conic import family_plan, slope_form
 
@@ -84,22 +85,6 @@ def _poly_deriv(a):
     return _trim([i * ai for i, ai in enumerate(a)][1:])
 
 
-def _poly_valuation(a, p):
-    """Largest e with p^e dividing every coefficient; None for the zero poly."""
-    v = None
-    for c in a:
-        if c == 0:
-            continue
-        e = 0
-        while c % p == 0:
-            c //= p
-            e += 1
-        v = e if v is None else min(v, e)
-        if v == 0:
-            return 0
-    return v
-
-
 def _poly_strip(a, p, v):
     return tuple(c // p**v for c in a)
 
@@ -134,10 +119,10 @@ class IntRationalFunction:
 
     def stripped(self, p):
         """The function with p-content removed from both parts, plus its ord."""
-        vn = _poly_valuation(self.numer, p)
+        vn = valuation(math.gcd(*self.numer), p)
         if vn is None:
             raise ValueError("cannot strip the zero function")
-        vd = _poly_valuation(self.denom, p)
+        vd = valuation(math.gcd(*self.denom), p)
         return (
             IntRationalFunction(_poly_strip(self.numer, p, vn), _poly_strip(self.denom, p, vd)),
             vn - vd,
@@ -182,7 +167,7 @@ def direct_sums(requests, pp: PrimePowerModulus) -> list:
     cosets = {}  # (s, w(alpha) mod p) -> [(request number, numer / p^s, denom, alpha)]
     for i, (f, alpha) in enumerate(requests):
         alpha = _unit_class(f, alpha, p)
-        v = _poly_valuation(f.numer, p)
+        v = valuation(math.gcd(*f.numer), p)
         s = n - 1 if v is None else min(v, n - 1)
         numer = _poly_strip(f.numer, p, s)
         coset = poly_eval_mod(numer, alpha, p) * pow(poly_eval_mod(f.denom, alpha, p), -1, p) % p
@@ -297,15 +282,6 @@ def direct_E(k1, k2, x3, coeffs, pp: PrimePowerModulus) -> complex:
     return layer_sum(0, k1, k2, x3, coeffs, pp)
 
 
-def _split_common_power(k1, k2, p, n):
-    r = 0
-    while r < n and k1 % p == 0 and k2 % p == 0:
-        k1 //= p
-        k2 //= p
-        r += 1
-    return k1, k2, r
-
-
 def closed_form_E(k1, k2, x3, coeffs, pp: PrimePowerModulus) -> complex:
     """The sqrt(D) closed form of the family sum E(k1,k2,x3;p^n).
 
@@ -330,7 +306,9 @@ def closed_form_E(k1, k2, x3, coeffs, pp: PrimePowerModulus) -> complex:
     p, n = pp.p, pp.n
     if x3 % p == 0:
         raise ValueError("x3 must be a unit mod p")
-    l1, l2, r = _split_common_power(k1, k2, p, n)
+    v = valuation(math.gcd(k1, k2), p)
+    r = n if v is None else min(v, n)
+    l1, l2 = k1 // p**r, k2 // p**r
     if l1 % p == 0 or l2 % p == 0:
         raise ValueError("k1 and k2 must share the same exact power of p")
     _check_evaluable(p, n, r)

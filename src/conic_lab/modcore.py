@@ -1,6 +1,8 @@
 """Exact modular arithmetic over odd prime powers.
 
-Jacobi symbols, inverses (of arrays by a product tree), square roots, the
+The p-adic valuation of an integer (valuation: the one division loop that counts the
+powers of p in x; the content of several integers is the valuation of their gcd), Jacobi
+symbols, inverses (of arrays by a product tree), square roots, the
 Newton lift of a simple polynomial root, the table of unit squares mod q
 (unit_squares), integer polynomials mod q (by Horner at a point, by baby and
 giant steps on residue classes t = alpha mod p), the one class evaluator of
@@ -51,6 +53,22 @@ TABLE_Q_MAX = 10**7
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def valuation(x: int, p: int) -> Optional[int]:
+    """The exponent of p in the integer x, the largest e with p^e | x; None for x = 0.
+
+    A base p < 2 is refused: at p = 1 the loop would never end, and p = 0 divides nothing.
+    """
+    if p < 2:
+        raise ValueError(f"valuation base p={p} must be >= 2")
+    if x == 0:
+        return None
+    e = 0
+    while x % p == 0:
+        x //= p
+        e += 1
+    return e
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
     if n < 2:
@@ -58,11 +76,8 @@ def is_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r = valuation(n - 1, 2)
+    d = (n - 1) >> r
     for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -175,10 +190,8 @@ def sqrt_mod_prime(a: int, p: int) -> Optional[int]:
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
     # p - 1 = s * 2^e with s odd
-    s, e = p - 1, 0
-    while s % 2 == 0:
-        s //= 2
-        e += 1
+    e = valuation(p - 1, 2)
+    s = (p - 1) >> e
     z = 2
     while jacobi(z, p) != -1:
         z += 1
@@ -394,10 +407,8 @@ def _factorize(m: int) -> list:
     d = 3
     while d * d <= m:
         if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
+            e = valuation(m, d)
+            m //= d**e
             out.append((d, e))
         d += 2
     if m > 1:

@@ -418,6 +418,19 @@ def test_config_value_must_be_a_string_number_or_boolean(capsys, tmp_path, monke
             assert err == "error: config c.json: field 'sharp' is a switch: true or false\n", err
 
 
+def test_deeply_nested_config_exits_2(capsys, tmp_path, monkeypatch):
+    # a nest past the decoder's recursion limit once ended in a RecursionError traceback and exit 1
+    monkeypatch.chdir(tmp_path)
+    deep = "[" * 100_000 + "]" * 100_000
+    for doc in (deep, '{"seed": ' + deep + "}"):
+        (tmp_path / "c.json").write_text(doc)
+        for dry in ([], ["--dry-run"]):
+            code, out, err = run_capture(["selftest", "--config", "c.json", *dry], capsys)
+            assert (code, out) == (2, ""), doc[:12]
+            assert err.startswith("error: config c.json: ") and err.count("\n") == 1, err
+            assert "recursion" in err, err
+
+
 def test_coeffs_with_sample_exits_2(capsys):
     # --sample would be ignored while the output still carried its seed
     for argv in (["count", "--p", "7", "--n", "2", "--N", "5", "--sharp"],

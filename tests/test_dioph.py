@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -135,6 +136,46 @@ def test_reduce_coefficients_preserves_solutions():
         if rc.r % p != 0:
             assert orig == red
         done += 1
+
+
+def _brute_congruence_count(b, q, R):
+    """Integer points of [-R, R]^3, zeros included, with b1 x1^2 + b2 x2^2 + b3 x3^2 = 0 mod q."""
+    sq = np.arange(-R, R + 1, dtype=np.int64) ** 2
+    v = b[0] * sq[:, None, None] + b[1] * sq[None, :, None] + b[2] * sq[None, None, :]
+    return int(np.count_nonzero(v % q == 0))
+
+
+def _reduction_count(rc, q, R):
+    """The points of [-R, R]^3 with r x3^2 - g1 x1^2 - g2 x2^2 = 0 mod q, as the sum over x3 and
+    |j| <= J of the box solutions of g1 X^2 + g2 Y^2 = r x3^2 - j q: |g1 X^2 + g2 Y^2 - r x3^2|
+    <= (|g1| + |g2| + r) R^2 bounds j. count_equation_solutions refuses a zero right side."""
+    J = (abs(rc.g1) + abs(rc.g2) + rc.r) * R * R // q
+    zero = sum(rc.g1 * X * X + rc.g2 * Y * Y == 0 for X in range(-R, R + 1) for Y in range(-R, R + 1))
+    total = 0
+    for x3 in range(-R, R + 1):
+        for j in range(-J, J + 1):
+            C = rc.r * x3 * x3 - j * q
+            total += count_equation_solutions(rc.g1, rc.g2, C, R) if C else zero
+    return total
+
+
+def test_gamma_reduction_counts_the_congruence():
+    # r (t1 x1^2 + t2 x2^2 + x3^2) = r x3^2 - g1 x1^2 - g2 x2^2 mod q with t_i = b_i / b3, so the
+    # reduction's equations count the congruence exactly when r is a unit mod q, and a superset
+    # of its solutions otherwise
+    rng = random.Random(13)
+    seen = set()
+    for p, q in [(5, 5**4), (7, 7**3), (7, 7**4), (11, 11**3)]:
+        for _ in range(6):
+            b = (1, *(rng.choice([v for v in range(1, q) if v % p]) for _ in range(2)))
+            R, Q = rng.choice([10, 12]), rng.choice([5, 10, 20])
+            rc = reduce_coefficients(*b, q, Q)
+            got, want = _reduction_count(rc, q, R), _brute_congruence_count(b, q, R)
+            unit = math.gcd(rc.r, q) == 1
+            assert got == want if unit else got >= want, (b, q, R, Q, got, want)
+            if want > 1:
+                seen.add(unit)
+    assert seen == {True, False}
 
 
 def test_integer_nth_root():

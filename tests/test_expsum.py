@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conic_lab.modcore import TABLE_Q_MAX, PrimePowerModulus, exact_sum, jacobi
+from conic_lab.modcore import TABLE_Q_MAX, PrimePowerModulus, exact_sum, jacobi, valuation
 from conic_lab.conic import (
     CASE_I,
     CASE_II,
@@ -428,6 +428,15 @@ def _content_ord(c, p):
     return r
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=6).filter(any),
+       st.sampled_from([3, 5, 7, 11]), st.integers(0, 6))
+def test_gcd_valuation_is_the_content_ord(c, p, k):
+    # the p-content of a coefficient tuple, as stripped and direct_sums read it
+    c = [x * p**k for x in c]
+    assert valuation(math.gcd(*c), p) == _content_ord(c, p)
+
+
 @st.composite
 def critical_point_instances(draw):
     """(f, alpha, pp, g) with p^(-r) f' = g / denom^2, g free of p-content, and r <= n - 2;
@@ -693,6 +702,21 @@ def test_closed_form_E_degenerate_cases_raise():
         closed_form_E(1, 1, 1, (-1, 1, 1), pp)
     with pytest.raises(ValueError, match=mixed):
         direct_E(1, 1, 1, (-1, 1, 1), pp)
+
+
+def test_closed_form_E_common_power_refusals():
+    # (k1, k2) = p^r (l1, l2) with r capped at n: k = 0, unequal powers, and a common power past n
+    # with unequal powers below it refuse as plain ValueErrors; equal powers at r = n reach r > n-2
+    pp = PrimePowerModulus(7, 4)
+    q = pp.q
+    for k in [(0, 0), (0, 21), (7 * q, 14 * q)]:
+        with pytest.raises(ValueError) as exc:
+            closed_form_E(*k, 1, (1, 1, -1), pp)
+        assert type(exc.value) is ValueError and str(exc.value) == \
+            "k1 and k2 must share the same exact power of p", k
+    with pytest.raises(UnsupportedCaseError) as exc:
+        closed_form_E(q, 2 * q, 1, (1, 1, -1), pp)
+    assert str(exc.value) == "r = 4 > n-2 = 2"
 
 
 @st.composite

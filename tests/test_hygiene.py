@@ -157,6 +157,53 @@ def test_count_picks_the_kernel():
     assert found == {("census.py", "count")}, found
 
 
+def counting_division_loops(source: str) -> list:
+    """(line, innermost enclosing function or None) of each while loop that counts the factors Y
+    of X: its test has X % Y == 0, alone or in an `and`, and its body has X //= Y and a += 1."""
+    found = []
+
+    def divisions(test):
+        for cond in test.values if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And) else [test]:
+            if isinstance(cond, ast.Compare) and len(cond.ops) == 1 and isinstance(cond.ops[0], ast.Eq) \
+                    and ast.unparse(cond.comparators[0]) == "0" and isinstance(cond.left, ast.BinOp) \
+                    and isinstance(cond.left.op, ast.Mod):
+                yield ast.unparse(cond.left.left), ast.unparse(cond.left.right)
+
+    def counts(loop):
+        augs = [n for stmt in loop.body for n in ast.walk(stmt) if isinstance(n, ast.AugAssign)]
+        divided = {(ast.unparse(n.target), ast.unparse(n.value)) for n in augs if isinstance(n.op, ast.FloorDiv)}
+        counted = any(isinstance(n.op, ast.Add) and ast.unparse(n.value) == "1" for n in augs)
+        return counted and any(d in divided for d in divisions(loop.test))
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.While) and counts(child):
+                found.append((child.lineno, name))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else name)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_counting_division_loops_detector():
+    src = ("def plain(x, p):\n    e = 0\n    while x % p == 0:\n        x //= p\n        e += 1\n    return e\n"
+           "def split(k1, k2, p, n):\n    r = 0\n    while r < n and k1 % p == 0 and k2 % p == 0:\n"
+           "        k1 //= p\n        k2 //= p\n        r += 1\n    return k1, k2, r\n"
+           "def sign(a, m):\n    result = 1\n    while a % 2 == 0:\n        a //= 2\n"
+           "        if m % 8 in (3, 5):\n            result = -result\n    return result\n"
+           "def squares(t, p):\n    i = 0\n    while t != 1:\n        t = t * t % p\n        i += 1\n    return i\n")
+    assert counting_division_loops(src) == [(3, "plain"), (9, "split")]
+
+
+def test_one_valuation_loop():
+    # the powers of p in an integer are counted once, by modcore.valuation; several integers
+    # share the valuation of their gcd
+    found = [(f.name, name) for f in sorted((ROOT / "src" / "conic_lab").glob("*.py"))
+             for _, name in counting_division_loops(f.read_text())]
+    assert found == [("modcore.py", "valuation")], found
+
+
 def test_trig_uses_detector():
     src = ("import numpy as np\nfrom math import sin\ndef table(a):\n    return np.cos(a), math.sin(a)\n"
            "x = numpy.sin(0)\ndef other(a):\n    return a.cos, np.exp(a)\n")

@@ -25,6 +25,7 @@ from conic_lab.modcore import (
     sqrt_mod_prime_power,
     trig_table,
     validate_coeffs,
+    valuation,
 )
 from fractions import Fraction
 
@@ -54,6 +55,38 @@ def test_is_prime_small():
         assert is_prime(m) == all(m % d for d in range(2, m))
     assert is_prime(2**61 - 1)
     assert not is_prime(2**62 - 1)
+
+
+def _trial_division_exponent(x, p):
+    """The e with p^e | x and p^(e+1) not dividing x, for x != 0, by testing each power."""
+    e = 0
+    while x % p ** (e + 1) == 0:
+        e += 1
+    return e
+
+
+@st.composite
+def valuation_inputs(draw):
+    """(x, p) with |x| <= 10^40, x often a multiple of a high power of p, 0 and +-1 included."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 101, 2**61 - 1]))
+    k = draw(st.integers(0, int(math.log(10**40, p))))
+    bound = 10**40 // p**k
+    u = draw(st.one_of(st.sampled_from([0, 1, -1]), st.integers(-bound, bound)))
+    return u * p**k, p
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(valuation_inputs())
+def test_valuation_is_trial_division(instance):
+    x, p = instance
+    assert valuation(x, p) == (None if x == 0 else _trial_division_exponent(x, p))
+
+
+def test_valuation_refuses_a_base_below_2():
+    for x in (0, 1, 12):
+        for p in (1, 0, -2):
+            with pytest.raises(ValueError, match=f"base p={p} must be >= 2"):
+                valuation(x, p)
 
 
 def test_jacobi_examples():
